@@ -12,12 +12,7 @@ import sys
 
 import click
 
-from .cover import (
-    cover_instance_to_dict,
-    load_cover_instance,
-    solution_to_dict,
-    solve_cover_dlx,
-)
+from .cover import load_cover_instance, solution_to_dict
 from .errors import (
     CsgcError,
     FileFormatError,
@@ -35,7 +30,7 @@ from .geometry import (
     tree_from_dict,
     tree_to_dict,
 )
-from .graph import graph_to_dict, load_graph, maximal_cliques_bk
+from .graph import build_intersection_graph, load_graph, maximal_cliques_bk
 from .pipeline import (
     CLIQUE_METHODS,
     COVER_SOLVERS,
@@ -45,13 +40,13 @@ from .pipeline import (
     compress_abstract,
     oracle_agreement,
     report_stats,
+    solve_cover,
 )
 from .products import load_abstract_instance, table_to_dict, enumerate_products
 from .qubo import (
     AnnealSchedule,
     build_cover_qubo,
     build_max_clique_qubo,
-    default_schedule,
     export_qubo,
     import_qubo,
     solve_exact,
@@ -87,17 +82,20 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _load_tree(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return tree_from_dict(json.load(fh))
+        except json.JSONDecodeError as exc:
+            raise FileFormatError(f"{path}: invalid JSON ({exc})") from exc
+
+
 def _load_oracle(primitives, cloud_path, tree_path):
     if (cloud_path is None) == (tree_path is None):
         raise ParameterError("provide exactly one of --cloud or --tree")
     if cloud_path is not None:
         return CloudOracle(load_cloud(cloud_path))
-    with open(tree_path, "r", encoding="utf-8") as fh:
-        try:
-            tree = tree_from_dict(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{tree_path}: invalid JSON ({exc})") from exc
-    return TreeOracle(tree, primitives)
+    return TreeOracle(_load_tree(tree_path), primitives)
 
 
 @click.group()
@@ -208,8 +206,6 @@ def cliques_cmd(graph_path, method, seed, penalty_a, penalty_b, schedule_text, o
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def products_cmd(primitives_path, cloud_path, tree_path, samples, seed, out):
     """Enumerate and classify the non-empty fundamental products."""
-    from .graph import build_intersection_graph
-
     prims = load_primitives(primitives_path)
     oracle = _load_oracle(prims, cloud_path, tree_path)
     graph = build_intersection_graph(prims, count=samples, seed=seed)
@@ -231,33 +227,12 @@ def products_cmd(primitives_path, cloud_path, tree_path, samples, seed, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def cover_cmd(instance_path, solver, penalty_a, penalty_b, schedule_text, seed, out):
     """Solve a smallest-exact-cover instance."""
-    from .cover import verify_cover, CoverSolution
-    from .qubo import selection_from_result
-
     instance = load_cover_instance(instance_path)
-    meta: dict = {"solver": solver}
-    if solver == "dlx":
-        solution = solve_cover_dlx(instance)
-    else:
-        q, _ = build_cover_qubo(instance, A=penalty_a, B=penalty_b)
-        if solver == "qubo_exact":
-            result = solve_exact(q)
-        else:
-            sched = _parse_schedule(schedule_text) or default_schedule(q)
-            result = solve_sa(q, sched, seed=seed)
-            meta.update({"seed": result.seed, "sweeps": result.sweeps,
-                         "restarts": result.restarts})
-        meta["energy"] = result.energy
-        selected = selection_from_result(result)
-        check = verify_cover(instance, selected)
-        if not check.valid:
-            raise UnsatisfiableError(
-                f"{solver} did not reach an exact cover; no cover may exist, "
-                "or the schedule is too short"
-            )
-        literals = sum(instance.candidates[i].literal_count for i in selected)
-        solution = CoverSolution(selected, len(selected), literals)
-    payload = {**solution_to_dict(solution, instance), **meta}
+    solution, meta = solve_cover(
+        instance, solver, penalty_a=penalty_a, penalty_b=penalty_b,
+        schedule=_parse_schedule(schedule_text), seed=seed,
+    )
+    payload = {**solution_to_dict(solution, instance), "solver": meta}
     _emit(json.dumps(payload, indent=2) + "\n", out)
 
 
@@ -279,8 +254,7 @@ def qubo_solve_cmd(model_path, solver, schedule_text, seed, out):
     if solver == "exact":
         result = solve_exact(q)
     else:
-        sched = _parse_schedule(schedule_text) or default_schedule(q)
-        result = solve_sa(q, sched, seed=seed)
+        result = solve_sa(q, _parse_schedule(schedule_text), seed=seed)
     payload = {
         "assignment": result.assignment,
         "energy": result.energy,
@@ -334,11 +308,7 @@ def qubo_export_cmd(instance_path, graph_path, penalty_a, penalty_b, out):
 def eval_cmd(tree_path, primitives_path, cloud_path, samples, seed, out):
     """Agreement between a tree and a point-cloud oracle."""
     prims = load_primitives(primitives_path)
-    with open(tree_path, "r", encoding="utf-8") as fh:
-        try:
-            tree = tree_from_dict(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{tree_path}: invalid JSON ({exc})") from exc
+    tree = _load_tree(tree_path)
     oracle = CloudOracle(load_cloud(cloud_path))
     agreement, used = oracle_agreement(
         tree, prims, oracle, n_points=samples, seed=seed

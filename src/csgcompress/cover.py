@@ -32,7 +32,7 @@ from .errors import (
 )
 from .geometry import Complement, CsgNode, Intersection, Leaf, Union
 from .graph import IntersectionGraph, clique_sort_key
-from .products import ProductTable
+from .products import ProductTable, enumerate_cliques
 
 MODE_PARTITIONED = "partitioned"
 MODE_GLOBAL = "global"
@@ -163,8 +163,6 @@ def generate_candidates(
 
     if mode == MODE_GLOBAL:
         ids = sorted(table.primitive_ids)
-        from .products import enumerate_cliques
-
         for pos_set in enumerate_cliques(graph):
             rest = [i for i in ids if i not in pos_set]
             for k in range(len(rest) + 1):
@@ -372,23 +370,30 @@ def verify_cover(instance: CoverInstance, selected) -> CoverCheck:
     return CoverCheck(not uncovered and not double, uncovered, double)
 
 
+def union_of_conjunctions(literal_lists) -> CsgNode:
+    """Union of literal conjunctions; a lone term or literal stands unwrapped.
+
+    Each conjunction is a sequence of (primitive id, is_positive) pairs, so
+    the leaf count of the result is the total number of literals.
+    """
+    terms = []
+    for literals in literal_lists:
+        parts = [Leaf(pid) if pos else Complement(Leaf(pid)) for pid, pos in literals]
+        terms.append(parts[0] if len(parts) == 1 else Intersection(tuple(parts)))
+    return terms[0] if len(terms) == 1 else Union(tuple(terms))
+
+
 def assemble_tree(solution: CoverSolution, instance: CoverInstance) -> CsgNode:
     """Union of the selected conjunctions; leaf count equals total literals."""
     if not solution.selected:
         raise StructuralError("cannot assemble a tree from an empty selection")
-    terms = []
-    for i in solution.selected:
-        cand = instance.candidates[i]
+    chosen = [instance.candidates[i] for i in solution.selected]
+    for cand in chosen:
         if cand.literals is None:
             raise StructuralError(
                 f"candidate {cand.name!r} carries no literals (abstract instance)"
             )
-        parts = [
-            Leaf(pid) if pos else Complement(Leaf(pid))
-            for pid, pos in cand.literals
-        ]
-        terms.append(parts[0] if len(parts) == 1 else Intersection(tuple(parts)))
-    return terms[0] if len(terms) == 1 else Union(tuple(terms))
+    return union_of_conjunctions(cand.literals for cand in chosen)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,19 @@
-"""Oriented point clouds and the nearest-neighbour membership test.
+"""Oriented point clouds and their text file format.
 
 A cloud realises the target solid when its points sample the surface with
-outward unit normals.  A query point is inside iff it lies behind the
-tangent plane of its nearest cloud point: ``(q - p) . n < 0``.  This is the
-usual half-space heuristic; it is exact in the limit of dense sampling and
-smooth surfaces.
+outward unit normals.  ``oracles.CloudOracle`` answers membership over it:
+a query point is inside iff it lies behind the tangent plane of its nearest
+cloud point, ``(q - p) . n < 0``.  This is the usual half-space heuristic;
+it is exact in the limit of dense sampling and smooth surfaces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from ..errors import FileFormatError, UnsupportedOracleError
+from ..errors import FileFormatError
 
 _NORMAL_TOL = 1e-6
 
@@ -42,22 +41,6 @@ class PointCloud:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-
-def cloud_membership(cloud: PointCloud, point) -> bool | np.ndarray:
-    """Inside test against the half-space of the nearest oriented point."""
-    if len(cloud) == 0:
-        raise UnsupportedOracleError("point cloud oracle needs a non-empty cloud")
-    if cloud.normals is None:
-        raise UnsupportedOracleError("point cloud oracle needs outward normals")
-    p = np.asarray(point, dtype=float)
-    single = p.ndim == 1
-    pts = np.atleast_2d(p)
-    tree = cKDTree(cloud.points)
-    _, idx = tree.query(pts, k=1)
-    side = np.einsum("ij,ij->i", pts - cloud.points[idx], cloud.normals[idx])
-    inside = side < 0
-    return bool(inside[0]) if single else inside
 
 
 # ---------------------------------------------------------------------------

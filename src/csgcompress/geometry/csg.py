@@ -106,8 +106,7 @@ def _eval(node: CsgNode, by_id: dict[str, Primitive], pts: np.ndarray) -> np.nda
 
 def tree_membership(tree: CsgNode, primitives, point) -> bool | np.ndarray:
     """True where the point is strictly inside the solid the tree describes."""
-    v = tree_value(tree, primitives, point)
-    return v < 0 if isinstance(v, np.ndarray) else v < 0
+    return tree_value(tree, primitives, point) < 0
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,14 @@ concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from ..errors import UnsupportedOracleError
 from .cloud import PointCloud
-from .csg import CsgNode, tree_membership
+from .csg import CsgNode, tree_membership, tree_value
 from .primitives import index_primitives
 
 
@@ -36,8 +36,6 @@ class TreeOracle:
 
     def surface_distance(self, points) -> np.ndarray:
         """Lower bound on the distance to the solid's surface."""
-        from .csg import tree_value
-
         return np.abs(np.atleast_1d(tree_value(self.tree, self._by_id, points)))
 
 

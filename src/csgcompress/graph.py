@@ -169,10 +169,7 @@ def graph_to_dict(graph: IntersectionGraph) -> dict:
 def graph_from_dict(obj: dict) -> IntersectionGraph:
     try:
         vertices = tuple(str(v) for v in obj["vertices"])
-        edges = frozenset(
-            (str(a), str(b)) if str(a) < str(b) else (str(b), str(a))
-            for a, b in obj.get("edges", [])
-        )
+        edges = frozenset((str(a), str(b)) for a, b in obj.get("edges", []))
         return IntersectionGraph(vertices, edges)
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"bad graph record: {exc}") from exc

@@ -11,7 +11,7 @@ prefixed, which the CLI turns into exit codes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,20 +23,11 @@ from .cover import (
     assemble_tree,
     generate_candidates,
     solve_cover_dlx,
+    union_of_conjunctions,
     verify_cover,
 )
-from .errors import CsgcError, ParameterError, UnsatisfiableError
-from .geometry import (
-    Complement,
-    CsgNode,
-    Intersection,
-    Leaf,
-    Union,
-    leaf_count,
-    tree_membership,
-    tree_to_dict,
-    union_box,
-)
+from .errors import CsgcError, ParameterError, StructuralError, UnsatisfiableError
+from .geometry import CsgNode, leaf_count, tree_to_dict, tree_value, union_box
 from .geometry.sampling import derive_rng, derive_seed, scene_diameter
 from .graph import (
     IntersectionGraph,
@@ -52,7 +43,6 @@ from .qubo import (
     AnnealSchedule,
     build_cover_qubo,
     build_max_clique_qubo,
-    default_schedule,
     selection_from_result,
     solve_exact,
     solve_sa,
@@ -190,17 +180,15 @@ def two_level_baseline(table: ProductTable, graph: IntersectionGraph) -> CsgNode
     universe = table.universe
     if not universe:
         raise UnsatisfiableError("no products lie inside the target solid")
-    terms = []
+    literal_lists = []
     for positive_set in universe:
         shared = set.intersection(
             *(set(graph.neighbors(p)) for p in sorted(positive_set))
         ) - positive_set
-        literals = sorted(
+        literal_lists.append(sorted(
             [(p, True) for p in positive_set] + [(v, False) for v in shared]
-        )
-        parts = [Leaf(p) if pos else Complement(Leaf(p)) for p, pos in literals]
-        terms.append(parts[0] if len(parts) == 1 else Intersection(tuple(parts)))
-    return terms[0] if len(terms) == 1 else Union(tuple(terms))
+        ))
+    return union_of_conjunctions(literal_lists)
 
 
 def oracle_agreement(
@@ -225,8 +213,6 @@ def oracle_agreement(
     kept_match = 0
     kept_total = 0
     attempts = 0
-    from .geometry import tree_value
-
     while kept_total < n_points and attempts < 50 * n_points:
         batch = rng.uniform(lo, hi, size=(4096, 3))
         attempts += batch.shape[0]
@@ -267,8 +253,7 @@ def cliques_via_qubo_sa(
     while remaining:
         sub = induced_subgraph(graph, remaining)
         q, names = build_max_clique_qubo(sub, A, B)
-        sched = schedule if schedule is not None else default_schedule(q)
-        result = solve_sa(q, sched, seed=derive_seed(seed, 0xC11, round_no))
+        result = solve_sa(q, schedule, seed=derive_seed(seed, 0xC11, round_no))
         members = {names[i] for i in selection_from_result(result)}
         members = _repair_clique(sub, members)
         if not members:
@@ -288,47 +273,65 @@ def _repair_clique(graph: IntersectionGraph, members) -> set[str]:
     return kept
 
 
-def _solve_cover(instance: CoverInstance, cfg: PipelineConfig, seed: int):
-    """Dispatch to the configured cover solver; returns (solution, metadata)."""
-    if cfg.cover_solver == "dlx":
-        return solve_cover_dlx(instance), {"name": "dlx"}
+def solve_cover(
+    instance: CoverInstance,
+    solver: str = "dlx",
+    *,
+    penalty_a: float | None = None,
+    penalty_b: float | None = None,
+    schedule: AnnealSchedule | None = None,
+    seed: int = 0,
+) -> tuple[CoverSolution, dict]:
+    """Smallest exact cover by the named solver; returns (solution, metadata).
 
-    n = len(instance.candidates)
-    if cfg.cover_solver == "qubo_exact" and n > EXACT_LIMIT:
-        raise ParameterError(
-            f"qubo_exact needs <= {EXACT_LIMIT} candidates, instance has {n}"
-        )
-    b = 1.0 if cfg.penalty_b is None else cfg.penalty_b
-    a = cfg.penalty_a  # None -> n*B + 1 inside the builder
-    q, _names = build_cover_qubo(instance, A=a, B=b)
-    meta: dict = {
-        "name": cfg.cover_solver,
-        "variables": n,
-        "penalty_a": a if a is not None else len(instance.universe) * b + 1.0,
-        "penalty_b": b,
-    }
-    if cfg.cover_solver == "qubo_exact":
-        result = solve_exact(q)
+    ``dlx`` enumerates exact covers directly; ``qubo_exact`` and ``qubo_sa``
+    minimise the cover QUBO (``penalty_b`` defaults to 1, ``penalty_a`` to
+    n*B + 1).  ``qubo_sa`` runs ``schedule`` (None picks the default) and,
+    on models of at most 20 variables, also records its energy gap to the
+    exhaustive minimum.  Every selection is verified to be an exact cover.
+    """
+    if solver not in COVER_SOLVERS:
+        raise ParameterError(f"unknown cover solver {solver!r}")
+    if solver == "dlx":
+        solution, meta = solve_cover_dlx(instance), {"name": "dlx"}
     else:
-        sched = cfg.schedule if cfg.schedule is not None else default_schedule(q)
-        result = solve_sa(q, sched, seed=seed)
-        meta.update(
-            {"seed": result.seed, "sweeps": result.sweeps, "restarts": result.restarts}
-        )
-        if n <= _SA_GAP_CHECK_LIMIT:
-            meta["sa_exact_gap"] = result.energy - solve_exact(q).energy
-    meta["energy"] = result.energy
+        n = len(instance.candidates)
+        if solver == "qubo_exact" and n > EXACT_LIMIT:
+            raise ParameterError(
+                f"qubo_exact needs <= {EXACT_LIMIT} candidates, instance has {n}"
+            )
+        a = penalty_a  # None -> n*B + 1 inside the builder
+        b = 1.0 if penalty_b is None else penalty_b
+        q, _names = build_cover_qubo(instance, A=a, B=b)
+        meta: dict = {
+            "name": solver,
+            "variables": n,
+            "penalty_a": a if a is not None else len(instance.universe) * b + 1.0,
+            "penalty_b": b,
+        }
+        if solver == "qubo_exact":
+            result = solve_exact(q)
+        else:
+            result = solve_sa(q, schedule, seed=seed)
+            meta.update(
+                {"seed": result.seed, "sweeps": result.sweeps,
+                 "restarts": result.restarts}
+            )
+            if n <= _SA_GAP_CHECK_LIMIT:
+                meta["sa_exact_gap"] = result.energy - solve_exact(q).energy
+        meta["energy"] = result.energy
+        selected = selection_from_result(result)
+        literals = sum(instance.candidates[i].literal_count for i in selected)
+        solution = CoverSolution(selected, len(selected), literals)
 
-    selected = selection_from_result(result)
-    check = verify_cover(instance, selected)
+    check = verify_cover(instance, solution.selected)
     if not check.valid:
         raise UnsatisfiableError(
-            f"{cfg.cover_solver} did not reach an exact cover "
+            f"{solver} did not reach an exact cover "
             f"({len(check.uncovered)} uncovered, {len(check.double_covered)} doubly "
             "covered); no cover may exist, or the schedule is too short"
         )
-    literals = sum(instance.candidates[i].literal_count for i in selected)
-    return CoverSolution(selected, len(selected), literals), meta
+    return solution, meta
 
 
 def _require_inside_products(table: ProductTable) -> None:
@@ -347,31 +350,62 @@ def _cliques_for(graph: IntersectionGraph, cfg: PipelineConfig):
     )
 
 
-def _finish_report(
+def _compress_from_table(
     cfg: PipelineConfig,
     graph: IntersectionGraph,
     cliques,
     table: ProductTable,
-    instance: CoverInstance,
-    solution: CoverSolution,
-    solver_meta: dict,
-    agreement: float | None,
-    warnings: list[str],
+    prims=None,
+    oracle=None,
 ) -> CompressionReport:
+    """Every stage after the product table: candidates, cover, tree, report.
+
+    With an ``oracle`` the tree is also evaluated against it over ``prims``.
+    """
+    warnings = [
+        f"product {'&'.join(sorted(p.positive_set))} is mixed "
+        f"(inside fraction {p.inside_fraction:.3f}); treated as outside"
+        for p in table.mixed
+    ]
+    _staged("products", _require_inside_products, table)
+    instance = _staged(
+        "candidates", generate_candidates, table, cliques, graph, cfg.mode
+    )
+    solution, solver_meta = _staged(
+        "cover",
+        solve_cover,
+        instance,
+        cfg.cover_solver,
+        penalty_a=cfg.penalty_a,
+        penalty_b=cfg.penalty_b,
+        schedule=cfg.schedule,
+        seed=derive_seed(cfg.seed, 4),
+    )
     tree = _staged("assemble", assemble_tree, solution, instance)
-    check = verify_cover(instance, solution.selected)
-    if not check.valid:
-        raise UnsatisfiableError("internal error: solver returned a non-cover")
-    baseline = two_level_baseline(table, graph)
-    two_level = leaf_count(baseline)
-    leaves = leaf_count(tree)
-    assert leaves == solution.total_literals
-    bounds = candidate_bounds(table, cliques)
-    if agreement is not None and agreement < 0.999:
-        warnings.append(
-            f"assembled tree agrees with the oracle on only {agreement:.2%} "
-            "of off-surface points"
+    agreement = None
+    if oracle is not None:
+        agreement, _used = _staged(
+            "evaluate",
+            oracle_agreement,
+            tree,
+            prims,
+            oracle,
+            n_points=cfg.agreement_points,
+            seed=derive_seed(cfg.seed, 5),
         )
+        if agreement < 0.999:
+            warnings.append(
+                f"assembled tree agrees with the oracle on only {agreement:.2%} "
+                "of off-surface points"
+            )
+    leaves = leaf_count(tree)
+    if leaves != solution.total_literals:
+        raise StructuralError(
+            f"internal error: the tree has {leaves} leaves but the cover "
+            f"counts {solution.total_literals} literals"
+        )
+    two_level = leaf_count(two_level_baseline(table, graph))
+    bounds = candidate_bounds(table, cliques)
     return CompressionReport(
         config=cfg.to_dict(),
         graph=graph_to_dict(graph),
@@ -402,7 +436,6 @@ def _finish_report(
 def compress(primitives, oracle, cfg: PipelineConfig = PipelineConfig()) -> CompressionReport:
     """Full geometric pipeline: primitives + oracle -> compressed CSG tree."""
     prims = tuple(primitives)
-    warnings: list[str] = []
     graph = _staged(
         "graph",
         build_intersection_graph,
@@ -422,32 +455,7 @@ def compress(primitives, oracle, cfg: PipelineConfig = PipelineConfig()) -> Comp
         tau_in=cfg.tau_in,
         tau_out=cfg.tau_out,
     )
-    for p in table.mixed:
-        warnings.append(
-            f"product {'&'.join(sorted(p.positive_set))} is mixed "
-            f"(inside fraction {p.inside_fraction:.3f}); treated as outside"
-        )
-    _staged("products", _require_inside_products, table)
-    instance = _staged(
-        "candidates", generate_candidates, table, cliques, graph, cfg.mode
-    )
-    solution, solver_meta = _staged(
-        "cover", _solve_cover, instance, cfg, derive_seed(cfg.seed, 4)
-    )
-    tree = assemble_tree(solution, instance)
-    agreement, _used = _staged(
-        "evaluate",
-        oracle_agreement,
-        tree,
-        prims,
-        oracle,
-        n_points=cfg.agreement_points,
-        seed=derive_seed(cfg.seed, 5),
-    )
-    return _finish_report(
-        cfg, graph, cliques, table, instance, solution, solver_meta,
-        agreement, warnings,
-    )
+    return _compress_from_table(cfg, graph, cliques, table, prims, oracle)
 
 
 def compress_abstract(
@@ -461,22 +469,8 @@ def compress_abstract(
     candidates must partition the universe, which in abstract mode *is*
     the semantics of the tree.
     """
-    warnings: list[str] = []
     cliques = _staged("cliques", _cliques_for, graph, cfg)
-    for p in table.mixed:
-        warnings.append(
-            f"product {'&'.join(sorted(p.positive_set))} is mixed; treated as outside"
-        )
-    _staged("products", _require_inside_products, table)
-    instance = _staged(
-        "candidates", generate_candidates, table, cliques, graph, cfg.mode
-    )
-    solution, solver_meta = _staged(
-        "cover", _solve_cover, instance, cfg, derive_seed(cfg.seed, 4)
-    )
-    return _finish_report(
-        cfg, graph, cliques, table, instance, solution, solver_meta, None, warnings
-    )
+    return _compress_from_table(cfg, graph, cliques, table)
 
 
 # ---------------------------------------------------------------------------

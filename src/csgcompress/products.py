@@ -214,10 +214,7 @@ def candidate_bounds(table: ProductTable, cliques=None) -> CandidateBounds:
 def abstract_instance_from_dict(obj: dict) -> tuple[IntersectionGraph, ProductTable]:
     try:
         ids = tuple(str(v) for v in obj["primitives"])
-        edges = frozenset(
-            (str(a), str(b)) if str(a) < str(b) else (str(b), str(a))
-            for a, b in obj.get("edges", [])
-        )
+        edges = frozenset((str(a), str(b)) for a, b in obj.get("edges", []))
         graph = IntersectionGraph(ids, edges)
         products = []
         for rec in obj["products"]:

@@ -317,8 +317,7 @@ def solve_exact(q: Qubo) -> SolveResult:
             best_e = emin
             best_lex = int(lex.min())
             best_bits = X[pick].astype(int)
-    result = SolveResult(_bitstring(best_bits), best_e, "exact")
-    return result
+    return SolveResult(_bitstring(best_bits), best_e, "exact")
 
 
 def solve_sa(

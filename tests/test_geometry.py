@@ -6,6 +6,7 @@ import pytest
 
 from csgcompress.errors import StructuralError, UnsupportedOracleError
 from csgcompress.geometry import (
+    CloudOracle,
     Complement,
     Intersection,
     Leaf,
@@ -15,7 +16,6 @@ from csgcompress.geometry import (
     aabb,
     box,
     check_primitive_set,
-    cloud_membership,
     cylinder,
     leaf_count,
     load_cloud,
@@ -285,14 +285,13 @@ class TestSampleSurface:
 class TestCloudMembership:
     def test_sphere_cloud(self):
         s = sphere("A", (0, 0, 0), 1.0)
-        cloud = sample_surface(Leaf("A"), [s], 800, seed=11)
-        assert cloud_membership(cloud, (0, 0, 0))
-        assert not cloud_membership(cloud, (2, 0, 0))
+        oracle = CloudOracle(sample_surface(Leaf("A"), [s], 800, seed=11))
+        assert oracle.inside((0, 0, 0)) is True
+        assert oracle.inside((2, 0, 0)) is False
 
     def test_missing_normals_raises(self):
-        cloud = PointCloud(np.zeros((4, 3)))
         with pytest.raises(UnsupportedOracleError):
-            cloud_membership(cloud, (0, 0, 0))
+            CloudOracle(PointCloud(np.zeros((4, 3))))
 
     def test_agreement_with_tree_membership(self):
         # Cloud oracle and ground-truth tree agree away from the surface.
@@ -311,7 +310,7 @@ class TestCloudMembership:
         far = np.abs(v) > 2 * spacing
         pts = pts[far][:10_000]
         truth = tree_membership(tree, prims, pts)
-        approx = cloud_membership(cloud, pts)
+        approx = CloudOracle(cloud).inside(pts)
         agreement = np.mean(truth == approx)
         assert agreement >= 0.999
 

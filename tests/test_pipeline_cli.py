@@ -1,12 +1,20 @@
 """Tests for the end-to-end pipeline and the csgc command line."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from csgcompress.cli import main
-from csgcompress.cover import MODE_GLOBAL, MODE_PARTITIONED
+from csgcompress.cover import (
+    MODE_GLOBAL,
+    MODE_PARTITIONED,
+    cover_instance_from_dict,
+    cover_instance_to_dict,
+    generate_candidates,
+)
+from csgcompress.errors import ParameterError
 from csgcompress.geometry import (
     CloudOracle,
     Leaf,
@@ -27,9 +35,13 @@ from csgcompress.pipeline import (
     compress_abstract,
     oracle_agreement,
     report_stats,
+    solve_cover,
     two_level_baseline,
 )
 from csgcompress.products import abstract_instance_from_dict, enumerate_products
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +149,21 @@ class TestCompressAbstract:
         assert report.bounds["partitioned"] == 11 * 7
         assert report.candidate_count <= report.bounds["partitioned"]
         assert report.oracle_agreement >= 0.999
+
+
+class TestSolveCover:
+    def test_unknown_solver_rejected(self, cover5_instance_dict):
+        instance = cover_instance_from_dict(cover5_instance_dict)
+        with pytest.raises(ParameterError, match="unknown cover solver"):
+            solve_cover(instance, "greedy")
+
+    def test_dlx_record(self, cover5_instance_dict):
+        instance = cover_instance_from_dict(cover5_instance_dict)
+        solution, meta = solve_cover(instance)
+        assert meta == {"name": "dlx"}
+        assert [instance.candidates[i].name for i in solution.selected] == [
+            "V1", "V5", "V7",
+        ]
 
 
 class TestExperimentalCliques:
@@ -284,6 +311,38 @@ class TestCli:
         ])
         assert code == 0
         assert json.loads(report_path.read_text())["leaf_count"] == 10
+
+    @pytest.mark.parametrize("solver", ["dlx", "qubo_exact", "qubo_sa"])
+    def test_compress_abstract_matches_golden_report(self, solver, abstract_file,
+                                                     tmp_path):
+        out = tmp_path / "report.json"
+        code = main([
+            "compress", "--abstract", str(abstract_file), "--solver", solver,
+            "--no-timestamp", "--out", str(out),
+        ])
+        assert code == 0
+        assert out.read_bytes() == (GOLDEN / f"abstract_{solver}.json").read_bytes()
+
+    @pytest.mark.parametrize("solver", ["dlx", "qubo_exact", "qubo_sa"])
+    def test_cover_command_prints_the_compress_solver_record(
+        self, solver, fig_abstract_instance, tmp_path, capsys
+    ):
+        graph, table = abstract_instance_from_dict(fig_abstract_instance)
+        report = compress_abstract(graph, table, PipelineConfig(cover_solver=solver))
+        instance = generate_candidates(
+            table, maximal_cliques_bk(graph), graph, MODE_PARTITIONED
+        )
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(cover_instance_to_dict(instance)) + "\n")
+        args = ["cover", "--instance", str(path), "--solver", solver]
+        if solver == "qubo_sa":
+            assert "sa_exact_gap" in report.solver
+            args += ["--seed", str(report.solver["seed"])]
+        assert main(args) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["solver"] == report.solver
+        assert data["selected"] == list(report.cover_selected)
+        assert data["total_literals"] == report.total_literals
 
     def test_cover_command_all_solvers(self, cover5_file, capsys):
         for extra in ([], ["--solver", "qubo_exact"],
