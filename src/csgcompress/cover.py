@@ -5,17 +5,19 @@ negated).  It covers exactly the fundamental products whose sign vectors
 are consistent with its literals, and it is admissible only when every
 covered product lies inside the target -- a candidate leaking outside
 would add foreign volume to the output solid.  Admissible candidates are
-pooled across cliques and deduplicated by covered set (two expressions
-covering the same products are the same subset of the universe; we keep
-the cheapest expression).  The smallest exact cover of the inside products
-then yields the output tree: a union of candidate conjunctions.
+pooled and deduplicated by covered set (two expressions covering the same
+products are the same subset of the universe; we keep the cheapest
+expression).  The smallest exact cover of the inside products then yields
+the output tree: a union of candidate conjunctions.
 
-Per-clique generation enumerates literal patterns over the clique's own
-primitives and, for each pattern, extension variants that negate subsets
-of the out-of-clique neighbours of its positive literals.  The extensions
-are what lets a shared primitive be cut down to the fundamental products
-its clique actually owns, so per-clique results merge without covering
-foreign cells.
+Candidates come from one depth-first walk over the product table.  From a
+positive set P -- a subset of a given clique (partitioned mode) or any
+clique of the graph (global mode) -- it negates further primitives in id
+order, only ones that still occur in a covered product: any other negation
+leaves the covered set unchanged at the price of a literal.  A branch ends
+when its covered set is empty.  Negations cut a shared primitive down to
+the products its clique owns, so per-clique results merge without
+covering foreign cells.
 """
 
 from __future__ import annotations
@@ -151,51 +153,39 @@ def generate_candidates(
     # covered set -> (literal_count, literal_key, clique_lex_key, literals, clique_idx)
     best: dict[frozenset, tuple] = {}
 
-    def offer(literals: Literals, clique_idx: int | None, clique_key: tuple) -> None:
-        covered = covered_products(table, literals)
-        if not covered or not covered <= universe_set:
-            return
-        entry = (len(literals), literal_sort_key(literals), clique_key,
-                 literals, clique_idx)
-        cur = best.get(covered)
-        if cur is None or entry[:3] < cur[:3]:
-            best[covered] = entry
+    def walk(pos: frozenset, neg: tuple, covered: list, clique_idx,
+             clique_key) -> None:
+        """Offer pos & !neg, then negate each later id still in a covered product."""
+        literals = tuple(sorted([(p, True) for p in pos] + [(n, False) for n in neg]))
+        covered_set = frozenset(covered)
+        if covered_set <= universe_set:
+            entry = (len(literals), literal_sort_key(literals), clique_key,
+                     literals, clique_idx)
+            if covered_set not in best or entry[:3] < best[covered_set][:3]:
+                best[covered_set] = entry
+        for n in sorted(set().union(*covered) - pos):
+            if neg and n <= neg[-1]:
+                continue
+            rest = [s for s in covered if n not in s]
+            if rest:
+                walk(pos, neg + (n,), rest, clique_idx, clique_key)
 
     if mode == MODE_GLOBAL:
-        ids = sorted(table.primitive_ids)
-        for pos_set in enumerate_cliques(graph):
-            rest = [i for i in ids if i not in pos_set]
-            for k in range(len(rest) + 1):
-                for neg in itertools.combinations(rest, k):
-                    literals = tuple(
-                        sorted(
-                            [(p, True) for p in pos_set] + [(p, False) for p in neg]
-                        )
-                    )
-                    offer(literals, None, ())
+        roots = [(pos, None, ()) for pos in enumerate_cliques(graph)]
     else:
         ordered = sorted((frozenset(c) for c in cliques), key=clique_sort_key)
         if not ordered or set().union(*ordered) != set(table.primitive_ids):
             raise ValueError("cliques must cover all primitives")
-        for j, clique in enumerate(ordered):
-            members = sorted(clique)
-            clique_key = tuple(members)
-            for signs in itertools.product((0, 1, 2), repeat=len(members)):
-                pos = [m for m, s in zip(members, signs) if s == 1]
-                if not pos:
-                    continue
-                base = [(m, True) for m in pos] + [
-                    (m, False) for m, s in zip(members, signs) if s == 2
-                ]
-                ext = sorted(
-                    set().union(*(graph.neighbors(p) for p in pos)) - clique
-                )
-                for k in range(len(ext) + 1):
-                    for neg in itertools.combinations(ext, k):
-                        literals = tuple(
-                            sorted(base + [(e, False) for e in neg])
-                        )
-                        offer(literals, j, clique_key)
+        roots = [
+            (frozenset(pos), j, tuple(sorted(clique)))
+            for j, clique in enumerate(ordered)
+            for k in range(1, len(clique) + 1)
+            for pos in itertools.combinations(sorted(clique), k)
+        ]
+    for pos, clique_idx, clique_key in roots:
+        covered = [p.positive_set for p in table.products if pos <= p.positive_set]
+        if covered:
+            walk(pos, (), covered, clique_idx, clique_key)
 
     ordered_candidates = sorted(
         (
@@ -219,144 +209,53 @@ def generate_candidates(
     return instance
 
 
-# ---------------------------------------------------------------------------
-# Exact cover via dancing links (Knuth's Algorithm X)
-# ---------------------------------------------------------------------------
-
-class _Dlx:
-    """Array-backed dancing links over a 0/1 membership structure."""
-
-    def __init__(self, n_cols: int, rows):
-        size = 1 + n_cols + sum(len(r) for r in rows)
-        self.L = list(range(size))
-        self.R = list(range(size))
-        self.U = list(range(size))
-        self.D = list(range(size))
-        self.C = [0] * size
-        self.ROW = [-1] * size
-        self.S = [0] * (n_cols + 1)
-        root = 0
-        for c in range(1, n_cols + 1):
-            self.L[c] = c - 1
-            self.R[c - 1] = c
-            self.C[c] = c
-        self.L[root] = n_cols
-        self.R[n_cols] = root
-        nxt = n_cols + 1
-        for row_id, cols in enumerate(rows):
-            first = None
-            for col in sorted(cols):
-                node = nxt
-                nxt += 1
-                c = col + 1
-                self.C[node] = c
-                self.ROW[node] = row_id
-                self.S[c] += 1
-                self.U[node] = self.U[c]
-                self.D[node] = c
-                self.D[self.U[c]] = node
-                self.U[c] = node
-                if first is None:
-                    first = node
-                    self.L[node] = self.R[node] = node
-                else:
-                    self.L[node] = self.L[first]
-                    self.R[node] = first
-                    self.R[self.L[first]] = node
-                    self.L[first] = node
-
-    def cover(self, c: int) -> None:
-        L, R, U, D, C, S = self.L, self.R, self.U, self.D, self.C, self.S
-        R[L[c]] = R[c]
-        L[R[c]] = L[c]
-        i = D[c]
-        while i != c:
-            j = R[i]
-            while j != i:
-                D[U[j]] = D[j]
-                U[D[j]] = U[j]
-                S[C[j]] -= 1
-                j = R[j]
-            i = D[i]
-
-    def uncover(self, c: int) -> None:
-        L, R, U, D, C, S = self.L, self.R, self.U, self.D, self.C, self.S
-        i = U[c]
-        while i != c:
-            j = L[i]
-            while j != i:
-                S[C[j]] += 1
-                D[U[j]] = j
-                U[D[j]] = j
-                j = L[j]
-            i = U[i]
-        R[L[c]] = c
-        L[R[c]] = c
-
-    def solutions(self):
-        """Yield every exact cover as a sorted tuple of row ids."""
-        stack: list[int] = []
-
-        def search():
-            root = 0
-            if self.R[root] == root:
-                yield tuple(sorted(stack))
-                return
-            # column with the fewest remaining rows; first wins ties
-            c = self.R[root]
-            best, best_size = c, self.S[c]
-            c = self.R[c]
-            while c != root:
-                if self.S[c] < best_size:
-                    best, best_size = c, self.S[c]
-                c = self.R[c]
-            self.cover(best)
-            r = self.D[best]
-            while r != best:
-                stack.append(self.ROW[r])
-                j = self.R[r]
-                while j != r:
-                    self.cover(self.C[j])
-                    j = self.R[j]
-                yield from search()
-                j = self.L[r]
-                while j != r:
-                    self.uncover(self.C[j])
-                    j = self.L[j]
-                stack.pop()
-                r = self.D[r]
-            self.uncover(best)
-
-        yield from search()
-
-
 def enumerate_exact_covers(instance: CoverInstance):
-    """Yield every exact cover as a sorted tuple of candidate indices."""
+    """Yield every exact cover as a sorted tuple of candidate indices.
+
+    Knuth's Algorithm X over int bitmasks: each step branches on the lowest
+    uncovered element.  Every element below it is already covered, so only
+    candidates whose lowest element it is can extend the partial cover;
+    each candidate is therefore filed under its lowest element alone.
+    """
     index = {u: i for i, u in enumerate(instance.universe)}
-    rows = [
-        [index[e] for e in c.covered]
-        for c in instance.candidates
-    ]
-    yield from _Dlx(len(instance.universe), rows).solutions()
+    full = (1 << len(index)) - 1
+    rows: list[list[tuple[int, int]]] = [[] for _ in index]
+    for r, cand in enumerate(instance.candidates):
+        mask = sum(1 << index[e] for e in cand.covered)
+        if mask:
+            rows[(mask & -mask).bit_length() - 1].append((r, mask))
+
+    def search(used: int, chosen: tuple):
+        if used == full:
+            yield tuple(sorted(chosen))
+            return
+        for r, mask in rows[(~used & (used + 1)).bit_length() - 1]:
+            if not mask & used:
+                yield from search(used | mask, chosen + (r,))
+
+    yield from search(0, ())
 
 
 def solve_cover_dlx(instance: CoverInstance) -> CoverSolution:
     """Smallest exact cover: fewest subsets, then fewest literals, then
-    lexicographically smallest candidate index tuple."""
+    lexicographically smallest candidate index tuple.
+
+    Exhaustive over ``enumerate_exact_covers`` (Algorithm X over bitmasks);
+    the solver keeps its historical name ``dlx`` after Knuth's dancing links.
+    """
     if not instance.feasible:
         missing = ", ".join(element_name(u) for u in instance.uncoverable)
         raise UnsatisfiableError(f"universe element(s) uncoverable: {missing}")
-    best_key = None
-    best: CoverSolution | None = None
-    for selected in enumerate_exact_covers(instance):
-        literals = sum(instance.candidates[i].literal_count for i in selected)
-        key = (len(selected), literals, selected)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = CoverSolution(selected, len(selected), literals)
+    counts = [c.literal_count for c in instance.candidates]
+    best = min(
+        ((len(s), sum(counts[i] for i in s), s)
+         for s in enumerate_exact_covers(instance)),
+        default=None,
+    )
     if best is None:
         raise UnsatisfiableError("no exact cover exists for this instance")
-    return best
+    subsets, literals, selected = best
+    return CoverSolution(selected, subsets, literals)
 
 
 def verify_cover(instance: CoverInstance, selected) -> CoverCheck:

@@ -136,12 +136,6 @@ def signed_distance(primitive: Primitive, point) -> float | np.ndarray:
     return float(d[0]) if single else d
 
 
-def primitive_inside(primitive: Primitive, point) -> bool | np.ndarray:
-    """Strict containment test (surface points count as outside)."""
-    d = signed_distance(primitive, point)
-    return d < 0 if np.isscalar(d) else d < 0
-
-
 def aabb(primitive: Primitive) -> tuple[np.ndarray, np.ndarray]:
     """Conservative world-space axis-aligned bounding box (lo, hi)."""
     half = np.abs(primitive._rot) @ primitive._local_half

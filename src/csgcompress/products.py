@@ -62,10 +62,6 @@ class FundamentalProduct:
             pts.setflags(write=False)
             object.__setattr__(self, "samples", pts)
 
-    def sign_vector(self, primitive_ids) -> dict[str, bool]:
-        """Total sign mapping over the given primitive universe."""
-        return {pid: pid in self.positive_set for pid in primitive_ids}
-
 
 @dataclass(frozen=True, eq=False)
 class ProductTable:

@@ -10,6 +10,7 @@ expected values below were frozen.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from csgcompress.geometry import (
     Complement,
@@ -21,6 +22,13 @@ from csgcompress.geometry import (
     cylinder,
     sphere,
 )
+
+# Property tests run the same examples on every run and carry no per-example
+# deadline, whose wall-clock gate would flake on a loaded two-CPU machine.
+settings.register_profile(
+    "csgcompress", derandomize=True, deadline=None, max_examples=150, database=None
+)
+settings.load_profile("csgcompress")
 
 # --------------------------------------------------------------------------
 # Reference scene: graph edges A-B, B-C, B-D, C-D, B-E, D-E, E-F

@@ -1,7 +1,12 @@
-"""Tests for candidate generation, the DLX cover solver, and tree assembly."""
+"""Tests for candidate generation, the exact-cover solver, and tree assembly."""
+
+import itertools
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from csgcompress.errors import (
     InfeasibleInstanceError,
@@ -19,12 +24,14 @@ from csgcompress.cover import (
     covered_products,
     enumerate_exact_covers,
     generate_candidates,
+    literal_name,
+    literal_sort_key,
     solve_cover_dlx,
     verify_cover,
 )
 from csgcompress.geometry import Complement, Intersection, Leaf, leaf_count
-from csgcompress.graph import maximal_cliques_bk
-from csgcompress.products import abstract_instance_from_dict
+from csgcompress.graph import IntersectionGraph, clique_sort_key, maximal_cliques_bk
+from csgcompress.products import abstract_instance_from_dict, enumerate_cliques
 
 
 def brute_force_best_key(instance):
@@ -75,6 +82,94 @@ def random_cover_instance(rng, max_subsets=10, max_elems=8):
                     ],
                 }
             )
+
+
+def reference_candidates(table, cliques, graph, mode):
+    """Literal-lattice reference for ``generate_candidates``.
+
+    Every allowed positive set is combined with every negation subset of the
+    remaining primitives, and the cheapest expression per admissible covered
+    set is kept under the same tie-break.  Returns (name, covered, literals,
+    literal_count, source_clique) tuples in candidate order.
+    """
+    if mode == MODE_GLOBAL:
+        roots = [(pos, None, ()) for pos in enumerate_cliques(graph)]
+    else:
+        ordered = sorted((frozenset(c) for c in cliques), key=clique_sort_key)
+        roots = [
+            (frozenset(pos), j, tuple(sorted(clique)))
+            for j, clique in enumerate(ordered)
+            for k in range(1, len(clique) + 1)
+            for pos in itertools.combinations(sorted(clique), k)
+        ]
+    universe = set(table.universe)
+    best = {}
+    for pos, clique_idx, clique_key in roots:
+        rest = sorted(set(table.primitive_ids) - pos)
+        for k in range(len(rest) + 1):
+            for neg in itertools.combinations(rest, k):
+                lits = tuple(sorted([(p, True) for p in pos] + [(n, False) for n in neg]))
+                covered = covered_products(table, lits)
+                if not covered or not covered <= universe:
+                    continue
+                entry = (len(lits), literal_sort_key(lits), clique_key, lits, clique_idx)
+                if covered not in best or entry[:3] < best[covered][:3]:
+                    best[covered] = entry
+    rows = [
+        (literal_name(lits), covered, lits, count, clique_idx)
+        for covered, (count, _, _, lits, clique_idx) in best.items()
+    ]
+    return sorted(rows, key=lambda r: (r[3], literal_sort_key(r[2])))
+
+
+@st.composite
+def abstract_instances(draw):
+    """Random graph on up to six primitives, a random subset of its cliques as
+    the product table with random labels, and either the Bron-Kerbosch
+    cliques or a random partition of the vertices into cliques."""
+    ids = [chr(ord("a") + i) for i in range(draw(st.integers(1, 6)))]
+    pairs = list(itertools.combinations(ids, 2))
+    edges = [e for e, keep in zip(pairs, draw(st.lists(
+        st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if keep]
+    graph = IntersectionGraph(tuple(ids), frozenset(edges))
+    cells = enumerate_cliques(graph)
+    kept = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    inside = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    _, table = abstract_instance_from_dict({
+        "primitives": ids,
+        "edges": [list(e) for e in edges],
+        "products": [{"positives": sorted(c), "inside": i}
+                     for c, k, i in zip(cells, kept, inside) if k],
+    })
+    if draw(st.booleans()):
+        return graph, table, maximal_cliques_bk(graph)
+    parts: list[set] = []
+    for v in draw(st.permutations(ids)):
+        joinable = [p for p in parts if all(graph.has_edge(v, u) for u in p)]
+        if joinable and draw(st.booleans()):
+            draw(st.sampled_from(joinable)).add(v)
+        else:
+            parts.append({v})
+    return graph, table, [frozenset(p) for p in parts]
+
+
+def candidate_rows(instance):
+    return [(c.name, c.covered, c.literals, c.literal_count, c.source_clique)
+            for c in instance.candidates]
+
+
+def sphere_grid_instance(rows, cols):
+    """Abstract sphere grid: every sphere and every lens of two neighbours
+    is a non-empty cell, and all of them are inside the target."""
+    ids = [f"s{r}{c}" for r in range(rows) for c in range(cols)]
+    edges = [[f"s{r}{c}", f"s{r}{c + 1}"] for r in range(rows) for c in range(cols - 1)]
+    edges += [[f"s{r}{c}", f"s{r + 1}{c}"] for r in range(rows - 1) for c in range(cols)]
+    return abstract_instance_from_dict({
+        "primitives": ids,
+        "edges": edges,
+        "products": [{"positives": [i], "inside": True} for i in ids]
+        + [{"positives": e, "inside": True} for e in edges],
+    })
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +230,47 @@ class TestGenerateCandidates:
             generate_candidates(table, cliques, graph, MODE_GLOBAL)
         )
         assert glob.key()[:2] <= part.key()[:2]
+
+    @given(abstract_instances(), st.sampled_from([MODE_PARTITIONED, MODE_GLOBAL]))
+    def test_matches_literal_lattice_reference(self, case, mode):
+        graph, table, cliques = case
+        expect = reference_candidates(table, cliques, graph, mode)
+        coverable = set().union(*(r[1] for r in expect))
+        if not set(table.universe) <= coverable:
+            with pytest.raises(InfeasibleInstanceError):
+                generate_candidates(table, cliques, graph, mode)
+        else:
+            got = generate_candidates(table, cliques, graph, mode)
+            assert candidate_rows(got) == expect
+
+    @given(abstract_instances())
+    def test_partitioned_equals_global_under_bk_cliques(self, case):
+        graph, table, _ = case
+        cliques = maximal_cliques_bk(graph)
+        try:
+            part = generate_candidates(table, cliques, graph, MODE_PARTITIONED)
+        except InfeasibleInstanceError:
+            with pytest.raises(InfeasibleInstanceError):
+                generate_candidates(table, cliques, graph, MODE_GLOBAL)
+            return
+        glob = generate_candidates(table, cliques, graph, MODE_GLOBAL)
+        assert [r[:4] for r in candidate_rows(glob)] == \
+            [r[:4] for r in candidate_rows(part)]
+        assert all(c.source_clique is None for c in glob.candidates)
+
+    def test_global_mode_on_sphere_grid_is_fast(self):
+        # A cell shares products with at most four other primitives, so the
+        # walk from each of the 40 cells is small, while the full negation
+        # lattice holds 2^14 to 2^15 subsets per cell.
+        graph, table = sphere_grid_instance(4, 4)
+        assert (len(table.primitive_ids), table.n_f) == (16, 40)
+        cliques = maximal_cliques_bk(graph)
+        part = generate_candidates(table, cliques, graph, MODE_PARTITIONED)
+        start = time.perf_counter()
+        glob = generate_candidates(table, cliques, graph, MODE_GLOBAL)
+        assert time.perf_counter() - start < 1.0
+        assert [r[:4] for r in candidate_rows(glob)] == \
+            [r[:4] for r in candidate_rows(part)]
 
     def test_infeasible_partition_names_element(self):
         # Only the lens {a,b} is inside.  A degenerate vertex partition
@@ -235,6 +371,41 @@ class TestSolveCoverDlx:
                     solve_cover_dlx(inst)
             else:
                 assert solve_cover_dlx(inst).key() == expect
+
+    def test_every_exact_cover_exactly_once(self):
+        rng = np.random.default_rng(22)
+        for _ in range(40):
+            inst = random_cover_instance(rng)
+            n = len(inst.candidates)
+            expect = {
+                sel
+                for k in range(n + 1)
+                for sel in itertools.combinations(range(n), k)
+                if verify_cover(inst, sel).valid
+            }
+            got = list(enumerate_exact_covers(inst))
+            assert len(got) == len(set(got))
+            assert set(got) == expect
+
+    def test_empty_universe_has_one_empty_cover(self):
+        inst = cover_instance_from_dict(
+            {"universe": [], "subsets": [{"name": "E", "covers": []}]}
+        )
+        assert list(enumerate_exact_covers(inst)) == [()]
+
+    def test_empty_candidate_never_selected(self):
+        inst = cover_instance_from_dict(
+            {
+                "universe": [1, 2],
+                "subsets": [
+                    {"name": "E", "covers": []},
+                    {"name": "S1", "covers": [1]},
+                    {"name": "S2", "covers": [2]},
+                    {"name": "S12", "covers": [1, 2]},
+                ],
+            }
+        )
+        assert sorted(enumerate_exact_covers(inst)) == [(1, 2), (3,)]
 
     def test_solutions_pass_verify(self, fig_partitioned, cover5):
         for inst in (fig_partitioned, cover5):
