@@ -320,6 +320,19 @@ def solve_exact(q: Qubo) -> SolveResult:
     return SolveResult(_bitstring(best_bits), best_e, "exact")
 
 
+# Each restart's proposal row is padded by this many proposals that are
+# never accepted, so that a block of the sparse phase, which grows to at
+# most this size, never reads past its row.
+_MAX_BLOCK = 1024
+# The dense phase measures its acceptance rate over windows of this many
+# steps and hands over to the sparse phase below a quarter.
+_WINDOW = 128
+_DENSE_ACCEPTANCE = 0.25
+# Models up to this size with integer coefficients anneal on a table of all
+# 2^n energies (see _tabulable).
+_TABLE_LIMIT = 12
+
+
 def solve_sa(
     q: Qubo, schedule: AnnealSchedule | None = None, seed: int = 0
 ) -> SolveResult:
@@ -328,108 +341,23 @@ def solve_sa(
     Each restart r runs its own substream derived as SeedSequence((seed, r)),
     so results do not depend on how restarts are executed; the reduction
     takes the lowest energy and breaks ties by the lowest restart index.
+
+    Two kernels run the same sequential walk.  ``_anneal_fields`` keeps each
+    restart's local fields and updates them after every accepted flip.
+    ``_anneal_table`` looks each energy change up in a table of all 2^n
+    energies; it runs on models of at most _TABLE_LIMIT variables whose
+    coefficients are integers, where every energy and energy change is an
+    integer that floating point holds exactly, so both kernels take the
+    same decisions and return the same result.
     """
     if schedule is None:
         schedule = default_schedule(q)
+    R, S = schedule.restarts, schedule.sweeps
     if q.n == 0:
-        return SolveResult("", q.offset, "sa", int(seed),
-                           schedule.sweeps, schedule.restarts)
-    lin, W = _dense(q)
-    R, S, n = schedule.restarts, schedule.sweeps, q.n
-    streams = [
-        np.random.default_rng(np.random.SeedSequence((int(seed), r)))
-        for r in range(R)
-    ]
-    X = np.stack([rng.integers(0, 2, size=n) for rng in streams]).astype(float)
-    flips = np.stack([rng.integers(0, n, size=S) for rng in streams]).T.copy()
-    uniforms = np.stack([rng.random(size=S) for rng in streams]).T
-    temps = schedule.temperatures()
-    # Metropolis acceptance u < exp(-delta/T) rewritten as delta <= -T ln u,
-    # which also admits every non-positive delta; precomputing the threshold
-    # matrix keeps the hot loop free of exp calls.
-    with np.errstate(divide="ignore"):
-        thresholds = -temps[:, None] * np.log(uniforms)
-
-    rows = np.arange(R)
-    G = X @ W
-    E = q.offset + X @ lin + 0.5 * np.einsum("ri,ri->r", G, X)
-    best_E = E.copy()
-    best_X = X.copy()
-    lin_flips = lin[flips]
-    Xf = X.ravel()
-    Gf = G.ravel()
-    flips_flat = flips + (rows * n)[None, :]
-
-    # Two execution phases with identical sequential semantics.  While
-    # acceptances are common (hot phase) every step is applied in lockstep
-    # across restarts, which lands up to R acceptances per iteration.  Once
-    # acceptance drops below ~25% per restart-step, the remaining schedule
-    # is consumed in ragged blocks: proposals are scored against each
-    # restart's frozen state, only the first accepted one per restart is
-    # applied, and that restart resumes right after it -- rejections never
-    # change state, so nothing diverges from stepping one at a time.
-    _WINDOW = 128
-    t = 0
-    window_acc = 0
-    while t < S:
-        fi = flips_flat[t]
-        xi = Xf[fi]
-        sign = 1.0 - 2.0 * xi
-        delta = sign * (lin_flips[t] + Gf[fi])
-        acc = delta <= thresholds[t]
-        n_acc = int(acc.sum())
-        if n_acc:
-            Xf[fi[acc]] = 1.0 - xi[acc]
-            E[acc] += delta[acc]
-            G[acc] += sign[acc, None] * W[flips[t][acc]]
-            better = acc & (E < best_E)
-            if better.any():
-                best_E[better] = E[better]
-                best_X[better] = X[better]
-        window_acc += n_acc
-        t += 1
-        if t % _WINDOW == 0:
-            if window_acc <= 0.25 * R * _WINDOW:
-                break
-            window_acc = 0
-
-    block = 16
-    pos = np.full(R, t, dtype=np.int64)
-    cols = rows[:, None]
-    flat_base = (rows * n)[:, None]
-    offset_cache: dict[int, np.ndarray] = {}
-    while (pos < S).any():
-        block_offsets = offset_cache.get(block)
-        if block_offsets is None:
-            block_offsets = offset_cache.setdefault(block, np.arange(block)[None, :])
-        offs = pos[:, None] + block_offsets
-        valid = offs < S
-        offs = np.minimum(offs, S - 1)
-        step_i = flips[offs, cols]
-        flat_i = step_i + flat_base
-        xi = Xf[flat_i]
-        sign = 1.0 - 2.0 * xi
-        delta = sign * (lin_flips[offs, cols] + Gf[flat_i])
-        acc = (delta <= thresholds[offs, cols]) & valid
-        any_acc = acc.any(axis=1)
-        first = np.where(any_acc, acc.argmax(axis=1), block)
-        if any_acc.any():
-            r_idx = np.flatnonzero(any_acc)
-            k = first[r_idx]
-            i_k = step_i[r_idx, k]
-            Xf[i_k + r_idx * n] = 1.0 - xi[r_idx, k]
-            E[r_idx] += delta[r_idx, k]
-            G[r_idx] += sign[r_idx, k, None] * W[i_k]
-            better = r_idx[E[r_idx] < best_E[r_idx]]
-            if better.size:
-                best_E[better] = E[better]
-                best_X[better] = X[better]
-        pos = np.minimum(pos + np.where(any_acc, first + 1, block), S)
-        if not any_acc.any():
-            block = min(block * 2, 1024)
+        return SolveResult("", q.offset, "sa", int(seed), S, R)
+    best_E, best_bits = _anneal(q, schedule, seed)
     r_best = int(np.argmin(best_E))  # argmin returns the first = lowest index
-    bits = best_X[r_best].astype(int)
-    assignment = _bitstring(bits)
+    assignment = _bitstring(best_bits[r_best])
     return SolveResult(
         assignment,
         qubo_energy(q, assignment),
@@ -438,6 +366,189 @@ def solve_sa(
         S,
         R,
     )
+
+
+def _anneal(q: Qubo, schedule: AnnealSchedule, seed: int):
+    """Each restart's lowest energy and the 0/1 assignment that first reached it."""
+    R, S, n = schedule.restarts, schedule.sweeps, q.n
+    # Per restart: a start state, S proposed flips and their thresholds.
+    # Metropolis acceptance u < exp(-delta/T) is rewritten as
+    # delta <= -T ln u, which also admits every non-positive delta and keeps
+    # the kernels free of exp calls.  The -inf padding is never met.
+    width = S + _MAX_BLOCK
+    X = np.empty((R, n))
+    flips = np.zeros((R, width), dtype=np.int64)
+    thresholds = np.empty((R, width))
+    thresholds[:, S:] = -np.inf
+    neg_temps = -schedule.temperatures()
+    with np.errstate(divide="ignore"):
+        for r in range(R):
+            rng = np.random.default_rng(np.random.SeedSequence((int(seed), r)))
+            X[r] = rng.integers(0, 2, size=n)
+            flips[r, :S] = rng.integers(0, n, size=S)
+            thresholds[r, :S] = neg_temps * np.log(rng.random(size=S))
+    kernel = _anneal_table if _tabulable(q) else _anneal_fields
+    return kernel(q, X, flips, thresholds, S)
+
+
+def _tabulable(q: Qubo) -> bool:
+    """Whether every energy and energy change of ``q`` is an exact float."""
+    coeffs = [q.offset, *q.linear.values(), *q.quadratic.values()]
+    return (
+        q.n <= _TABLE_LIMIT
+        and all(float(c).is_integer() for c in coeffs)
+        and sum(abs(c) for c in coeffs) < 2.0**52
+    )
+
+
+# Both kernels run in two phases with identical sequential semantics.  While
+# acceptances are common (dense phase) every step is applied in lockstep
+# across restarts.  Once fewer than a quarter of the proposals of a window
+# are accepted, the rest of the schedule is consumed in ragged blocks
+# (_sparse_phase).
+
+
+def _anneal_fields(q, X, flips, thresholds, S):
+    """The walk on local fields G = X W, updated after each accepted flip."""
+    lin, W = _dense(q)
+    R, n = X.shape
+    rows = np.arange(R)
+    row_start = rows * flips.shape[1]
+    flat_flips = flips + (rows * n)[:, None]  # index into the raveled state
+    lin_at = lin[flips]
+    G = X @ W
+    E = q.offset + X @ lin + 0.5 * np.einsum("ri,ri->r", G, X)
+    spins = 1.0 - 2.0 * X  # delta_i = spins_i * (lin_i + G_i)
+    Sf, Gf = spins.ravel(), G.ravel()
+    best_E = E.copy()
+    best_spins = spins.copy()
+
+    t = 0
+    window_acc = 0
+    while t < S:
+        fi = flat_flips[:, t]
+        sign = Sf[fi]
+        delta = sign * (lin_at[:, t] + Gf[fi])
+        acc = delta <= thresholds[:, t]
+        step = sign * acc  # +-1 where accepted, 0 elsewhere
+        Sf[fi] = sign - 2.0 * step
+        E += delta * acc
+        G += step[:, None] * W[flips[:, t]]
+        _keep_lower(best_E, best_spins, E, spins)
+        window_acc += np.count_nonzero(acc)
+        t += 1
+        if t % _WINDOW == 0:
+            if window_acc <= _DENSE_ACCEPTANCE * R * _WINDOW:
+                break
+            window_acc = 0
+
+    flat_flips, lin_at = flat_flips.ravel(), lin_at.ravel()
+    thresholds = thresholds.ravel()
+
+    def score(idx):
+        fi = flat_flips[idx]
+        return Sf[fi] * (lin_at[idx] + Gf[fi]) <= thresholds[idx]
+
+    def apply(hit, at):
+        r = np.flatnonzero(hit)
+        fi = flat_flips[at[r]]
+        sign = Sf[fi]
+        E[r] += sign * (lin_at[at[r]] + Gf[fi])
+        Sf[fi] = -sign
+        G[r] += sign[:, None] * W[fi - r * n]
+        _keep_lower(best_E, best_spins, E, spins)
+
+    _sparse_phase(row_start, t, S, score, apply)
+    return best_E, (best_spins < 0).astype(int)
+
+
+def _anneal_table(q, X, flips, thresholds, S):
+    """The walk on an n-bit state, energy changes looked up in a table."""
+    lin, W = _dense(q)
+    R, n = X.shape
+    rows = np.arange(R)
+    row_start = rows * flips.shape[1]
+    states = np.arange(1 << n)
+    Xall = ((states[:, None] >> np.arange(n)) & 1).astype(float)
+    energy = q.offset + Xall @ lin + 0.5 * np.einsum("ki,ki->k", Xall @ W, Xall)
+    # delta[(i << n) + s]: energy change of flipping variable i in state s.
+    delta = (energy[states ^ (1 << np.arange(n))[:, None]] - energy).ravel()
+    code = flips << n
+    flip_bit = 1 << flips
+    s = X.astype(np.int64) @ (1 << np.arange(n))
+    best_E = energy[s]
+    best_s = s.copy()
+
+    # The dense phase records the states of a window and reduces them once:
+    # a restart's best is the first visit of its lowest energy.
+    visited = np.empty((_WINDOW + 1, R), dtype=np.int64)
+    t = 0
+    while t < S:
+        w = min(_WINDOW, S - t)
+        visited[0] = s
+        for c, b, th, s0, s1 in zip(
+            code.T[t:t + w], flip_bit.T[t:t + w], thresholds.T[t:t + w],
+            visited[:w], visited[1:w + 1],
+        ):
+            np.bitwise_xor(s0, b * (delta[c + s0] <= th), out=s1)
+        path = visited[1:w + 1]
+        lowest = path[energy[path].argmin(axis=0), rows]
+        _keep_lower(best_E, best_s, energy[lowest], lowest)
+        s = path[-1].copy()
+        t += w
+        accepted = np.count_nonzero(path != visited[:w])  # a flip changes s
+        if accepted <= _DENSE_ACCEPTANCE * R * _WINDOW:
+            break
+
+    code, flip_bit, thresholds = code.ravel(), flip_bit.ravel(), thresholds.ravel()
+
+    def score(idx):
+        return delta[code[idx] + s[:, None]] <= thresholds[idx]
+
+    def apply(hit, at):
+        np.bitwise_xor(s, flip_bit[at] * hit, out=s)
+        _keep_lower(best_E, best_s, energy[s], s)
+
+    _sparse_phase(row_start, t, S, score, apply)
+    return best_E, (best_s[:, None] >> np.arange(n)) & 1
+
+
+def _keep_lower(best_E, best, E, state):
+    """Record each restart whose energy is below its best so far."""
+    better = E < best_E
+    if np.count_nonzero(better):
+        best_E[better] = E[better]
+        best[better] = state[better]
+
+
+def _sparse_phase(row_start, t, S, score, apply):
+    """Consume steps t..S-1 of every restart in ragged blocks.
+
+    ``row_start`` holds the flat index of each restart's step 0.  Each
+    restart scores its next ``block`` proposals against its current state
+    (``score`` takes their flat indices and returns which would be
+    accepted); ``apply`` then applies only the first accepted one of each
+    restart that has one, and that restart resumes right after it.
+    Rejections never change state, so nothing diverges from stepping one at
+    a time.  The block doubles whenever no restart accepts.
+    """
+    rows = np.arange(len(row_start))
+    offsets = np.arange(_MAX_BLOCK)
+    pos = row_start + t
+    end = row_start + S
+    block = 16
+    while np.count_nonzero(pos < end):
+        acc = score(pos[:, None] + offsets[:block])
+        first = acc.argmax(axis=1)
+        hit = acc[rows, first]
+        if np.count_nonzero(hit):
+            at = pos + first
+            apply(hit, at)
+            pos = np.where(hit, at + 1, pos + block)
+        else:
+            pos = pos + block
+            block = min(2 * block, _MAX_BLOCK)
+        np.minimum(pos, end, out=pos)
 
 
 def selection_from_result(result: SolveResult) -> tuple[int, ...]:
