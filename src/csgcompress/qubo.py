@@ -320,35 +320,24 @@ def solve_exact(q: Qubo) -> SolveResult:
     return SolveResult(_bitstring(best_bits), best_e, "exact")
 
 
+# The dense phase measures its acceptance rate over windows of this many
+# steps and hands over to the sparse phase below this share of them.
+_WINDOW = 128
+_DENSE_ACCEPTANCE = 0.25
 # Each restart's proposal row is padded by this many proposals that are
 # never accepted, so that a block of the sparse phase, which grows to at
 # most this size, never reads past its row.
 _MAX_BLOCK = 1024
-# The dense phase measures its acceptance rate over windows of this many
-# steps and hands over to the sparse phase below a quarter.
-_WINDOW = 128
-_DENSE_ACCEPTANCE = 0.25
-# Models up to this size with integer coefficients anneal on a table of all
-# 2^n energies (see _tabulable).
-_TABLE_LIMIT = 12
 
 
 def solve_sa(
     q: Qubo, schedule: AnnealSchedule | None = None, seed: int = 0
 ) -> SolveResult:
-    """Best-of-restarts single-flip Metropolis annealing.
+    """Single-flip Metropolis annealing with geometric cooling and restarts.
 
     Each restart r runs its own substream derived as SeedSequence((seed, r)),
     so results do not depend on how restarts are executed; the reduction
     takes the lowest energy and breaks ties by the lowest restart index.
-
-    Two kernels run the same sequential walk.  ``_anneal_fields`` keeps each
-    restart's local fields and updates them after every accepted flip.
-    ``_anneal_table`` looks each energy change up in a table of all 2^n
-    energies; it runs on models of at most _TABLE_LIMIT variables whose
-    coefficients are integers, where every energy and energy change is an
-    integer that floating point holds exactly, so both kernels take the
-    same decisions and return the same result.
     """
     if schedule is None:
         schedule = default_schedule(q)
@@ -369,12 +358,24 @@ def solve_sa(
 
 
 def _anneal(q: Qubo, schedule: AnnealSchedule, seed: int):
-    """Each restart's lowest energy and the 0/1 assignment that first reached it."""
+    """Each restart's lowest energy and the 0/1 assignment that first reached it.
+
+    Each restart keeps its local fields G = X W and updates them after every
+    accepted flip.  The walk runs in two phases with identical sequential
+    semantics.  While acceptances are common (dense phase) every step is
+    applied in lockstep across restarts.  Once at most _DENSE_ACCEPTANCE of
+    the proposals of a window are accepted, the rest of the schedule is
+    consumed in ragged blocks (sparse phase): each restart scores its next
+    proposals against its frozen state, only the first accepted one is
+    applied, and that restart resumes right after it.  Rejections never
+    change state, so nothing diverges from stepping one at a time.
+    """
+    lin, W = _dense(q)
     R, S, n = schedule.restarts, schedule.sweeps, q.n
     # Per restart: a start state, S proposed flips and their thresholds.
     # Metropolis acceptance u < exp(-delta/T) is rewritten as
     # delta <= -T ln u, which also admits every non-positive delta and keeps
-    # the kernels free of exp calls.  The -inf padding is never met.
+    # the loops free of exp calls.  The -inf padding is never met.
     width = S + _MAX_BLOCK
     X = np.empty((R, n))
     flips = np.zeros((R, width), dtype=np.int64)
@@ -387,33 +388,8 @@ def _anneal(q: Qubo, schedule: AnnealSchedule, seed: int):
             X[r] = rng.integers(0, 2, size=n)
             flips[r, :S] = rng.integers(0, n, size=S)
             thresholds[r, :S] = neg_temps * np.log(rng.random(size=S))
-    kernel = _anneal_table if _tabulable(q) else _anneal_fields
-    return kernel(q, X, flips, thresholds, S)
 
-
-def _tabulable(q: Qubo) -> bool:
-    """Whether every energy and energy change of ``q`` is an exact float."""
-    coeffs = [q.offset, *q.linear.values(), *q.quadratic.values()]
-    return (
-        q.n <= _TABLE_LIMIT
-        and all(float(c).is_integer() for c in coeffs)
-        and sum(abs(c) for c in coeffs) < 2.0**52
-    )
-
-
-# Both kernels run in two phases with identical sequential semantics.  While
-# acceptances are common (dense phase) every step is applied in lockstep
-# across restarts.  Once fewer than a quarter of the proposals of a window
-# are accepted, the rest of the schedule is consumed in ragged blocks
-# (_sparse_phase).
-
-
-def _anneal_fields(q, X, flips, thresholds, S):
-    """The walk on local fields G = X W, updated after each accepted flip."""
-    lin, W = _dense(q)
-    R, n = X.shape
     rows = np.arange(R)
-    row_start = rows * flips.shape[1]
     flat_flips = flips + (rows * n)[:, None]  # index into the raveled state
     lin_at = lin[flips]
     G = X @ W
@@ -422,6 +398,12 @@ def _anneal_fields(q, X, flips, thresholds, S):
     Sf, Gf = spins.ravel(), G.ravel()
     best_E = E.copy()
     best_spins = spins.copy()
+
+    def keep_lower():
+        better = E < best_E
+        if np.count_nonzero(better):
+            best_E[better] = E[better]
+            best_spins[better] = spins[better]
 
     t = 0
     window_acc = 0
@@ -434,7 +416,7 @@ def _anneal_fields(q, X, flips, thresholds, S):
         Sf[fi] = sign - 2.0 * step
         E += delta * acc
         G += step[:, None] * W[flips[:, t]]
-        _keep_lower(best_E, best_spins, E, spins)
+        keep_lower()
         window_acc += np.count_nonzero(acc)
         t += 1
         if t % _WINDOW == 0:
@@ -444,111 +426,31 @@ def _anneal_fields(q, X, flips, thresholds, S):
 
     flat_flips, lin_at = flat_flips.ravel(), lin_at.ravel()
     thresholds = thresholds.ravel()
-
-    def score(idx):
-        fi = flat_flips[idx]
-        return Sf[fi] * (lin_at[idx] + Gf[fi]) <= thresholds[idx]
-
-    def apply(hit, at):
-        r = np.flatnonzero(hit)
-        fi = flat_flips[at[r]]
-        sign = Sf[fi]
-        E[r] += sign * (lin_at[at[r]] + Gf[fi])
-        Sf[fi] = -sign
-        G[r] += sign[:, None] * W[fi - r * n]
-        _keep_lower(best_E, best_spins, E, spins)
-
-    _sparse_phase(row_start, t, S, score, apply)
-    return best_E, (best_spins < 0).astype(int)
-
-
-def _anneal_table(q, X, flips, thresholds, S):
-    """The walk on an n-bit state, energy changes looked up in a table."""
-    lin, W = _dense(q)
-    R, n = X.shape
-    rows = np.arange(R)
-    row_start = rows * flips.shape[1]
-    states = np.arange(1 << n)
-    Xall = ((states[:, None] >> np.arange(n)) & 1).astype(float)
-    energy = q.offset + Xall @ lin + 0.5 * np.einsum("ki,ki->k", Xall @ W, Xall)
-    # delta[(i << n) + s]: energy change of flipping variable i in state s.
-    delta = (energy[states ^ (1 << np.arange(n))[:, None]] - energy).ravel()
-    code = flips << n
-    flip_bit = 1 << flips
-    s = X.astype(np.int64) @ (1 << np.arange(n))
-    best_E = energy[s]
-    best_s = s.copy()
-
-    # The dense phase records the states of a window and reduces them once:
-    # a restart's best is the first visit of its lowest energy.
-    visited = np.empty((_WINDOW + 1, R), dtype=np.int64)
-    t = 0
-    while t < S:
-        w = min(_WINDOW, S - t)
-        visited[0] = s
-        for c, b, th, s0, s1 in zip(
-            code.T[t:t + w], flip_bit.T[t:t + w], thresholds.T[t:t + w],
-            visited[:w], visited[1:w + 1],
-        ):
-            np.bitwise_xor(s0, b * (delta[c + s0] <= th), out=s1)
-        path = visited[1:w + 1]
-        lowest = path[energy[path].argmin(axis=0), rows]
-        _keep_lower(best_E, best_s, energy[lowest], lowest)
-        s = path[-1].copy()
-        t += w
-        accepted = np.count_nonzero(path != visited[:w])  # a flip changes s
-        if accepted <= _DENSE_ACCEPTANCE * R * _WINDOW:
-            break
-
-    code, flip_bit, thresholds = code.ravel(), flip_bit.ravel(), thresholds.ravel()
-
-    def score(idx):
-        return delta[code[idx] + s[:, None]] <= thresholds[idx]
-
-    def apply(hit, at):
-        np.bitwise_xor(s, flip_bit[at] * hit, out=s)
-        _keep_lower(best_E, best_s, energy[s], s)
-
-    _sparse_phase(row_start, t, S, score, apply)
-    return best_E, (best_s[:, None] >> np.arange(n)) & 1
-
-
-def _keep_lower(best_E, best, E, state):
-    """Record each restart whose energy is below its best so far."""
-    better = E < best_E
-    if np.count_nonzero(better):
-        best_E[better] = E[better]
-        best[better] = state[better]
-
-
-def _sparse_phase(row_start, t, S, score, apply):
-    """Consume steps t..S-1 of every restart in ragged blocks.
-
-    ``row_start`` holds the flat index of each restart's step 0.  Each
-    restart scores its next ``block`` proposals against its current state
-    (``score`` takes their flat indices and returns which would be
-    accepted); ``apply`` then applies only the first accepted one of each
-    restart that has one, and that restart resumes right after it.
-    Rejections never change state, so nothing diverges from stepping one at
-    a time.  The block doubles whenever no restart accepts.
-    """
-    rows = np.arange(len(row_start))
     offsets = np.arange(_MAX_BLOCK)
-    pos = row_start + t
-    end = row_start + S
-    block = 16
+    pos = rows * width + t  # flat index of each restart's next proposal
+    end = rows * width + S
+    block = 16  # doubles whenever no restart accepts
     while np.count_nonzero(pos < end):
-        acc = score(pos[:, None] + offsets[:block])
+        idx = pos[:, None] + offsets[:block]
+        fi = flat_flips[idx]
+        acc = Sf[fi] * (lin_at[idx] + Gf[fi]) <= thresholds[idx]
         first = acc.argmax(axis=1)
         hit = acc[rows, first]
         if np.count_nonzero(hit):
             at = pos + first
-            apply(hit, at)
+            r = np.flatnonzero(hit)
+            fi = flat_flips[at[r]]
+            sign = Sf[fi]
+            E[r] += sign * (lin_at[at[r]] + Gf[fi])
+            Sf[fi] = -sign
+            G[r] += sign[:, None] * W[fi - r * n]
+            keep_lower()
             pos = np.where(hit, at + 1, pos + block)
         else:
             pos = pos + block
             block = min(2 * block, _MAX_BLOCK)
         np.minimum(pos, end, out=pos)
+    return best_E, (best_spins < 0).astype(int)
 
 
 def selection_from_result(result: SolveResult) -> tuple[int, ...]:

@@ -43,18 +43,6 @@ def random_qubo(rng, n, scale=1.0):
     return Qubo(n, linear, quadratic, float(rng.uniform(-1, 1)))
 
 
-def integer_qubo(rng, n):
-    """A random QUBO with small integer coefficients."""
-    linear = {i: float(rng.integers(-9, 10)) for i in range(n) if rng.random() < 0.8}
-    quadratic = {
-        (i, j): float(rng.integers(-9, 10))
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rng.random() < 0.5
-    }
-    return Qubo(n, linear, quadratic, float(rng.integers(-5, 6)))
-
-
 def sa_reference(q, schedule, seed):
     """Each restart's lowest energy and the 0/1 assignment that first reached
     it, from solve_sa's walk taken restart by restart and step by step."""
@@ -382,18 +370,13 @@ class TestSolveSa:
     def test_every_restart_matches_sequential_reference(
         self, window, handover, monkeypatch
     ):
-        # Integer models up to _TABLE_LIMIT variables run on the energy table,
-        # the others on local fields; both must take the reference's steps
-        # in either phase.
+        # Both phases, and the hand-over between them, must take the
+        # reference's steps.
         monkeypatch.setattr(qubo, "_WINDOW", window)
         monkeypatch.setattr(qubo, "_DENSE_ACCEPTANCE", handover)
         rng = np.random.default_rng(14)
         for k in range(40):
-            if k % 2:
-                q = integer_qubo(rng, int(rng.integers(1, qubo._TABLE_LIMIT + 1)))
-            else:
-                q = random_qubo(rng, int(rng.integers(1, 30)), 4.0)
-            assert qubo._tabulable(q) == bool(k % 2)
+            q = random_qubo(rng, int(rng.integers(1, 30)), 4.0)
             sched = AnnealSchedule(
                 float(rng.uniform(0.5, 4.0)), 0.01,
                 int(rng.integers(1, 700)), int(rng.integers(1, 7)),
@@ -402,62 +385,6 @@ class TestSolveSa:
             ref_E, ref_bits = sa_reference(q, sched, k)
             npt.assert_array_equal(best_E, ref_E)
             npt.assert_array_equal(best_bits, ref_bits)
-
-    def test_sparse_phase_applies_each_first_acceptance_in_order(self):
-        # A synthetic walk: restart r, after k acceptances, accepts proposal
-        # j when accept[r, j, k % 3].  It must see the acceptances a scan
-        # of one proposal at a time sees.  The first block of 16 accepts
-        # nothing and the proposal right after it is accepted everywhere.
-        rng = np.random.default_rng(16)
-        R, S, t = 4, 3000, 100
-        width = S + qubo._MAX_BLOCK
-        accept = rng.random((R, width, 3)) < 0.01
-        accept[:, t:t + 16] = False
-        accept[:, t + 16] = True
-        accept[:, S:] = False
-        accepted = np.zeros(R, dtype=np.int64)
-        applied = []
-
-        def score(idx):
-            return accept.reshape(-1, 3)[idx, (accepted % 3)[:, None]]
-
-        def apply(hit, at):
-            r = np.flatnonzero(hit)
-            applied.extend(zip(r.tolist(), (at[r] - r * width).tolist()))
-            accepted[r] += 1
-
-        qubo._sparse_phase(np.arange(R) * width, t, S, score, apply)
-        expected = []
-        for r in range(R):
-            k = 0
-            for j in range(t, S):
-                if accept[r, j, k % 3]:
-                    expected.append((r, j))
-                    k += 1
-        assert len(expected) > 20
-        assert sorted(applied) == sorted(expected)
-
-    def test_table_and_field_kernels_agree(self, cover5_instance_dict, monkeypatch):
-        inst = cover_instance_from_dict(cover5_instance_dict)
-        models = [build_cover_qubo(inst, A=6.0, B=1.0)[0]]
-        rng = np.random.default_rng(15)
-        models += [integer_qubo(rng, int(rng.integers(2, qubo._TABLE_LIMIT + 1)))
-                   for _ in range(4)]
-        assert all(qubo._tabulable(q) for q in models)
-        tabled = [qubo._anneal(q, default_schedule(q), 3) for q in models]
-        monkeypatch.setattr(qubo, "_TABLE_LIMIT", 0)
-        assert not any(qubo._tabulable(q) for q in models)
-        for q, (best_E, best_bits) in zip(models, tabled):
-            fields_E, fields_bits = qubo._anneal(q, default_schedule(q), 3)
-            npt.assert_array_equal(best_E, fields_E)
-            npt.assert_array_equal(best_bits, fields_bits)
-
-    def test_tabulable_needs_small_exact_integer_models(self):
-        n = qubo._TABLE_LIMIT
-        assert qubo._tabulable(Qubo(n, {0: -3.0}, {(0, 1): 4.0}, 2.0))
-        assert not qubo._tabulable(Qubo(n + 1, {0: -3.0}, {}))
-        assert not qubo._tabulable(Qubo(2, {0: -0.5}, {}))
-        assert not qubo._tabulable(Qubo(2, {0: 2.0**52}, {}))
 
     def test_energy_is_reevaluated(self):
         rng = np.random.default_rng(13)
