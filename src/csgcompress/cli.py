@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 2 infeasible or unsatisfiable instance, 3 input or
 parse error, 4 parameter error.
+
+Sample-count and penalty options left unset defer to the library's defaults.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import datetime
 import json
 import sys
+from dataclasses import asdict
 
 import click
 
@@ -21,6 +24,7 @@ from .errors import (
     StructuralError,
     UnsatisfiableError,
     UnsupportedOracleError,
+    read_json,
 )
 from .geometry import (
     CloudOracle,
@@ -30,19 +34,21 @@ from .geometry import (
     tree_from_dict,
     tree_to_dict,
 )
-from .graph import build_intersection_graph, load_graph, maximal_cliques_bk
+from .graph import DEFAULT_GRAPH_SAMPLES, load_graph, maximal_cliques_bk
 from .pipeline import (
     CLIQUE_METHODS,
     COVER_SOLVERS,
+    DEFAULT_AGREEMENT_POINTS,
     PipelineConfig,
     cliques_via_qubo_sa,
     compress as run_compress,
     compress_abstract,
     oracle_agreement,
+    product_table,
     report_stats,
     solve_cover,
 )
-from .products import load_abstract_instance, table_to_dict, enumerate_products
+from .products import DEFAULT_PRODUCT_SAMPLES, load_abstract_instance, table_to_dict
 from .qubo import (
     AnnealSchedule,
     build_cover_qubo,
@@ -58,6 +64,20 @@ EXIT_INPUT = 3
 EXIT_PARAMETER = 4
 
 _in_file = click.Path(exists=True, dir_okay=False)
+
+_samples_option = click.option(
+    "--samples", type=int, default=None,
+    help="Sample count for both graph and product sampling [default: "
+         f"{DEFAULT_GRAPH_SAMPLES} for the graph, {DEFAULT_PRODUCT_SAMPLES} "
+         "per product region].")
+_COVER_A_HELP = "Cover constraint penalty [default: n*B + 1, n = universe size]."
+_COVER_B_HELP = "Cover cost per selected subset [default: 1]."
+
+
+def _sample_counts(samples: int | None) -> dict:
+    """PipelineConfig fields set by --samples (unset: the config's defaults)."""
+    return {} if samples is None else {"graph_samples": samples,
+                                       "product_samples": samples}
 
 
 def _parse_schedule(text: str | None) -> AnnealSchedule | None:
@@ -82,20 +102,12 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _load_tree(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return tree_from_dict(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{path}: invalid JSON ({exc})") from exc
-
-
 def _load_oracle(primitives, cloud_path, tree_path):
     if (cloud_path is None) == (tree_path is None):
         raise ParameterError("provide exactly one of --cloud or --tree")
     if cloud_path is not None:
         return CloudOracle(load_cloud(cloud_path))
-    return TreeOracle(_load_tree(tree_path), primitives)
+    return TreeOracle(tree_from_dict(read_json(tree_path)), primitives)
 
 
 @click.group()
@@ -119,11 +131,10 @@ def cli():
               show_default=True)
 @click.option("--clique-method", type=click.Choice(list(CLIQUE_METHODS)),
               default="bk", show_default=True)
-@click.option("--samples", type=int, default=None,
-              help="Sample count for both graph and product sampling.")
+@_samples_option
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--penalty-a", type=float, default=None)
-@click.option("--penalty-b", type=float, default=None)
+@click.option("--penalty-a", type=float, default=None, help=_COVER_A_HELP)
+@click.option("--penalty-b", type=float, default=None, help=_COVER_B_HELP)
 @click.option("--schedule", "schedule_text", type=str, default=None,
               help="SA schedule t_start,t_end,sweeps,restarts.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
@@ -138,7 +149,7 @@ def compress_cmd(primitives_path, cloud_path, tree_path, abstract_path, mode,
                  solver, clique_method, samples, seed, penalty_a, penalty_b,
                  schedule_text, out, tree_out, fmt, no_timestamp):
     """Compress a target solid into a small CSG tree."""
-    kwargs = dict(
+    cfg = PipelineConfig(
         mode=mode,
         cover_solver=solver,
         clique_method=clique_method,
@@ -146,10 +157,8 @@ def compress_cmd(primitives_path, cloud_path, tree_path, abstract_path, mode,
         penalty_a=penalty_a,
         penalty_b=penalty_b,
         schedule=_parse_schedule(schedule_text),
+        **_sample_counts(samples),
     )
-    if samples is not None:
-        kwargs.update(graph_samples=samples, product_samples=samples)
-    cfg = PipelineConfig(**kwargs)
     if abstract_path is not None:
         if primitives_path or cloud_path or tree_path:
             raise ParameterError("--abstract excludes the geometric inputs")
@@ -179,8 +188,10 @@ def _now() -> str:
 @click.option("--method", type=click.Choice(list(CLIQUE_METHODS)), default="bk",
               show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--penalty-a", type=float, default=1.0, show_default=True)
-@click.option("--penalty-b", type=float, default=2.0, show_default=True)
+@click.option("--penalty-a", type=float, default=None,
+              help="Reward per clique vertex [default: 1].")
+@click.option("--penalty-b", type=float, default=None,
+              help="Penalty per non-edge, above A [default: 2].")
 @click.option("--schedule", "schedule_text", type=str, default=None)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def cliques_cmd(graph_path, method, seed, penalty_a, penalty_b, schedule_text, out):
@@ -201,17 +212,18 @@ def cliques_cmd(graph_path, method, seed, penalty_a, penalty_b, schedule_text, o
 @click.option("--primitives", "primitives_path", type=_in_file, required=True)
 @click.option("--cloud", "cloud_path", type=_in_file, default=None)
 @click.option("--tree", "tree_path", type=_in_file, default=None)
-@click.option("--samples", type=int, default=2048, show_default=True)
+@_samples_option
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def products_cmd(primitives_path, cloud_path, tree_path, samples, seed, out):
-    """Enumerate and classify the non-empty fundamental products."""
+    """Enumerate and classify the non-empty fundamental products.
+
+    This is the table `compress` classifies for the same --seed and --samples.
+    """
     prims = load_primitives(primitives_path)
     oracle = _load_oracle(prims, cloud_path, tree_path)
-    graph = build_intersection_graph(prims, count=samples, seed=seed)
-    table = enumerate_products(
-        prims, graph, oracle, samples_per_region=samples, seed=seed
-    )
+    cfg = PipelineConfig(seed=seed, **_sample_counts(samples))
+    graph, table = product_table(prims, oracle, cfg)
     _emit(json.dumps(table_to_dict(table, graph), indent=2) + "\n", out)
 
 
@@ -220,8 +232,8 @@ def products_cmd(primitives_path, cloud_path, tree_path, samples, seed, out):
               help="Cover instance JSON.")
 @click.option("--solver", type=click.Choice(list(COVER_SOLVERS)), default="dlx",
               show_default=True)
-@click.option("--penalty-a", type=float, default=None)
-@click.option("--penalty-b", type=float, default=1.0, show_default=True)
+@click.option("--penalty-a", type=float, default=None, help=_COVER_A_HELP)
+@click.option("--penalty-b", type=float, default=None, help=_COVER_B_HELP)
 @click.option("--schedule", "schedule_text", type=str, default=None)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
@@ -255,15 +267,7 @@ def qubo_solve_cmd(model_path, solver, schedule_text, seed, out):
         result = solve_exact(q)
     else:
         result = solve_sa(q, _parse_schedule(schedule_text), seed=seed)
-    payload = {
-        "assignment": result.assignment,
-        "energy": result.energy,
-        "solver": result.solver,
-        "seed": result.seed,
-        "sweeps": result.sweeps,
-        "restarts": result.restarts,
-    }
-    _emit(json.dumps(payload, indent=2) + "\n", out)
+    _emit(json.dumps(asdict(result), indent=2) + "\n", out)
 
 
 @qubo_group.command(name="export")
@@ -271,26 +275,23 @@ def qubo_solve_cmd(model_path, solver, schedule_text, seed, out):
               help="Cover instance JSON -> smallest-exact-cover QUBO.")
 @click.option("--graph", "graph_path", type=_in_file, default=None,
               help="Graph JSON -> maximum-clique QUBO.")
-@click.option("--penalty-a", type=float, default=None)
-@click.option("--penalty-b", type=float, default=None)
+@click.option("--penalty-a", type=float, default=None,
+              help="Weight A [default: n*B + 1 for a cover (n = universe "
+                   "size), 1 for a graph].")
+@click.option("--penalty-b", type=float, default=None,
+              help="Weight B [default: 1 for a cover, 2 for a graph].")
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def qubo_export_cmd(instance_path, graph_path, penalty_a, penalty_b, out):
     """Export a problem as an annealer-ready QUBO file."""
     if (instance_path is None) == (graph_path is None):
         raise ParameterError("provide exactly one of --instance or --graph")
     if instance_path is not None:
-        instance = load_cover_instance(instance_path)
         q, names = build_cover_qubo(
-            instance,
-            A=penalty_a,
-            B=1.0 if penalty_b is None else penalty_b,
+            load_cover_instance(instance_path), A=penalty_a, B=penalty_b
         )
     else:
-        graph = load_graph(graph_path)
         q, names = build_max_clique_qubo(
-            graph,
-            A=1.0 if penalty_a is None else penalty_a,
-            B=2.0 if penalty_b is None else penalty_b,
+            load_graph(graph_path), A=penalty_a, B=penalty_b
         )
     export_qubo(q, out, names=names)
 
@@ -301,14 +302,14 @@ def qubo_export_cmd(instance_path, graph_path, penalty_a, penalty_b, out):
 @click.option("--primitives", "primitives_path", type=_in_file, required=True)
 @click.option("--cloud", "cloud_path", type=_in_file, required=True,
               help="Oriented point cloud serving as the reference oracle.")
-@click.option("--samples", type=int, default=10_000, show_default=True,
-              help="Number of off-surface query points.")
+@click.option("--samples", type=int, default=DEFAULT_AGREEMENT_POINTS,
+              show_default=True, help="Number of off-surface query points.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def eval_cmd(tree_path, primitives_path, cloud_path, samples, seed, out):
     """Agreement between a tree and a point-cloud oracle."""
     prims = load_primitives(primitives_path)
-    tree = _load_tree(tree_path)
+    tree = tree_from_dict(read_json(tree_path))
     oracle = CloudOracle(load_cloud(cloud_path))
     agreement, used = oracle_agreement(
         tree, prims, oracle, n_points=samples, seed=seed

@@ -23,7 +23,6 @@ covering foreign cells.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 from .errors import (
@@ -31,6 +30,7 @@ from .errors import (
     InfeasibleInstanceError,
     StructuralError,
     UnsatisfiableError,
+    read_json,
 )
 from .geometry import Complement, CsgNode, Intersection, Leaf, Union
 from .graph import IntersectionGraph, clique_sort_key
@@ -320,11 +320,7 @@ def cover_instance_from_dict(obj: dict) -> CoverInstance:
 
 
 def load_cover_instance(path) -> CoverInstance:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return cover_instance_from_dict(json.load(fh))
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: invalid JSON ({exc})") from exc
+    return cover_instance_from_dict(read_json(path))
 
 
 def cover_instance_to_dict(instance: CoverInstance) -> dict:

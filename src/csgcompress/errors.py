@@ -5,6 +5,8 @@ class available: infeasible/unsatisfiable combinatorics, malformed input
 files, and bad parameter choices are different failure modes.
 """
 
+import json
+
 
 class CsgcError(Exception):
     """Base class for all csgcompress errors."""
@@ -35,3 +37,12 @@ class ParameterError(CsgcError):
 
 class FileFormatError(CsgcError):
     """An input file cannot be parsed; message carries file/line context."""
+
+
+def read_json(path):
+    """Parse a JSON file, reporting malformed JSON as a FileFormatError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FileFormatError(f"{path}: invalid JSON ({exc})") from exc

@@ -71,14 +71,6 @@ def leaf_ids(tree: CsgNode) -> set[str]:
     return out
 
 
-def validate_tree(tree: CsgNode, primitives) -> None:
-    """Raise StructuralError if a leaf id does not resolve in the set."""
-    by_id = primitives if isinstance(primitives, dict) else index_primitives(primitives)
-    missing = leaf_ids(tree) - set(by_id)
-    if missing:
-        raise StructuralError(f"tree references unknown primitives: {sorted(missing)}")
-
-
 def tree_value(tree: CsgNode, primitives, point) -> float | np.ndarray:
     """Composed implicit value at ``point`` (shape (3,) or (N, 3))."""
     by_id = primitives if isinstance(primitives, dict) else index_primitives(primitives)

@@ -1,10 +1,11 @@
 """Inside/outside oracles for the target solid.
 
-The pipeline only ever asks one question of the target: is this point
-inside?  Two sources answer it -- a ground-truth CSG tree (exact, used for
-fixtures and evaluation) and an oriented point cloud (the lossy input of
-the compression problem).  Both are deterministic and safe to query
-concurrently.
+The pipeline asks two questions of the target: is this point inside, and
+how far is it at least from the surface (so that the agreement check can
+skip points too close to call)?  Two sources answer them -- a ground-truth
+CSG tree (exact, used for fixtures and evaluation) and an oriented point
+cloud (the lossy input of the compression problem).  Both are deterministic
+and safe to query concurrently.
 """
 
 from __future__ import annotations

@@ -11,12 +11,11 @@ generation is deterministic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import FileFormatError, read_json
 from .geometry import (
     aabb,
     aabbs_overlap,
@@ -176,14 +175,4 @@ def graph_from_dict(obj: dict) -> IntersectionGraph:
 
 
 def load_graph(path) -> IntersectionGraph:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return graph_from_dict(json.load(fh))
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: invalid JSON ({exc})") from exc
-
-
-def save_graph(graph: IntersectionGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_dict(graph), fh, indent=2)
-        fh.write("\n")
+    return graph_from_dict(read_json(path))

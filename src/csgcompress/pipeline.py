@@ -6,12 +6,16 @@ deterministic given the master seed (sub-stages derive their own streams),
 so a report is reproducible byte for byte apart from its optional
 timestamp.  Errors raised inside a stage are re-raised with the stage name
 prefixed, which the CLI turns into exit codes.
+
+``product_table`` runs the sampling stages for both ``compress`` and
+``csgc products``.  Sample-count and threshold defaults live in the stage
+modules, penalty defaults in ``qubo``, and the agreement point count here.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,6 +34,7 @@ from .errors import CsgcError, ParameterError, StructuralError, UnsatisfiableErr
 from .geometry import CsgNode, leaf_count, tree_to_dict, tree_value, union_box
 from .geometry.sampling import derive_rng, derive_seed, scene_diameter
 from .graph import (
+    DEFAULT_GRAPH_SAMPLES,
     IntersectionGraph,
     build_intersection_graph,
     clique_sort_key,
@@ -37,12 +42,15 @@ from .graph import (
     induced_subgraph,
     maximal_cliques_bk,
 )
-from .products import ProductTable, candidate_bounds, enumerate_products
+from .products import (
+    DEFAULT_PRODUCT_SAMPLES, DEFAULT_TAU_IN, DEFAULT_TAU_OUT,
+    ProductTable, candidate_bounds, enumerate_products,
+)
 from .qubo import (
-    EXACT_LIMIT,
     AnnealSchedule,
     build_cover_qubo,
     build_max_clique_qubo,
+    cover_penalties,
     selection_from_result,
     solve_exact,
     solve_sa,
@@ -53,6 +61,9 @@ REPORT_SCHEMA_VERSION = 1
 
 COVER_SOLVERS = ("dlx", "qubo_exact", "qubo_sa")
 CLIQUE_METHODS = ("bk", "qubo_sa_experimental")
+
+#: off-surface points on which a tree is compared with the oracle
+DEFAULT_AGREEMENT_POINTS = 10_000
 
 #: variable-count ceiling below which a qubo_sa run is cross-checked
 #: against the exhaustive solver to report the energy gap
@@ -66,15 +77,15 @@ class PipelineConfig:
     mode: str = MODE_PARTITIONED
     cover_solver: str = "dlx"
     clique_method: str = "bk"
-    graph_samples: int = 4096
-    product_samples: int = 2048
+    graph_samples: int = DEFAULT_GRAPH_SAMPLES
+    product_samples: int = DEFAULT_PRODUCT_SAMPLES
     seed: int = 0
-    tau_in: float = 0.95
-    tau_out: float = 0.05
+    tau_in: float = DEFAULT_TAU_IN
+    tau_out: float = DEFAULT_TAU_OUT
     penalty_a: float | None = None
     penalty_b: float | None = None
     schedule: AnnealSchedule | None = None
-    agreement_points: int = 10_000
+    agreement_points: int = DEFAULT_AGREEMENT_POINTS
 
     def __post_init__(self):
         if self.mode not in (MODE_PARTITIONED, MODE_GLOBAL):
@@ -89,28 +100,7 @@ class PipelineConfig:
             raise ParameterError("need 0 <= tau_out < tau_in <= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "config_version": CONFIG_VERSION,
-            "mode": self.mode,
-            "cover_solver": self.cover_solver,
-            "clique_method": self.clique_method,
-            "graph_samples": self.graph_samples,
-            "product_samples": self.product_samples,
-            "seed": self.seed,
-            "tau_in": self.tau_in,
-            "tau_out": self.tau_out,
-            "penalty_a": self.penalty_a,
-            "penalty_b": self.penalty_b,
-            "schedule": None
-            if self.schedule is None
-            else {
-                "t_start": self.schedule.t_start,
-                "t_end": self.schedule.t_end,
-                "sweeps": self.schedule.sweeps,
-                "restarts": self.schedule.restarts,
-            },
-            "agreement_points": self.agreement_points,
-        }
+        return {"config_version": CONFIG_VERSION, **asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -177,11 +167,9 @@ def two_level_baseline(table: ProductTable, graph: IntersectionGraph) -> CsgNode
     cell with a neighbouring one); always-negative primitives that are
     non-adjacent are elided since they cannot intersect the cell anyway.
     """
-    universe = table.universe
-    if not universe:
-        raise UnsatisfiableError("no products lie inside the target solid")
+    _require_inside_products(table)
     literal_lists = []
-    for positive_set in universe:
+    for positive_set in table.universe:
         shared = set.intersection(
             *(set(graph.neighbors(p)) for p in sorted(positive_set))
         ) - positive_set
@@ -195,14 +183,15 @@ def oracle_agreement(
     tree: CsgNode,
     primitives,
     oracle,
-    n_points: int = 10_000,
+    n_points: int = DEFAULT_AGREEMENT_POINTS,
     seed: int = 0,
     surface_margin_frac: float = 0.01,
 ) -> tuple[float, int]:
     """Membership agreement between ``tree`` and ``oracle`` on random points.
 
     Points within ``surface_margin_frac`` of the scene diameter of either
-    surface are excluded; returns (agreement fraction, points used).
+    surface are excluded; returns (agreement fraction, points used).  Fewer
+    than ``n_points`` are used when 50 * ``n_points`` draws do not yield them.
     """
     prims = tuple(primitives)
     lo, hi = union_box(prims)
@@ -217,9 +206,7 @@ def oracle_agreement(
         batch = rng.uniform(lo, hi, size=(4096, 3))
         attempts += batch.shape[0]
         v = tree_value(tree, prims, batch)
-        far = np.abs(v) > eps
-        if hasattr(oracle, "surface_distance"):
-            far &= oracle.surface_distance(batch) > eps
+        far = (np.abs(v) > eps) & (oracle.surface_distance(batch) > eps)
         batch, v = batch[far], v[far]
         if batch.shape[0] == 0:
             continue
@@ -235,8 +222,8 @@ def oracle_agreement(
 
 def cliques_via_qubo_sa(
     graph: IntersectionGraph,
-    A: float = 1.0,
-    B: float = 2.0,
+    A: float | None = None,
+    B: float | None = None,
     schedule: AnnealSchedule | None = None,
     seed: int = 0,
 ) -> list[frozenset[str]]:
@@ -245,7 +232,8 @@ def cliques_via_qubo_sa(
 
     Unlike Bron-Kerbosch this returns a vertex-disjoint partition, not all
     maximal cliques, so downstream cover generation may turn out
-    infeasible; the pipeline surfaces that as an error.
+    infeasible; the pipeline surfaces that as an error.  ``A`` and ``B``
+    are the max-clique penalties (None takes ``build_max_clique_qubo``'s).
     """
     remaining = set(graph.vertices)
     cliques: list[frozenset[str]] = []
@@ -285,8 +273,8 @@ def solve_cover(
     """Smallest exact cover by the named solver; returns (solution, metadata).
 
     ``dlx`` enumerates exact covers directly; ``qubo_exact`` and ``qubo_sa``
-    minimise the cover QUBO (``penalty_b`` defaults to 1, ``penalty_a`` to
-    n*B + 1).  ``qubo_sa`` runs ``schedule`` (None picks the default) and,
+    minimise the cover QUBO (penalties left as None take ``cover_penalties``'
+    defaults).  ``qubo_sa`` runs ``schedule`` (None picks the default) and,
     on models of at most 20 variables, also records its energy gap to the
     exhaustive minimum.  Every selection is verified to be an exact cover.
     """
@@ -296,19 +284,9 @@ def solve_cover(
         solution, meta = solve_cover_dlx(instance), {"name": "dlx"}
     else:
         n = len(instance.candidates)
-        if solver == "qubo_exact" and n > EXACT_LIMIT:
-            raise ParameterError(
-                f"qubo_exact needs <= {EXACT_LIMIT} candidates, instance has {n}"
-            )
-        a = penalty_a  # None -> n*B + 1 inside the builder
-        b = 1.0 if penalty_b is None else penalty_b
+        a, b = cover_penalties(instance, penalty_a, penalty_b)
         q, _names = build_cover_qubo(instance, A=a, B=b)
-        meta: dict = {
-            "name": solver,
-            "variables": n,
-            "penalty_a": a if a is not None else len(instance.universe) * b + 1.0,
-            "penalty_b": b,
-        }
+        meta: dict = {"name": solver, "variables": n, "penalty_a": a, "penalty_b": b}
         if solver == "qubo_exact":
             result = solve_exact(q)
         else:
@@ -384,7 +362,7 @@ def _compress_from_table(
     tree = _staged("assemble", assemble_tree, solution, instance)
     agreement = None
     if oracle is not None:
-        agreement, _used = _staged(
+        agreement, used = _staged(
             "evaluate",
             oracle_agreement,
             tree,
@@ -393,6 +371,11 @@ def _compress_from_table(
             n_points=cfg.agreement_points,
             seed=derive_seed(cfg.seed, 5),
         )
+        if used < cfg.agreement_points:
+            warnings.append(
+                f"oracle agreement rests on only {used} of {cfg.agreement_points} "
+                "points: too few random points fell clear of both surfaces"
+            )
         if agreement < 0.999:
             warnings.append(
                 f"assembled tree agrees with the oracle on only {agreement:.2%} "
@@ -433,28 +416,25 @@ def _compress_from_table(
     )
 
 
+def product_table(
+    primitives, oracle, cfg: PipelineConfig = PipelineConfig()
+) -> tuple[IntersectionGraph, ProductTable]:
+    """The sampling stages: the intersection graph and the classified products."""
+    prims = tuple(primitives)
+    graph = _staged("graph", build_intersection_graph, prims,
+                    count=cfg.graph_samples, seed=derive_seed(cfg.seed, 1))
+    table = _staged("products", enumerate_products, prims, graph, oracle,
+                    samples_per_region=cfg.product_samples,
+                    seed=derive_seed(cfg.seed, 2),
+                    tau_in=cfg.tau_in, tau_out=cfg.tau_out)
+    return graph, table
+
+
 def compress(primitives, oracle, cfg: PipelineConfig = PipelineConfig()) -> CompressionReport:
     """Full geometric pipeline: primitives + oracle -> compressed CSG tree."""
     prims = tuple(primitives)
-    graph = _staged(
-        "graph",
-        build_intersection_graph,
-        prims,
-        count=cfg.graph_samples,
-        seed=derive_seed(cfg.seed, 1),
-    )
+    graph, table = product_table(prims, oracle, cfg)
     cliques = _staged("cliques", _cliques_for, graph, cfg)
-    table = _staged(
-        "products",
-        enumerate_products,
-        prims,
-        graph,
-        oracle,
-        samples_per_region=cfg.product_samples,
-        seed=derive_seed(cfg.seed, 2),
-        tau_in=cfg.tau_in,
-        tau_out=cfg.tau_out,
-    )
     return _compress_from_table(cfg, graph, cliques, table, prims, oracle)
 
 

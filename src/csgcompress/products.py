@@ -11,12 +11,11 @@ classified against the target oracle by the fraction of witnesses inside.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import FileFormatError, read_json
 from .geometry import check_primitive_set, index_primitives, sample_region
 from .graph import IntersectionGraph, clique_sort_key
 from .geometry.sampling import derive_seed
@@ -233,11 +232,7 @@ def abstract_instance_from_dict(obj: dict) -> tuple[IntersectionGraph, ProductTa
 
 
 def load_abstract_instance(path) -> tuple[IntersectionGraph, ProductTable]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return abstract_instance_from_dict(json.load(fh))
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: invalid JSON ({exc})") from exc
+    return abstract_instance_from_dict(read_json(path))
 
 
 def table_to_dict(table: ProductTable, graph: IntersectionGraph) -> dict:

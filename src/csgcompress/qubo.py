@@ -14,6 +14,10 @@ the global minimum is a smallest exact cover whenever one exists.  The
 maximum-clique encoding uses the complement-graph independent-set form:
 reward -A per chosen vertex, penalty +B on every non-edge, with B > A so
 dropping a violating vertex always pays.
+
+This module is the one home of the penalty defaults (cover: B = 1 and
+A = n*B + 1, resolved by ``cover_penalties``; max clique: A = 1, B = 2) and
+of the exhaustive solver's ``EXACT_LIMIT``; callers pass None for a default.
 """
 
 from __future__ import annotations
@@ -165,20 +169,28 @@ def ising_to_qubo(m: IsingModel) -> Qubo:
 # Problem encodings
 # ---------------------------------------------------------------------------
 
+def cover_penalties(
+    instance: CoverInstance, A: float | None = None, B: float | None = None
+) -> tuple[float, float]:
+    """The cover encoding's (A, B): B defaults to 1 and A to n*B + 1."""
+    B = 1.0 if B is None else B
+    return (len(instance.universe) * B + 1.0 if A is None else A), B
+
+
 def build_cover_qubo(
     instance: CoverInstance,
     A: float | None = None,
-    B: float = 1.0,
+    B: float | None = None,
     allow_weak_penalty: bool = False,
 ) -> tuple[Qubo, tuple[str, ...]]:
     """Smallest-exact-cover QUBO; variable i selects candidate i.
 
-    ``A`` defaults to n*B + 1 (n = universe size); the A > n*B encoding
-    condition is enforced unless ``allow_weak_penalty`` is set.
+    Penalties left as None take ``cover_penalties``' defaults; the A > n*B
+    encoding condition (n = universe size) is enforced unless
+    ``allow_weak_penalty`` is set.
     """
     n = len(instance.universe)
-    if A is None:
-        A = n * B + 1.0
+    A, B = cover_penalties(instance, A, B)
     if not allow_weak_penalty and A <= n * B:
         raise ParameterError(
             f"cover encoding needs A > n*B (A={A}, n={n}, B={B})"
@@ -199,14 +211,16 @@ def build_cover_qubo(
 
 
 def build_max_clique_qubo(
-    graph: IntersectionGraph, A: float = 1.0, B: float = 2.0
+    graph: IntersectionGraph, A: float | None = None, B: float | None = None
 ) -> tuple[Qubo, tuple[str, ...]]:
     """Maximum-clique QUBO; variable i selects vertex i (graph.vertices order).
 
     Ground states are exactly the maximum-clique indicator vectors when
     B > A > 0 (every non-edge among selected vertices costs more than a
-    vertex earns).
+    vertex earns).  Penalties left as None default to A = 1 and B = 2.
     """
+    A = 1.0 if A is None else A
+    B = 2.0 if B is None else B
     if not (B > A > 0):
         raise ParameterError(f"max-clique encoding needs B > A > 0 (A={A}, B={B})")
     verts = graph.vertices
@@ -296,27 +310,21 @@ def solve_exact(q: Qubo) -> SolveResult:
     if q.n == 0:
         return SolveResult("", q.offset, "exact")
     lin, W = _dense(q)
-    idx = np.arange(q.n)
+    # x_0 is the most significant bit of k, so k runs in lexicographic order:
+    # the first minimum of a chunk is its tie-break, and a later chunk wins
+    # only with a strictly lower energy.
+    shifts = np.arange(q.n - 1, -1, -1)
     best_e = math.inf
-    best_lex = None
     best_bits = None
     chunk = 1 << min(q.n, 18)
     for start in range(0, 1 << q.n, chunk):
-        ks = np.arange(start, min(start + chunk, 1 << q.n), dtype=np.int64)
-        X = ((ks[:, None] >> idx) & 1).astype(float)
+        ks = np.arange(start, start + chunk, dtype=np.int64)
+        X = ((ks[:, None] >> shifts) & 1).astype(float)
         E = q.offset + X @ lin + 0.5 * np.einsum("ki,ki->k", X @ W, X)
-        emin = float(E.min())
-        if emin > best_e:
-            continue
-        # Lexicographic key: the bitstring read x_0 first, as an integer
-        # with x_0 the most significant bit.
-        cand = np.flatnonzero(E == emin)
-        lex = (X[cand].astype(np.int64) << (q.n - 1 - idx)).sum(axis=1)
-        pick = cand[np.argmin(lex)]
-        if emin < best_e or (best_lex is None or lex.min() < best_lex):
-            best_e = emin
-            best_lex = int(lex.min())
-            best_bits = X[pick].astype(int)
+        k = int(np.argmin(E))
+        if E[k] < best_e:
+            best_e = float(E[k])
+            best_bits = X[k].astype(int)
     return SolveResult(_bitstring(best_bits), best_e, "exact")
 
 

@@ -20,6 +20,7 @@ from csgcompress.geometry import (
     Leaf,
     TreeOracle,
     leaf_count,
+    load_cloud,
     sample_surface,
     save_cloud,
     save_primitives,
@@ -27,6 +28,7 @@ from csgcompress.geometry import (
     tree_from_dict,
     tree_to_dict,
 )
+from csgcompress.geometry.sampling import derive_seed
 from csgcompress.graph import build_intersection_graph, maximal_cliques_bk
 from csgcompress.pipeline import (
     PipelineConfig,
@@ -38,7 +40,12 @@ from csgcompress.pipeline import (
     solve_cover,
     two_level_baseline,
 )
-from csgcompress.products import abstract_instance_from_dict, enumerate_products
+from csgcompress.products import (
+    abstract_instance_from_dict,
+    enumerate_products,
+    table_to_dict,
+)
+from csgcompress.qubo import AnnealSchedule
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -112,6 +119,49 @@ class TestCompress:
         r1 = compress(fig_primitives, fig_oracle, cfg)
         r2 = compress(fig_primitives, fig_oracle, cfg)
         assert report_stats(r1) == report_stats(r2)
+
+    def test_warns_when_the_agreement_check_runs_short_of_points(
+        self, fig_primitives, fig_oracle
+    ):
+        class SurfaceHuggingOracle:
+            """The reference oracle, but 99 of every 100 points count as on
+            the surface, so the agreement check hits its 50x draw cap."""
+
+            def inside(self, points):
+                return fig_oracle.inside(points)
+
+            def surface_distance(self, points):
+                d = fig_oracle.surface_distance(points).copy()
+                d[np.arange(d.size) % 100 != 0] = 0.0
+                return d
+
+        cfg = PipelineConfig(graph_samples=1024, product_samples=512,
+                             agreement_points=200)
+        report = compress(fig_primitives, SurfaceHuggingOracle(), cfg)
+        _, used = oracle_agreement(report.tree, fig_primitives,
+                                   SurfaceHuggingOracle(), n_points=200,
+                                   seed=derive_seed(cfg.seed, 5))
+        assert 0 < used < 200
+        assert (f"oracle agreement rests on only {used} of 200 points: too few "
+                "random points fell clear of both surfaces") in report.warnings
+        full = compress(fig_primitives, fig_oracle, cfg)
+        assert not any("rests on only" in w for w in full.warnings)
+        assert list(report.to_dict()) == list(full.to_dict())
+
+    def test_config_record_with_schedule_and_penalties(self):
+        cfg = PipelineConfig(
+            mode=MODE_GLOBAL, cover_solver="qubo_sa", graph_samples=300,
+            product_samples=200, seed=7, tau_in=0.9, tau_out=0.1,
+            penalty_a=12.5, penalty_b=2.0,
+            schedule=AnnealSchedule(30.0, 0.01, 5000, 8), agreement_points=400,
+        )
+        assert json.dumps(cfg.to_dict()) == (
+            '{"config_version": 1, "mode": "global", "cover_solver": "qubo_sa", '
+            '"clique_method": "bk", "graph_samples": 300, "product_samples": 200, '
+            '"seed": 7, "tau_in": 0.9, "tau_out": 0.1, "penalty_a": 12.5, '
+            '"penalty_b": 2.0, "schedule": {"t_start": 30.0, "t_end": 0.01, '
+            '"sweeps": 5000, "restarts": 8}, "agreement_points": 400}'
+        )
 
     def test_stage_attribution(self):
         # Disjoint cover: the oracle puts nothing inside, so the products
@@ -243,6 +293,13 @@ def scene_files(tmp_path, fig_primitives, fig_minimal_tree):
 
 
 @pytest.fixture()
+def cloud_file(tmp_path, fig_primitives, fig_minimal_tree):
+    path = tmp_path / "cloud.xyz"
+    save_cloud(sample_surface(fig_minimal_tree, fig_primitives, 4000, seed=2), path)
+    return path
+
+
+@pytest.fixture()
 def abstract_file(tmp_path, fig_abstract_instance):
     path = tmp_path / "abstract.json"
     path.write_text(json.dumps(fig_abstract_instance) + "\n")
@@ -311,6 +368,51 @@ class TestCli:
         ])
         assert code == 0
         assert json.loads(report_path.read_text())["leaf_count"] == 10
+
+    @pytest.mark.parametrize("samples, seed", [(None, 0), (512, 3)])
+    def test_products_command_writes_the_table_compress_classifies(
+        self, samples, seed, scene_files, cloud_file, fig_primitives, tmp_path
+    ):
+        prim_path, _ = scene_files
+        table_path = tmp_path / "table.json"
+        args = ["products", "--primitives", str(prim_path),
+                "--cloud", str(cloud_file), "--seed", str(seed),
+                "--out", str(table_path)]
+        if samples is not None:
+            args += ["--samples", str(samples)]
+        assert main(args) == 0
+        counts = {} if samples is None else {"graph_samples": samples,
+                                             "product_samples": samples}
+        cfg = PipelineConfig(seed=seed, **counts)
+        oracle = CloudOracle(load_cloud(cloud_file))
+        # compress's sampling stages, called as compress calls them
+        graph = build_intersection_graph(
+            fig_primitives, count=cfg.graph_samples, seed=derive_seed(seed, 1))
+        table = enumerate_products(
+            fig_primitives, graph, oracle, samples_per_region=cfg.product_samples,
+            seed=derive_seed(seed, 2), tau_in=cfg.tau_in, tau_out=cfg.tau_out)
+        written = json.loads(table_path.read_text())
+        assert written == json.loads(json.dumps(table_to_dict(table, graph)))
+        report = compress(fig_primitives, oracle, cfg)
+        assert report.universe == table.universe
+        assert report.n_f == len(written["products"])
+
+    def test_products_then_abstract_compress_reproduces_compress(
+        self, scene_files, cloud_file, tmp_path
+    ):
+        prim_path, _ = scene_files
+        scene = ["--primitives", str(prim_path), "--cloud", str(cloud_file)]
+        common = ["--seed", "5", "--samples", "512"]
+        direct, table, via = (tmp_path / f for f in
+                              ("direct.json", "table.json", "via.json"))
+        assert main(["compress", *scene, "--no-timestamp", "--out", str(direct),
+                     *common]) == 0
+        assert main(["products", *scene, "--out", str(table), *common]) == 0
+        assert main(["compress", "--abstract", str(table), "--no-timestamp",
+                     "--out", str(via), *common]) == 0
+        expected, got = (json.loads(p.read_text()) for p in (direct, via))
+        for key in ("universe", "cover", "leaf_count"):
+            assert got[key] == expected[key], key
 
     @pytest.mark.parametrize("solver", ["dlx", "qubo_exact", "qubo_sa"])
     def test_compress_abstract_matches_golden_report(self, solver, abstract_file,

@@ -16,6 +16,7 @@ from csgcompress.qubo import (
     Qubo,
     build_cover_qubo,
     build_max_clique_qubo,
+    cover_penalties,
     default_schedule,
     export_qubo,
     import_qubo,
@@ -78,6 +79,20 @@ def sa_reference(q, schedule, seed):
 def all_assignments(n):
     ks = np.arange(2**n)
     return ((ks[:, None] >> np.arange(n)) & 1).astype(int)
+
+
+def lex_smallest_minimiser(q):
+    """Minimum energy of an integer QUBO and the lexicographically smallest
+    assignment (x_0 first) reaching it, by exact integer brute force."""
+    ks = np.arange(2**q.n)
+    cols = [((ks >> i) & 1).astype(np.int8) for i in range(q.n)]
+    E = np.full(ks.size, int(q.offset), dtype=np.int64)
+    for i, v in q.linear.items():
+        E += int(v) * cols[i]
+    for (i, j), v in q.quadratic.items():
+        E += int(v) * (cols[i] & cols[j])
+    minimisers = np.flatnonzero(E == E.min())
+    return float(E.min()), min(tuple(int(c[k]) for c in cols) for k in minimisers)
 
 
 def brute_force_min(q):
@@ -207,6 +222,10 @@ class TestCoverQubo:
         q, _ = build_cover_qubo(instance)
         # A = n*B + 1 = 6 with B = 1; offset = A*n = 30.
         assert q.offset == 30.0
+        assert build_cover_qubo(instance, A=None, B=None)[0].offset == 30.0
+        assert cover_penalties(instance) == (6.0, 1.0)
+        assert cover_penalties(instance, B=2.0) == (11.0, 2.0)
+        assert cover_penalties(instance, A=9.0) == (9.0, 1.0)
 
     def test_encoding_matches_dlx_on_randoms(self):
         # The constraint term vanishes iff the selection is an exact cover;
@@ -269,6 +288,12 @@ class TestMaxCliqueQubo:
         with pytest.raises(ParameterError):
             build_max_clique_qubo(g, A=2.0, B=2.0)
 
+    def test_default_penalties(self):
+        g = IntersectionGraph(tuple("ABCDEF"), FIG_EDGES)
+        q, _ = build_max_clique_qubo(g, A=None, B=None)
+        ref, _ = build_max_clique_qubo(g, A=1.0, B=2.0)
+        assert (q.linear, q.quadratic) == (ref.linear, ref.quadratic)
+
     def test_ground_states_are_maximum_cliques(self):
         from tests.test_graph import random_graph
 
@@ -317,6 +342,29 @@ class TestSolveExact:
     def test_size_limit(self):
         with pytest.raises(ParameterError):
             solve_exact(Qubo(31, {}, {}))
+
+    def test_ties_break_to_the_lexicographically_smallest_minimiser(self):
+        # Integer models with free variables (no terms) and small shared
+        # coefficients have many tied minima.  n = 19 and 20 span two and
+        # four chunks of 2^18 assignments, with x_0 free so that tied minima
+        # sit on both sides of every chunk boundary.
+        rng = np.random.default_rng(13)
+        sizes = [int(n) for n in rng.integers(2, 13, size=40)] + [19, 20]
+        for n in sizes:
+            free = {0} if n > 12 else set()
+            free |= {int(i) for i in np.flatnonzero(rng.random(n) < 0.3)}
+            density = 0.3 if n <= 12 else 0.05
+            terms = [i for i in range(n) if i not in free]
+            linear = {i: int(rng.integers(-2, 3)) for i in terms
+                      if rng.random() < 0.6}
+            quadratic = {(i, j): int(rng.integers(-2, 3))
+                         for i in terms for j in terms
+                         if i < j and rng.random() < density}
+            q = Qubo(n, linear, quadratic, offset=int(rng.integers(-3, 4)))
+            energy, bits = lex_smallest_minimiser(q)
+            res = solve_exact(q)
+            assert res.energy == energy
+            assert res.assignment == "".join(map(str, bits)), n
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(9)
