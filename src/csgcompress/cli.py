@@ -126,11 +126,11 @@ def cli():
 @click.option("--abstract", "abstract_path", type=_in_file,
               help="Abstract instance JSON (bypasses geometry).")
 @click.option("--mode", type=click.Choice(["partitioned", "global"]),
-              default="partitioned", show_default=True)
-@click.option("--solver", type=click.Choice(list(COVER_SOLVERS)), default="dlx",
-              show_default=True)
+              default=PipelineConfig.mode, show_default=True)
+@click.option("--solver", type=click.Choice(list(COVER_SOLVERS)),
+              default=PipelineConfig.cover_solver, show_default=True)
 @click.option("--clique-method", type=click.Choice(list(CLIQUE_METHODS)),
-              default="bk", show_default=True)
+              default=PipelineConfig.clique_method, show_default=True)
 @_samples_option
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--penalty-a", type=float, default=None, help=_COVER_A_HELP)
@@ -185,8 +185,8 @@ def _now() -> str:
 @cli.command(name="cliques")
 @click.option("--graph", "graph_path", type=_in_file, required=True,
               help="Graph JSON with vertices and edges.")
-@click.option("--method", type=click.Choice(list(CLIQUE_METHODS)), default="bk",
-              show_default=True)
+@click.option("--method", type=click.Choice(list(CLIQUE_METHODS)),
+              default=PipelineConfig.clique_method, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--penalty-a", type=float, default=None,
               help="Reward per clique vertex [default: 1].")
@@ -230,8 +230,8 @@ def products_cmd(primitives_path, cloud_path, tree_path, samples, seed, out):
 @cli.command(name="cover")
 @click.option("--instance", "instance_path", type=_in_file, required=True,
               help="Cover instance JSON.")
-@click.option("--solver", type=click.Choice(list(COVER_SOLVERS)), default="dlx",
-              show_default=True)
+@click.option("--solver", type=click.Choice(list(COVER_SOLVERS)),
+              default=PipelineConfig.cover_solver, show_default=True)
 @click.option("--penalty-a", type=float, default=None, help=_COVER_A_HELP)
 @click.option("--penalty-b", type=float, default=None, help=_COVER_B_HELP)
 @click.option("--schedule", "schedule_text", type=str, default=None)

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from .errors import (
     FileFormatError,
     InfeasibleInstanceError,
+    ParameterError,
     StructuralError,
     UnsatisfiableError,
     read_json,
@@ -38,6 +39,10 @@ from .products import ProductTable, enumerate_cliques
 
 MODE_PARTITIONED = "partitioned"
 MODE_GLOBAL = "global"
+
+#: covered-element masks ``solve_cover_dlx`` may solve before it refuses the
+#: instance (about 150 MB of memo and a few seconds)
+COVER_STATE_LIMIT = 2**19
 
 Literals = tuple[tuple[str, bool], ...]  # ((id, is_positive), ...) sorted by id
 
@@ -209,52 +214,137 @@ def generate_candidates(
     return instance
 
 
+def _rows_by_lowest_bit(instance: CoverInstance, order) -> list[list[tuple]]:
+    """Candidates as (index, mask, literal count), filed under their lowest bit.
+
+    Bit i of a mask stands for ``order[i]``.  A search that branches on the
+    lowest uncovered bit has every lower bit covered, so only the candidates
+    filed under that bit can extend it.  Candidates covering nothing are
+    left out.
+    """
+    bit = {u: i for i, u in enumerate(order)}
+    rows: list[list[tuple]] = [[] for _ in order]
+    for r, cand in enumerate(instance.candidates):
+        mask = sum(1 << bit[e] for e in cand.covered)
+        if mask:
+            rows[(mask & -mask).bit_length() - 1].append((r, mask, cand.literal_count))
+    return rows
+
+
 def enumerate_exact_covers(instance: CoverInstance):
     """Yield every exact cover as a sorted tuple of candidate indices.
 
-    Knuth's Algorithm X over int bitmasks: each step branches on the lowest
-    uncovered element.  Every element below it is already covered, so only
-    candidates whose lowest element it is can extend the partial cover;
-    each candidate is therefore filed under its lowest element alone.
+    Serves counting (the benchmark's exact-cover counter) and tests as the
+    reference; ``solve_cover_dlx`` does not enumerate.  Knuth's Algorithm X
+    over int bitmasks in universe order, branching on the lowest uncovered
+    element.
     """
-    index = {u: i for i, u in enumerate(instance.universe)}
-    full = (1 << len(index)) - 1
-    rows: list[list[tuple[int, int]]] = [[] for _ in index]
-    for r, cand in enumerate(instance.candidates):
-        mask = sum(1 << index[e] for e in cand.covered)
-        if mask:
-            rows[(mask & -mask).bit_length() - 1].append((r, mask))
+    full = (1 << len(instance.universe)) - 1
+    rows = _rows_by_lowest_bit(instance, instance.universe)
 
     def search(used: int, chosen: tuple):
         if used == full:
             yield tuple(sorted(chosen))
             return
-        for r, mask in rows[(~used & (used + 1)).bit_length() - 1]:
+        for r, mask, _ in rows[(~used & (used + 1)).bit_length() - 1]:
             if not mask & used:
                 yield from search(used | mask, chosen + (r,))
 
     yield from search(0, ())
 
 
+def _element_order(instance: CoverInstance) -> list:
+    """Universe elements breadth-first over "shares a candidate".
+
+    A Cuthill-McKee-style order: each component starts from its element in
+    the fewest candidates and visits neighbours by (candidate count,
+    universe position).  Elements that share candidates get nearby bits,
+    so few distinct covered masks arise between the lowest uncovered bit
+    and the ones above it.
+    """
+    position = {u: i for i, u in enumerate(instance.universe)}
+    degree = dict.fromkeys(instance.universe, 0)
+    neighbours: dict = {u: set() for u in instance.universe}
+    for cand in instance.candidates:
+        for e in cand.covered:
+            degree[e] += 1
+            neighbours[e] |= cand.covered
+
+    def rank(u):
+        return degree[u], position[u]
+
+    order: list = []
+    seen: set = set()
+    for root in sorted(instance.universe, key=rank):
+        if root in seen:
+            continue
+        seen.add(root)
+        queue = [root]
+        for u in queue:
+            fresh = sorted(neighbours[u] - seen, key=rank)
+            seen.update(fresh)
+            queue += fresh
+        order += queue
+    return order
+
+
 def solve_cover_dlx(instance: CoverInstance) -> CoverSolution:
     """Smallest exact cover: fewest subsets, then fewest literals, then
     lexicographically smallest candidate index tuple.
 
-    Exhaustive over ``enumerate_exact_covers`` (Algorithm X over bitmasks);
-    the solver keeps its historical name ``dlx`` after Knuth's dancing links.
+    Memoised Algorithm X over int bitmasks, with bits in ``_element_order``:
+    ``best(used)`` is the minimum (subsets, literals, sorted indices) over
+    the completions of the covered mask ``used``, or None if it has none,
+    and each mask is solved once.  Branching is on the lowest uncovered
+    bit, as in ``enumerate_exact_covers``.  Memoising keeps the tie-break
+    exact: for chosen candidates F and equal-sized completions T, T' that
+    are disjoint from F, sorted(F | T) < sorted(F | T') exactly when
+    sorted(T) < sorted(T'), since the smallest index in the symmetric
+    difference decides both.  Raises ParameterError once more than
+    ``COVER_STATE_LIMIT`` masks are solved.  The solver keeps its
+    historical name ``dlx`` after Knuth's dancing links.
     """
     if not instance.feasible:
         missing = ", ".join(element_name(u) for u in instance.uncoverable)
         raise UnsatisfiableError(f"universe element(s) uncoverable: {missing}")
-    counts = [c.literal_count for c in instance.candidates]
-    best = min(
-        ((len(s), sum(counts[i] for i in s), s)
-         for s in enumerate_exact_covers(instance)),
-        default=None,
-    )
-    if best is None:
+    order = _element_order(instance)
+    full = (1 << len(order)) - 1
+    rows = _rows_by_lowest_bit(instance, order)
+
+    # Depth-first with an explicit stack, so the depth is not bound by
+    # Python's recursion limit.  A mask is pushed once bare and once with
+    # its moves; the second copy is popped after every mask it moves to is
+    # solved, since all of them were pushed above it.
+    best: dict[int, tuple | None] = {full: (0, 0, ())}
+    stack: list[tuple[int, list | None]] = [(0, None)]
+    while stack:
+        used, moves = stack.pop()
+        if used in best:
+            continue
+        if moves is None:
+            moves = [(r, lits, used | mask)
+                     for r, mask, lits in rows[(~used & (used + 1)).bit_length() - 1]
+                     if not mask & used]
+            stack.append((used, moves))
+            stack += [(nxt, None) for _, _, nxt in moves if nxt not in best]
+            continue
+        top = None
+        for r, lits, nxt in moves:
+            rest = best[nxt]
+            if rest is not None:
+                key = (rest[0] + 1, rest[1] + lits, tuple(sorted((r, *rest[2]))))
+                if top is None or key < top:
+                    top = key
+        best[used] = top
+        if len(best) > COVER_STATE_LIMIT:
+            raise ParameterError(
+                f"exact cover search exceeded COVER_STATE_LIMIT = "
+                f"{COVER_STATE_LIMIT} covered-element states on "
+                f"{len(order)} universe elements"
+            )
+    if best[0] is None:
         raise UnsatisfiableError("no exact cover exists for this instance")
-    subsets, literals, selected = best
+    subsets, literals, selected = best[0]
     return CoverSolution(selected, subsets, literals)
 
 

@@ -263,7 +263,7 @@ def _repair_clique(graph: IntersectionGraph, members) -> set[str]:
 
 def solve_cover(
     instance: CoverInstance,
-    solver: str = "dlx",
+    solver: str = PipelineConfig.cover_solver,
     *,
     penalty_a: float | None = None,
     penalty_b: float | None = None,
@@ -272,7 +272,7 @@ def solve_cover(
 ) -> tuple[CoverSolution, dict]:
     """Smallest exact cover by the named solver; returns (solution, metadata).
 
-    ``dlx`` enumerates exact covers directly; ``qubo_exact`` and ``qubo_sa``
+    ``dlx`` searches exact covers directly; ``qubo_exact`` and ``qubo_sa``
     minimise the cover QUBO (penalties left as None take ``cover_penalties``'
     defaults).  ``qubo_sa`` runs ``schedule`` (None picks the default) and,
     on models of at most 20 variables, also records its energy gap to the

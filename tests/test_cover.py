@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from csgcompress import cover
 from csgcompress.errors import (
     InfeasibleInstanceError,
+    ParameterError,
     StructuralError,
     UnsatisfiableError,
 )
@@ -82,6 +84,29 @@ def random_cover_instance(rng, max_subsets=10, max_elems=8):
                     ],
                 }
             )
+
+
+@st.composite
+def cover_instances(draw):
+    """Random cover instance on up to eight elements with literal counts.
+
+    Subsets may be empty and need not cover the universe, so some instances
+    have no exact cover; small literal counts make ties common."""
+    n = draw(st.integers(0, 8))
+    elements = st.sets(st.integers(1, n)) if n else st.just(set())
+    subsets = draw(st.lists(st.tuples(elements, st.integers(0, 3)), max_size=12))
+    return cover_instance_from_dict({
+        "universe": list(range(1, n + 1)),
+        "subsets": [{"name": f"S{i}", "covers": sorted(c), "literals": lits}
+                    for i, (c, lits) in enumerate(subsets)],
+    })
+
+
+def exhaustive_best_key(instance):
+    """Minimum (subsets, literals, indices) over every exact cover, or None."""
+    counts = [c.literal_count for c in instance.candidates]
+    return min(((len(s), sum(counts[i] for i in s), s)
+                for s in enumerate_exact_covers(instance)), default=None)
 
 
 def reference_candidates(table, cliques, graph, mode):
@@ -406,6 +431,57 @@ class TestSolveCoverDlx:
             }
         )
         assert sorted(enumerate_exact_covers(inst)) == [(1, 2), (3,)]
+
+    @given(cover_instances())
+    def test_matches_exhaustive_search(self, inst):
+        expect = exhaustive_best_key(inst)
+        assert brute_force_best_key(inst) == expect
+        if expect is None:
+            with pytest.raises(UnsatisfiableError):
+                solve_cover_dlx(inst)
+        else:
+            assert solve_cover_dlx(inst).key() == expect
+
+    @given(cover_instances(), st.data())
+    def test_universe_order_leaves_selection_unchanged(self, inst, data):
+        universe = data.draw(st.permutations(inst.universe))
+        permuted = CoverInstance(tuple(universe), inst.candidates)
+        if exhaustive_best_key(inst) is None:
+            with pytest.raises(UnsatisfiableError):
+                solve_cover_dlx(permuted)
+        else:
+            assert solve_cover_dlx(permuted) == solve_cover_dlx(inst)
+
+    @pytest.mark.parametrize("rows, cols, expect", [(4, 4, (16, 40)), (1, 40, (40, 79))])
+    def test_sphere_grids_solve_in_a_second(self, rows, cols, expect):
+        # A 4x4 grid has millions of exact covers and a 40-sphere chain
+        # 3^39; the memoised search solves a few thousand covered masks.
+        graph, table = sphere_grid_instance(rows, cols)
+        inst = generate_candidates(table, maximal_cliques_bk(graph), graph)
+        start = time.perf_counter()
+        sol = solve_cover_dlx(inst)
+        assert time.perf_counter() - start < 1.0
+        assert (sol.subsets_used, sol.total_literals) == expect
+        assert verify_cover(inst, sol.selected).valid
+
+    def test_deep_search_needs_no_recursion(self):
+        # A path of 3000 elements: covers choose up to 3000 subsets in a row,
+        # beyond Python's default recursion limit.
+        n = 3000
+        inst = cover_instance_from_dict({
+            "universe": list(range(n)),
+            "subsets": [{"name": f"P{i}", "covers": [i, i + 1]} for i in range(0, n, 2)]
+            + [{"name": f"E{i}", "covers": [i]} for i in range(n)],
+        })
+        assert solve_cover_dlx(inst).selected == tuple(range(n // 2))
+
+    def test_state_limit_refuses_large_searches(self, monkeypatch):
+        graph, table = sphere_grid_instance(3, 3)
+        inst = generate_candidates(table, maximal_cliques_bk(graph), graph)
+        monkeypatch.setattr(cover, "COVER_STATE_LIMIT", 20)
+        with pytest.raises(ParameterError,
+                           match="COVER_STATE_LIMIT = 20 .* 21 universe elements"):
+            solve_cover_dlx(inst)
 
     def test_solutions_pass_verify(self, fig_partitioned, cover5):
         for inst in (fig_partitioned, cover5):
