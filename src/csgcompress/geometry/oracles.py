@@ -5,7 +5,9 @@ how far is it at least from the surface (so that the agreement check can
 skip points too close to call)?  Two sources answer them -- a ground-truth
 CSG tree (exact, used for fixtures and evaluation) and an oriented point
 cloud (the lossy input of the compression problem).  Both are deterministic
-and safe to query concurrently.
+and safe to query concurrently.  ``CloudOracle`` answers a batch of points
+with nearest-neighbour queries spread over all cores; each point's answer
+does not depend on how the batch is split.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class CloudOracle:
         p = np.asarray(points, dtype=float)
         single = p.ndim == 1
         pts = np.atleast_2d(p)
-        _, idx = self._kdtree.query(pts, k=1)
+        _, idx = self._kdtree.query(pts, k=1, workers=-1)
         side = np.einsum(
             "ij,ij->i", pts - self.cloud.points[idx], self.cloud.normals[idx]
         )
@@ -67,5 +69,5 @@ class CloudOracle:
     def surface_distance(self, points) -> np.ndarray:
         """Distance to the nearest surface sample."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        dist, _ = self._kdtree.query(pts, k=1)
+        dist, _ = self._kdtree.query(pts, k=1, workers=-1)
         return np.asarray(dist)

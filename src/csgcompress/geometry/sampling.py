@@ -7,6 +7,13 @@ seed.  Rejection sampling draws fixed-size attempt batches; with the same
 seed, runs that ask for more points extend the accepted sequence of runs
 that asked for fewer (a prefix property the intersection-graph builder
 relies on).
+
+``sample_region`` skips every negative primitive whose bounding box misses
+the sampling box (it cannot hold a point of the box), and tests each
+further primitive only on the points of the batch that passed the tests
+before it.  Neither changes which points are accepted or their order, so
+the output and the prefix property are those of testing every primitive
+on the whole batch.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from .csg import CsgNode, leaf_ids, tree_value
 from .primitives import (
     Primitive,
     aabb,
+    aabbs_overlap,
     index_primitives,
     signed_distance,
     surface_area,
@@ -82,6 +90,9 @@ def sample_region(positive, negative, count: int, seed: int) -> np.ndarray:
     if box is None:
         return np.empty((0, 3))
     lo, hi = box
+    checks = [(p, np.less) for p in positive] + [
+        (p, np.greater_equal) for p in negative if aabbs_overlap(aabb(p), box)
+    ]
     rng = np.random.default_rng(int(seed))
     accepted: list[np.ndarray] = []
     n_accepted = 0
@@ -90,19 +101,13 @@ def sample_region(positive, negative, count: int, seed: int) -> np.ndarray:
     while n_accepted < count and attempts < max_attempts:
         pts = rng.uniform(lo, hi, size=(_BATCH, 3))
         attempts += _BATCH
-        ok = np.ones(_BATCH, dtype=bool)
-        for p in positive:
-            ok &= signed_distance(p, pts) < 0
-            if not ok.any():
+        for p, keep in checks:
+            pts = pts[keep(signed_distance(p, pts), 0)]
+            if not len(pts):
                 break
-        if ok.any():
-            for p in negative:
-                ok &= signed_distance(p, pts) >= 0
-                if not ok.any():
-                    break
-        if ok.any():
-            accepted.append(pts[ok])
-            n_accepted += int(ok.sum())
+        if len(pts):
+            accepted.append(pts)
+            n_accepted += len(pts)
     if not accepted:
         return np.empty((0, 3))
     return np.concatenate(accepted)[:count]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FileFormatError, read_json
+from .errors import FileFormatError, ParameterError, read_json
 from .geometry import check_primitive_set, index_primitives, sample_region
 from .graph import IntersectionGraph, clique_sort_key
 from .geometry.sampling import derive_seed
@@ -29,6 +29,7 @@ LABEL_MIXED = "mixed"
 DEFAULT_PRODUCT_SAMPLES = 2048
 DEFAULT_TAU_IN = 0.95
 DEFAULT_TAU_OUT = 0.05
+REGION_LIMIT = 2**12  # enumerate_cliques refuses graphs with more cliques than this
 
 
 def product_sort_key(positive_set) -> tuple:
@@ -108,6 +109,8 @@ def enumerate_cliques(graph: IntersectionGraph):
     """All non-empty cliques (not only maximal ones), in canonical order.
 
     DFS over sorted vertex ids; supersets of non-cliques are never visited.
+    Raises ParameterError as soon as the walk passes ``REGION_LIMIT``
+    cliques, so k mutually overlapping primitives never build all 2^k - 1.
     """
     order = sorted(graph.vertices)
     out: list[frozenset[str]] = []
@@ -116,6 +119,11 @@ def enumerate_cliques(graph: IntersectionGraph):
         for k, v in enumerate(candidates):
             new = members + (v,)
             out.append(frozenset(new))
+            if len(out) > REGION_LIMIT:
+                raise ParameterError(
+                    f"product stage exceeded REGION_LIMIT = {REGION_LIMIT} "
+                    f"regions on {len(order)} primitives"
+                )
             nv = graph.neighbors(v)
             extend(new, [u for u in candidates[k + 1:] if u in nv])
 

@@ -414,6 +414,16 @@ class TestCli:
         for key in ("universe", "cover", "leaf_count"):
             assert got[key] == expected[key], key
 
+    def test_products_matches_golden_table(self, scene_files, tmp_path):
+        # Witness positions feed the labels and inside fractions, so a
+        # sampling change that moves a single witness shows up here.
+        prim_path, tree_path = scene_files
+        out = tmp_path / "table.json"
+        assert main(["products", "--primitives", str(prim_path),
+                     "--tree", str(tree_path), "--out", str(out)]) == 0
+        golden = GOLDEN / "products_reference_tree.json"
+        assert out.read_bytes() == golden.read_bytes()
+
     @pytest.mark.parametrize("solver", ["dlx", "qubo_exact", "qubo_sa"])
     def test_compress_abstract_matches_golden_report(self, solver, abstract_file,
                                                      tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from csgcompress.errors import FileFormatError
+from csgcompress import cover, products
+from csgcompress.errors import FileFormatError, ParameterError
 from csgcompress.geometry import Leaf, TreeOracle, signed_distance, sphere
 from csgcompress.graph import IntersectionGraph, build_intersection_graph, maximal_cliques_bk
 from csgcompress.products import (
@@ -170,3 +171,44 @@ class TestAbstractInstance:
         assert [p.label for p in fig_table.products] == [
             p.label for p in abstract.products
         ]
+
+
+class TestRegionLimit:
+    def test_limit_is_inclusive(self, monkeypatch):
+        g = IntersectionGraph(
+            ("a", "b", "c"), frozenset({("a", "b"), ("a", "c"), ("b", "c")})
+        )
+        monkeypatch.setattr(products, "REGION_LIMIT", 7)
+        assert len(enumerate_cliques(g)) == 7
+        monkeypatch.setattr(products, "REGION_LIMIT", 6)
+        with pytest.raises(ParameterError, match="REGION_LIMIT = 6 regions on 3 primitives"):
+            enumerate_cliques(g)
+
+    def test_refuses_during_the_walk(self):
+        # 2^40 - 1 cliques: only a check inside the walk can return.
+        ids = tuple(f"v{i:02d}" for i in range(40))
+        g = IntersectionGraph(
+            ids, frozenset((a, b) for a in ids for b in ids if a < b)
+        )
+        with pytest.raises(ParameterError, match="REGION_LIMIT = 4096 regions on 40 primitives"):
+            enumerate_cliques(g)
+        with pytest.raises(ParameterError, match="REGION_LIMIT"):
+            cover.generate_candidates(
+                products.ProductTable(ids, ()), [frozenset(ids)], g, cover.MODE_GLOBAL
+            )
+
+    def test_reference_scene_past_a_lowered_limit(self, monkeypatch, fig_primitives,
+                                                 fig_oracle):
+        graph = build_intersection_graph(fig_primitives, count=1024, seed=0)
+        monkeypatch.setattr(products, "REGION_LIMIT", 14)  # the scene has 15 cells
+        with pytest.raises(ParameterError, match="REGION_LIMIT = 14 regions on 6 primitives"):
+            enumerate_products(fig_primitives, graph, fig_oracle, seed=0)
+
+    def test_concentric_spheres_are_refused(self):
+        # 13 nested spheres overlap pairwise: 2^13 - 1 = 8191 cliques.
+        prims = [sphere(f"S{i:02d}", (0, 0, 0), 1.0 + 0.1 * i) for i in range(13)]
+        graph = build_intersection_graph(prims, count=256, seed=0)
+        assert len(graph.edges) == 13 * 12 // 2
+        oracle = TreeOracle(Leaf("S00"), prims)
+        with pytest.raises(ParameterError, match="REGION_LIMIT = 4096 regions on 13 primitives"):
+            enumerate_products(prims, graph, oracle, seed=0)
