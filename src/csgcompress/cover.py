@@ -10,19 +10,19 @@ products are the same subset of the universe; we keep the cheapest
 expression).  The smallest exact cover of the inside products then yields
 the output tree: a union of candidate conjunctions.
 
-Candidates come from one depth-first walk over the product table.  From a
-positive set P -- a subset of a given clique (partitioned mode) or any
-clique of the graph (global mode) -- it negates further primitives in id
-order, only ones that still occur in a covered product: any other negation
-leaves the covered set unchanged at the price of a literal.  A branch ends
-when its covered set is empty.  Negations cut a shared primitive down to
-the products its clique owns, so per-clique results merge without
-covering foreign cells.
+Candidates come from one depth-first walk over the product table.  Its
+positive sets P are the cliques of the intersection graph
+(``enumerate_cliques``, bounded by ``REGION_LIMIT``): all of them in global
+mode, those inside a given clique in partitioned mode.  From P the walk
+negates further primitives in id order, only ones that still occur in a
+covered product: any other negation leaves the covered set unchanged at the
+price of a literal.  A branch ends when its covered set is empty.
+Negations cut a shared primitive down to the products its clique owns, so
+per-clique results merge without covering foreign cells.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import (
@@ -34,7 +34,7 @@ from .errors import (
     read_json,
 )
 from .geometry import Complement, CsgNode, Intersection, Leaf, Union
-from .graph import IntersectionGraph, clique_sort_key
+from .graph import IntersectionGraph
 from .products import ProductTable, enumerate_cliques
 
 MODE_PARTITIONED = "partitioned"
@@ -85,7 +85,6 @@ class Candidate:
     covered: frozenset
     literals: Literals | None = None
     literal_count: int = 0
-    source_clique: int | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,66 +145,55 @@ def generate_candidates(
 ) -> CoverInstance:
     """Build the cover instance over the inside products of ``table``.
 
-    Raises InfeasibleInstanceError when some inside product cannot be
-    covered by any admissible candidate (only possible when the supplied
-    cliques do not reflect the graph, e.g. experimental partitions).
+    Precondition: every product's positive set is a clique of ``graph``
+    (``enumerate_products`` and ``abstract_instance_from_dict`` ensure it),
+    so the graph's cliques hold every positive set a candidate can have.
+    Raises ParameterError past ``REGION_LIMIT`` cliques, and
+    InfeasibleInstanceError when some inside product cannot be covered by
+    any admissible candidate (only possible when the supplied cliques do
+    not reflect the graph, e.g. experimental partitions).
     """
     if mode not in (MODE_PARTITIONED, MODE_GLOBAL):
         raise ValueError(f"unknown candidate generation mode {mode!r}")
     universe = table.universe
     universe_set = set(universe)
 
-    # covered set -> (literal_count, literal_key, clique_lex_key, literals, clique_idx)
+    # covered set -> (literal_count, literal_sort_key, literals)
     best: dict[frozenset, tuple] = {}
 
-    def walk(pos: frozenset, neg: tuple, covered: list, clique_idx,
-             clique_key) -> None:
+    def walk(pos: frozenset, neg: tuple, covered: list) -> None:
         """Offer pos & !neg, then negate each later id still in a covered product."""
         literals = tuple(sorted([(p, True) for p in pos] + [(n, False) for n in neg]))
         covered_set = frozenset(covered)
         if covered_set <= universe_set:
-            entry = (len(literals), literal_sort_key(literals), clique_key,
-                     literals, clique_idx)
-            if covered_set not in best or entry[:3] < best[covered_set][:3]:
+            entry = (len(literals), literal_sort_key(literals), literals)
+            if covered_set not in best or entry < best[covered_set]:
                 best[covered_set] = entry
         for n in sorted(set().union(*covered) - pos):
             if neg and n <= neg[-1]:
                 continue
             rest = [s for s in covered if n not in s]
             if rest:
-                walk(pos, neg + (n,), rest, clique_idx, clique_key)
+                walk(pos, neg + (n,), rest)
 
     if mode == MODE_GLOBAL:
-        roots = [(pos, None, ()) for pos in enumerate_cliques(graph)]
+        roots = enumerate_cliques(graph)
     else:
-        ordered = sorted((frozenset(c) for c in cliques), key=clique_sort_key)
-        if not ordered or set().union(*ordered) != set(table.primitive_ids):
+        given = [frozenset(c) for c in cliques]
+        if not given or set().union(*given) != set(table.primitive_ids):
             raise ValueError("cliques must cover all primitives")
-        roots = [
-            (frozenset(pos), j, tuple(sorted(clique)))
-            for j, clique in enumerate(ordered)
-            for k in range(1, len(clique) + 1)
-            for pos in itertools.combinations(sorted(clique), k)
-        ]
-    for pos, clique_idx, clique_key in roots:
+        roots = [pos for pos in enumerate_cliques(graph)
+                 if any(pos <= k for k in given)]
+    for pos in roots:
         covered = [p.positive_set for p in table.products if pos <= p.positive_set]
         if covered:
-            walk(pos, (), covered, clique_idx, clique_key)
+            walk(pos, (), covered)
 
-    ordered_candidates = sorted(
-        (
-            Candidate(
-                name=literal_name(lits),
-                covered=covered,
-                literals=lits,
-                literal_count=count,
-                source_clique=clique_idx,
-            )
-            for covered, (count, _, _, lits, clique_idx) in best.items()
-        ),
-        key=lambda c: (c.literal_count, literal_sort_key(c.literals)),
+    candidates = tuple(
+        Candidate(literal_name(lits), covered, lits, count)
+        for covered, (count, _, lits) in sorted(best.items(), key=lambda kv: kv[1])
     )
-    instance = CoverInstance(universe, tuple(ordered_candidates))
+    instance = CoverInstance(universe, candidates)
     if not instance.feasible:
         missing = ", ".join(element_name(u) for u in instance.uncoverable)
         raise InfeasibleInstanceError(
@@ -401,7 +389,6 @@ def cover_instance_from_dict(obj: dict) -> CoverInstance:
                     covered=frozenset(rec["covers"]),
                     literals=None,
                     literal_count=int(rec.get("literals", 0)),
-                    source_clique=None,
                 )
             )
         return CoverInstance(universe, tuple(candidates))

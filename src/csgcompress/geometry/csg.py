@@ -119,12 +119,17 @@ def tree_to_dict(tree: CsgNode) -> dict:
 
 
 def tree_from_dict(obj: dict) -> CsgNode:
+    if not isinstance(obj, dict):
+        raise StructuralError(f"tree node must be a JSON object, got {obj!r}")
     op = obj.get("op")
     if op == "prim":
         if "prim" not in obj:
             raise StructuralError("prim node without 'prim' id")
         return Leaf(str(obj["prim"]))
-    children = [tree_from_dict(c) for c in obj.get("children", ())]
+    children = obj.get("children", [])
+    if not isinstance(children, list):
+        raise StructuralError(f"{op!r} node 'children' must be an array")
+    children = [tree_from_dict(c) for c in children]
     if op == "union":
         return Union(tuple(children))
     if op == "inter":

@@ -192,7 +192,10 @@ def oracle_agreement(
     Points within ``surface_margin_frac`` of the scene diameter of either
     surface are excluded; returns (agreement fraction, points used).  Fewer
     than ``n_points`` are used when 50 * ``n_points`` draws do not yield them.
+    Raises ParameterError when ``n_points`` is below 1.
     """
+    if n_points < 1:
+        raise ParameterError(f"oracle agreement needs n_points >= 1, got {n_points}")
     prims = tuple(primitives)
     lo, hi = union_box(prims)
     pad = 0.1 * (hi - lo)

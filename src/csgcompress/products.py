@@ -85,7 +85,6 @@ class ProductTable:
             seen.add(p.positive_set)
         object.__setattr__(self, "primitive_ids", tuple(self.primitive_ids))
         object.__setattr__(self, "products", prods)
-        object.__setattr__(self, "_by_set", {p.positive_set: p for p in prods})
 
     @property
     def n_f(self) -> int:
@@ -100,9 +99,6 @@ class ProductTable:
     @property
     def mixed(self) -> tuple[FundamentalProduct, ...]:
         return tuple(p for p in self.products if p.label == LABEL_MIXED)
-
-    def get(self, positive_set) -> FundamentalProduct | None:
-        return self._by_set.get(frozenset(positive_set))
 
 
 def enumerate_cliques(graph: IntersectionGraph):

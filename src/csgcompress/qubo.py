@@ -35,6 +35,8 @@ EXACT_LIMIT = 30  # exhaustive search refuses models larger than this
 
 
 def _canonical_terms(n, linear, quadratic):
+    if n < 0:
+        raise ValueError(f"model size must be non-negative, got n={n}")
     lin: dict[int, float] = {}
     for i, v in (linear or {}).items():
         i = int(i)

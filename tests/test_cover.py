@@ -32,7 +32,7 @@ from csgcompress.cover import (
     verify_cover,
 )
 from csgcompress.geometry import Complement, Intersection, Leaf, leaf_count
-from csgcompress.graph import IntersectionGraph, clique_sort_key, maximal_cliques_bk
+from csgcompress.graph import IntersectionGraph, maximal_cliques_bk
 from csgcompress.products import abstract_instance_from_dict, enumerate_cliques
 
 
@@ -115,21 +115,20 @@ def reference_candidates(table, cliques, graph, mode):
     Every allowed positive set is combined with every negation subset of the
     remaining primitives, and the cheapest expression per admissible covered
     set is kept under the same tie-break.  Returns (name, covered, literals,
-    literal_count, source_clique) tuples in candidate order.
+    literal_count) tuples in candidate order.
     """
     if mode == MODE_GLOBAL:
-        roots = [(pos, None, ()) for pos in enumerate_cliques(graph)]
+        roots = enumerate_cliques(graph)
     else:
-        ordered = sorted((frozenset(c) for c in cliques), key=clique_sort_key)
         roots = [
-            (frozenset(pos), j, tuple(sorted(clique)))
-            for j, clique in enumerate(ordered)
+            frozenset(pos)
+            for clique in cliques
             for k in range(1, len(clique) + 1)
             for pos in itertools.combinations(sorted(clique), k)
         ]
     universe = set(table.universe)
     best = {}
-    for pos, clique_idx, clique_key in roots:
+    for pos in roots:
         rest = sorted(set(table.primitive_ids) - pos)
         for k in range(len(rest) + 1):
             for neg in itertools.combinations(rest, k):
@@ -137,12 +136,12 @@ def reference_candidates(table, cliques, graph, mode):
                 covered = covered_products(table, lits)
                 if not covered or not covered <= universe:
                     continue
-                entry = (len(lits), literal_sort_key(lits), clique_key, lits, clique_idx)
-                if covered not in best or entry[:3] < best[covered][:3]:
+                entry = (len(lits), literal_sort_key(lits), lits)
+                if covered not in best or entry < best[covered]:
                     best[covered] = entry
     rows = [
-        (literal_name(lits), covered, lits, count, clique_idx)
-        for covered, (count, _, _, lits, clique_idx) in best.items()
+        (literal_name(lits), covered, lits, count)
+        for covered, (count, _, lits) in best.items()
     ]
     return sorted(rows, key=lambda r: (r[3], literal_sort_key(r[2])))
 
@@ -179,7 +178,7 @@ def abstract_instances(draw):
 
 
 def candidate_rows(instance):
-    return [(c.name, c.covered, c.literals, c.literal_count, c.source_clique)
+    return [(c.name, c.covered, c.literals, c.literal_count)
             for c in instance.candidates]
 
 
@@ -224,8 +223,6 @@ class TestGenerateCandidates:
         names = {c.name: c for c in fig_partitioned.candidates}
         cand = names["!B&!D&E&!F"]
         assert cand.covered == frozenset({frozenset("E")})
-        # Attributed to clique {B,D,E}; !F negates an out-of-clique neighbour.
-        assert cand.source_clique is not None
 
     def test_bare_B_rejected(self, fig_partitioned):
         # B alone covers the outside products {B,D} and {B,D,E}.
@@ -279,9 +276,7 @@ class TestGenerateCandidates:
                 generate_candidates(table, cliques, graph, MODE_GLOBAL)
             return
         glob = generate_candidates(table, cliques, graph, MODE_GLOBAL)
-        assert [r[:4] for r in candidate_rows(glob)] == \
-            [r[:4] for r in candidate_rows(part)]
-        assert all(c.source_clique is None for c in glob.candidates)
+        assert candidate_rows(glob) == candidate_rows(part)
 
     def test_global_mode_on_sphere_grid_is_fast(self):
         # A cell shares products with at most four other primitives, so the
@@ -294,8 +289,7 @@ class TestGenerateCandidates:
         start = time.perf_counter()
         glob = generate_candidates(table, cliques, graph, MODE_GLOBAL)
         assert time.perf_counter() - start < 1.0
-        assert [r[:4] for r in candidate_rows(glob)] == \
-            [r[:4] for r in candidate_rows(part)]
+        assert candidate_rows(glob) == candidate_rows(part)
 
     def test_infeasible_partition_names_element(self):
         # Only the lens {a,b} is inside.  A degenerate vertex partition

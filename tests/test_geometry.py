@@ -193,6 +193,16 @@ class TestTreeMembership:
         with pytest.raises(StructuralError):
             tree_from_dict({"op": "comp", "children": []})
 
+    @pytest.mark.parametrize("obj", [
+        [1, 2],
+        {"op": "union", "children": 5},
+        {"op": "union", "children": {"op": "prim", "prim": "A"}},
+        {"op": "inter", "children": [{"op": "prim", "prim": "A"}, "B"]},
+    ])
+    def test_malformed_json_rejected(self, obj):
+        with pytest.raises(StructuralError):
+            tree_from_dict(obj)
+
 
 # ---------------------------------------------------------------------------
 # Region sampling

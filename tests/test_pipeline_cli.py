@@ -148,6 +148,12 @@ class TestCompress:
         assert not any("rests on only" in w for w in full.warnings)
         assert list(report.to_dict()) == list(full.to_dict())
 
+    def test_agreement_without_points_is_refused(self, fig_primitives, fig_oracle):
+        cfg = PipelineConfig(graph_samples=256, product_samples=256,
+                             agreement_points=0)
+        with pytest.raises(ParameterError, match=r"\[evaluate\] .*n_points >= 1"):
+            compress(fig_primitives, fig_oracle, cfg)
+
     def test_config_record_with_schedule_and_penalties(self):
         cfg = PipelineConfig(
             mode=MODE_GLOBAL, cover_solver="qubo_sa", graph_samples=300,
@@ -501,6 +507,37 @@ class TestCli:
         ])
         capsys.readouterr()
         assert code == 4
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_eval_without_points_is_a_parameter_error(self, scene_files, cloud_file,
+                                                      capsys, samples):
+        prim_path, tree_path = scene_files
+        code = main([
+            "eval", "--tree", str(tree_path), "--primitives", str(prim_path),
+            "--cloud", str(cloud_file), "--samples", samples,
+        ])
+        assert "n_points >= 1" in capsys.readouterr().err
+        assert code == 4
+
+    @pytest.mark.parametrize("text", ["[1,2]", '{"op":"union","children":5}'])
+    def test_malformed_tree_is_an_input_error(self, scene_files, cloud_file,
+                                              tmp_path, capsys, text):
+        prim_path, _ = scene_files
+        bad = tmp_path / "bad_tree.json"
+        bad.write_text(text)
+        for cmd in (["compress", "--primitives", str(prim_path), "--tree", str(bad)],
+                    ["eval", "--primitives", str(prim_path), "--tree", str(bad),
+                     "--cloud", str(cloud_file)]):
+            code = main(cmd)
+            assert capsys.readouterr().err.startswith("error: ")
+            assert code == 3
+
+    def test_negative_qubo_size_is_an_input_error(self, tmp_path, capsys):
+        model = tmp_path / "neg.qubo"
+        model.write_text("p qubo 0 -1 0 0\n")
+        code = main(["qubo", "solve", "--model", str(model)])
+        assert "model size must be non-negative" in capsys.readouterr().err
+        assert code == 3
 
     def test_exit_code_unsatisfiable(self, tmp_path, capsys):
         bad = tmp_path / "unsat.json"

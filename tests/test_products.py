@@ -196,6 +196,16 @@ class TestRegionLimit:
             cover.generate_candidates(
                 products.ProductTable(ids, ()), [frozenset(ids)], g, cover.MODE_GLOBAL
             )
+        # Partitioned mode walks the same cliques.  A 14-vertex clique
+        # (2^14 - 1 = 16383 subsets) keeps the test cheap if the check is lost.
+        ids = ids[:14]
+        g = IntersectionGraph(
+            ids, frozenset((a, b) for a in ids for b in ids if a < b)
+        )
+        with pytest.raises(ParameterError, match="REGION_LIMIT = 4096 regions on 14 primitives"):
+            cover.generate_candidates(
+                products.ProductTable(ids, ()), [frozenset(ids)], g, cover.MODE_PARTITIONED
+            )
 
     def test_reference_scene_past_a_lowered_limit(self, monkeypatch, fig_primitives,
                                                  fig_oracle):

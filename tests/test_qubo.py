@@ -142,6 +142,11 @@ class TestEnergies:
         assert 0 not in q.linear
         assert q.quadratic == {}  # the two coupler entries cancelled
 
+    def test_negative_size_rejected(self):
+        for model in (Qubo, IsingModel):
+            with pytest.raises(ValueError, match="n=-1"):
+                model(-1, {}, {})
+
 
 class TestConversions:
     def test_hand_case(self):
