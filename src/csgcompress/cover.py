@@ -383,6 +383,10 @@ def cover_instance_from_dict(obj: dict) -> CoverInstance:
         universe = tuple(obj["universe"])
         candidates = []
         for k, rec in enumerate(obj["subsets"]):
+            if not isinstance(rec, dict):
+                raise FileFormatError(
+                    f"bad cover instance: subset {k} is not an object"
+                )
             candidates.append(
                 Candidate(
                     name=str(rec.get("name", f"S{k}")),

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import FileFormatError
+from ..errors import FileFormatError, read_json
 
 KINDS = ("sphere", "box", "cylinder")
 
@@ -198,7 +198,7 @@ def primitive_to_dict(p: Primitive) -> dict:
 def primitive_from_dict(obj: dict) -> Primitive:
     try:
         return Primitive(
-            obj["id"],
+            str(obj["id"]),
             obj["kind"],
             np.asarray(obj["translation"], float),
             np.asarray(obj.get("rotation", IDENTITY_ROTATION), float),
@@ -215,11 +215,7 @@ def save_primitives(primitives, path) -> None:
 
 
 def load_primitives(path) -> tuple[Primitive, ...]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: invalid JSON ({exc})") from exc
+    data = read_json(path)
     if not isinstance(data, list):
         raise FileFormatError(f"{path}: expected a JSON array of primitives")
     try:

@@ -330,12 +330,8 @@ def solve_exact(q: Qubo) -> SolveResult:
     return SolveResult(_bitstring(best_bits), best_e, "exact")
 
 
-# The dense phase measures its acceptance rate over windows of this many
-# steps and hands over to the sparse phase below this share of them.
-_WINDOW = 128
-_DENSE_ACCEPTANCE = 0.25
 # Each restart's proposal row is padded by this many proposals that are
-# never accepted, so that a block of the sparse phase, which grows to at
+# never accepted, so that a block of the annealing loop, which grows to at
 # most this size, never reads past its row.
 _MAX_BLOCK = 1024
 
@@ -371,21 +367,19 @@ def _anneal(q: Qubo, schedule: AnnealSchedule, seed: int):
     """Each restart's lowest energy and the 0/1 assignment that first reached it.
 
     Each restart keeps its local fields G = X W and updates them after every
-    accepted flip.  The walk runs in two phases with identical sequential
-    semantics.  While acceptances are common (dense phase) every step is
-    applied in lockstep across restarts.  Once at most _DENSE_ACCEPTANCE of
-    the proposals of a window are accepted, the rest of the schedule is
-    consumed in ragged blocks (sparse phase): each restart scores its next
-    proposals against its frozen state, only the first accepted one is
-    applied, and that restart resumes right after it.  Rejections never
-    change state, so nothing diverges from stepping one at a time.
+    accepted flip.  The schedule is consumed in ragged blocks: each restart
+    scores its next proposals against its frozen state, only the first
+    accepted one is applied, and that restart resumes right after it.  A
+    restart without an acceptance in its block takes a zero step and moves
+    past the block.  Rejections never change state, so nothing diverges from
+    stepping one proposal at a time.
     """
     lin, W = _dense(q)
     R, S, n = schedule.restarts, schedule.sweeps, q.n
     # Per restart: a start state, S proposed flips and their thresholds.
     # Metropolis acceptance u < exp(-delta/T) is rewritten as
     # delta <= -T ln u, which also admits every non-positive delta and keeps
-    # the loops free of exp calls.  The -inf padding is never met.
+    # the loop free of exp calls.  The -inf padding is never accepted.
     width = S + _MAX_BLOCK
     X = np.empty((R, n))
     flips = np.zeros((R, width), dtype=np.int64)
@@ -400,7 +394,8 @@ def _anneal(q: Qubo, schedule: AnnealSchedule, seed: int):
             thresholds[r, :S] = neg_temps * np.log(rng.random(size=S))
 
     rows = np.arange(R)
-    flat_flips = flips + (rows * n)[:, None]  # index into the raveled state
+    flat_flips = (flips + (rows * n)[:, None]).ravel()  # into the raveled state
+    flips, thresholds = flips.ravel(), thresholds.ravel()
     lin_at = lin[flips]
     G = X @ W
     E = q.offset + X @ lin + 0.5 * np.einsum("ri,ri->r", G, X)
@@ -408,56 +403,36 @@ def _anneal(q: Qubo, schedule: AnnealSchedule, seed: int):
     Sf, Gf = spins.ravel(), G.ravel()
     best_E = E.copy()
     best_spins = spins.copy()
-
-    def keep_lower():
-        better = E < best_E
-        if np.count_nonzero(better):
-            best_E[better] = E[better]
-            best_spins[better] = spins[better]
-
-    t = 0
-    window_acc = 0
-    while t < S:
-        fi = flat_flips[:, t]
-        sign = Sf[fi]
-        delta = sign * (lin_at[:, t] + Gf[fi])
-        acc = delta <= thresholds[:, t]
-        step = sign * acc  # +-1 where accepted, 0 elsewhere
-        Sf[fi] = sign - 2.0 * step
-        E += delta * acc
-        G += step[:, None] * W[flips[:, t]]
-        keep_lower()
-        window_acc += np.count_nonzero(acc)
-        t += 1
-        if t % _WINDOW == 0:
-            if window_acc <= _DENSE_ACCEPTANCE * R * _WINDOW:
-                break
-            window_acc = 0
-
-    flat_flips, lin_at = flat_flips.ravel(), lin_at.ravel()
-    thresholds = thresholds.ravel()
     offsets = np.arange(_MAX_BLOCK)
-    pos = rows * width + t  # flat index of each restart's next proposal
-    end = rows * width + S
+    pos = rows * width  # flat index of each restart's next proposal
+    end = pos + S
     block = 16  # doubles whenever no restart accepts
-    while np.count_nonzero(pos < end):
+    while True:
         idx = pos[:, None] + offsets[:block]
         fi = flat_flips[idx]
-        acc = Sf[fi] * (lin_at[idx] + Gf[fi]) <= thresholds[idx]
+        sign = Sf[fi]
+        delta = sign * (lin_at[idx] + Gf[fi])
+        acc = delta <= thresholds[idx]
         first = acc.argmax(axis=1)
-        hit = acc[rows, first]
+        pick = rows * block + first
+        hit = acc.ravel()[pick]
         if np.count_nonzero(hit):
             at = pos + first
-            r = np.flatnonzero(hit)
-            fi = flat_flips[at[r]]
-            sign = Sf[fi]
-            E[r] += sign * (lin_at[at[r]] + Gf[fi])
-            Sf[fi] = -sign
-            G[r] += sign[:, None] * W[fi - r * n]
-            keep_lower()
-            pos = np.where(hit, at + 1, pos + block)
+            step = sign.ravel()[pick] * hit  # +-1 where accepted, 0 elsewhere
+            Sf[flat_flips[at]] -= 2.0 * step
+            E += delta.ravel()[pick] * hit
+            G += step[:, None] * W[flips[at]]
+            better = E < best_E
+            if np.count_nonzero(better):
+                best_E[better] = E[better]
+                best_spins[better] = spins[better]
+            pos += np.where(hit, first + 1, block)
         else:
-            pos = pos + block
+            pos += block
+            # A finished restart sits at its end, in the padding, so only
+            # a block without acceptances can be the last.
+            if not np.count_nonzero(pos < end):
+                break
             block = min(2 * block, _MAX_BLOCK)
         np.minimum(pos, end, out=pos)
     return best_E, (best_spins < 0).astype(int)

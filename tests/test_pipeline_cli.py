@@ -20,7 +20,9 @@ from csgcompress.geometry import (
     Leaf,
     TreeOracle,
     leaf_count,
+    Union,
     load_cloud,
+    primitive_to_dict,
     sample_surface,
     save_cloud,
     save_primitives,
@@ -549,6 +551,29 @@ class TestCli:
         code = main(["cover", "--instance", str(bad)])
         capsys.readouterr()
         assert code == 2
+
+    def test_non_object_subset_is_an_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad_subset.json"
+        bad.write_text('{"universe":[1],"subsets":[5]}')
+        code = main(["cover", "--instance", str(bad)])
+        assert "subset 0 is not an object" in capsys.readouterr().err
+        assert code == 3
+
+    def test_numeric_primitive_ids_compress(self, tmp_path, capsys):
+        spheres = (sphere("5", (0.0, 0.0, 0.0), 1.0), sphere("7", (1.5, 0.0, 0.0), 1.0))
+        cloud = tmp_path / "cloud.xyz"
+        save_cloud(sample_surface(Union((Leaf("5"), Leaf("7"))), spheres, 2000, seed=0),
+                   cloud)
+        records = [primitive_to_dict(p) for p in spheres]
+        for rec in records:
+            rec["id"] = int(rec["id"])
+        prims = tmp_path / "prims.json"
+        prims.write_text(json.dumps(records))
+        code = main(["compress", "--primitives", str(prims), "--cloud", str(cloud),
+                     "--samples", "512", "--no-timestamp"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["leaf_count"] == 3  # 5 | (!5 & 7)
 
     def test_exit_code_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
