@@ -67,9 +67,9 @@ _in_file = click.Path(exists=True, dir_okay=False)
 
 _samples_option = click.option(
     "--samples", type=int, default=None,
-    help="Sample count for both graph and product sampling [default: "
-         f"{DEFAULT_GRAPH_SAMPLES} for the graph, {DEFAULT_PRODUCT_SAMPLES} "
-         "per product region].")
+    help="Interior points per primitive for both graph and product sampling "
+         f"[default: {DEFAULT_GRAPH_SAMPLES} for the graph, "
+         f"{DEFAULT_PRODUCT_SAMPLES} for the products].")
 _COVER_A_HELP = "Cover constraint penalty [default: n*B + 1, n = universe size]."
 _COVER_B_HELP = "Cover cost per selected subset [default: 1]."
 

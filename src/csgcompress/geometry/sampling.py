@@ -1,4 +1,4 @@
-"""Deterministic region and surface samplers.
+"""Deterministic interior and surface samplers.
 
 All randomness flows from explicit integer seeds through
 ``numpy.random.SeedSequence``, so results are reproducible bit for bit and
@@ -8,12 +8,10 @@ seed, runs that ask for more points extend the accepted sequence of runs
 that asked for fewer (a prefix property the intersection-graph builder
 relies on).
 
-``sample_region`` skips every negative primitive whose bounding box misses
-the sampling box (it cannot hold a point of the box), and tests each
-further primitive only on the points of the batch that passed the tests
-before it.  Neither changes which points are accepted or their order, so
-the output and the prefix property are those of testing every primitive
-on the whole batch.
+``sign_vector_samples`` is the one sampling pass of the graph and product
+stages: it draws interior points of every primitive and groups them by the
+set of primitives that contain them, i.e. by the cell of the primitive
+arrangement they fall in.
 """
 
 from __future__ import annotations
@@ -47,18 +45,6 @@ def derive_seed(master_seed: int, *key) -> int:
     return int(derive_rng(master_seed, *key).integers(0, 2**63 - 1))
 
 
-def region_box(positive) -> tuple[np.ndarray, np.ndarray] | None:
-    """Intersection of the positive primitives' AABBs, or None if empty."""
-    lo, hi = aabb(positive[0])
-    for p in positive[1:]:
-        plo, phi = aabb(p)
-        lo = np.maximum(lo, plo)
-        hi = np.minimum(hi, phi)
-    if np.any(lo >= hi):
-        return None
-    return lo, hi
-
-
 def union_box(primitives) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = aabb(primitives[0])
     for p in primitives[1:]:
@@ -73,26 +59,15 @@ def scene_diameter(primitives) -> float:
     return float(np.linalg.norm(hi - lo))
 
 
-def sample_region(positive, negative, count: int, seed: int) -> np.ndarray:
-    """Up to ``count`` uniform points inside all positives and outside all negatives.
+def sample_region(primitive: Primitive, count: int, seed: int) -> np.ndarray:
+    """Up to ``count`` uniform points inside ``primitive``.
 
-    Rejection-samples the intersection of the positive AABBs.  Returns a
-    (k, 3) array with k <= count; k == 0 signals an (apparently) empty
-    region -- interpreting emptiness is the caller's job.
+    Rejection-samples the primitive's AABB.  Returns a (k, 3) array with
+    k <= count; k < count only when the attempt cap runs out first.
     """
-    positive = list(positive)
-    negative = list(negative)
-    if not positive:
-        raise ValueError("sample_region needs at least one positive primitive")
     if count <= 0:
         return np.empty((0, 3))
-    box = region_box(positive)
-    if box is None:
-        return np.empty((0, 3))
-    lo, hi = box
-    checks = [(p, np.less) for p in positive] + [
-        (p, np.greater_equal) for p in negative if aabbs_overlap(aabb(p), box)
-    ]
+    lo, hi = aabb(primitive)
     rng = np.random.default_rng(int(seed))
     accepted: list[np.ndarray] = []
     n_accepted = 0
@@ -101,16 +76,46 @@ def sample_region(positive, negative, count: int, seed: int) -> np.ndarray:
     while n_accepted < count and attempts < max_attempts:
         pts = rng.uniform(lo, hi, size=(_BATCH, 3))
         attempts += _BATCH
-        for p, keep in checks:
-            pts = pts[keep(signed_distance(p, pts), 0)]
-            if not len(pts):
-                break
+        pts = pts[signed_distance(primitive, pts) < 0]
         if len(pts):
             accepted.append(pts)
             n_accepted += len(pts)
     if not accepted:
         return np.empty((0, 3))
     return np.concatenate(accepted)[:count]
+
+
+def sign_vector_samples(primitives, count: int,
+                        seeds) -> list[dict[tuple[int, ...], np.ndarray]]:
+    """Interior samples of every primitive, grouped by sign vector.
+
+    Entry i holds the points ``sample_region(primitives[i], count,
+    seeds[i])`` draws, keyed by the ascending indices of all primitives
+    that contain them (i among them).  That positive set fixes the point's
+    inside/outside sign over every primitive, however many there are.  A
+    point is tested only against the primitives whose AABBs meet the AABB of
+    the one that drew it; no other can contain it.  Each group keeps the
+    draw order of its points.
+    """
+    boxes = [aabb(p) for p in primitives]
+    tables = []
+    for i, seed in enumerate(seeds):
+        pts = sample_region(primitives[i], count, seed)
+        near = [j for j, b in enumerate(boxes) if aabbs_overlap(boxes[i], b)]
+        member = np.column_stack(
+            [signed_distance(primitives[j], pts) < 0 for j in near]
+        )
+        # One opaque byte string per row, as wide as the row needs.
+        packed = np.packbits(member, axis=1)
+        _, first, which = np.unique(
+            packed.view(f"V{packed.shape[1]}").ravel(),
+            return_index=True, return_inverse=True,
+        )
+        tables.append({
+            tuple(near[j] for j in np.flatnonzero(member[f])): pts[which == r]
+            for r, f in enumerate(first)
+        })
+    return tables
 
 
 # ---------------------------------------------------------------------------

@@ -3,26 +3,19 @@
 Vertices are primitive ids; an edge means the two solids' volumes overlap.
 Overlap is detected by sampling: each primitive gets a deterministic batch
 of interior points (its own seed derived from the master seed), and a pair
-is connected when either batch hits the other solid.  An AABB prefilter
-skips provably disjoint pairs.  Maximal cliques come from Bron-Kerbosch
-with pivoting; all outputs are canonically ordered so downstream candidate
-generation is deterministic.
+is connected when either batch hits the other solid.  The batches are
+``sign_vector_samples``' groups, so each point is only tested against the
+primitives whose AABBs meet its own primitive's.  Maximal cliques come from
+Bron-Kerbosch with pivoting; all outputs are canonically ordered so
+downstream candidate generation is deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import FileFormatError, read_json
-from .geometry import (
-    aabb,
-    aabbs_overlap,
-    check_primitive_set,
-    sample_region,
-    signed_distance,
-)
+from .geometry import check_primitive_set, sign_vector_samples
 from .geometry.sampling import derive_seed
 
 DEFAULT_GRAPH_SAMPLES = 4096
@@ -93,31 +86,17 @@ def build_intersection_graph(primitives, count: int = DEFAULT_GRAPH_SAMPLES,
     (primitives, count, seed), not on evaluation order.
     """
     prims = check_primitive_set(primitives)
-    boxes = [aabb(p) for p in prims]
-    samples = [
-        sample_region([p], [], count, _primitive_seed(seed, i))
-        for i, p in enumerate(prims)
-    ]
-    edges = set()
-    for i in range(len(prims)):
-        for j in range(i + 1, len(prims)):
-            if not aabbs_overlap(boxes[i], boxes[j]):
-                continue
-            hit = False
-            if samples[i].shape[0]:
-                hit = bool(np.any(signed_distance(prims[j], samples[i]) < 0))
-            if not hit and samples[j].shape[0]:
-                hit = bool(np.any(signed_distance(prims[i], samples[j]) < 0))
-            if hit:
-                a, b = prims[i].pid, prims[j].pid
-                edges.add((a, b) if a < b else (b, a))
-    return IntersectionGraph(tuple(p.pid for p in prims), frozenset(edges))
-
-
-def _primitive_seed(master: int, index: int) -> int:
     # One sub-stream per primitive so pairwise tests are order independent
     # and edge detection is monotone in the sample count.
-    return derive_seed(master, _SEED_NAMESPACE, index)
+    seeds = [derive_seed(seed, _SEED_NAMESPACE, i) for i in range(len(prims))]
+    edges = frozenset(
+        (prims[i].pid, prims[j].pid)
+        for i, groups in enumerate(sign_vector_samples(prims, count, seeds))
+        for positives in groups
+        for j in positives
+        if j != i
+    )
+    return IntersectionGraph(tuple(p.pid for p in prims), edges)
 
 
 def induced_subgraph(graph: IntersectionGraph, keep) -> IntersectionGraph:

@@ -2,11 +2,13 @@
 
 A fundamental product assigns every primitive either itself or its
 complement; the non-empty ones are the atomic cells the primitive
-arrangement carves out of space.  A product's positive set must be a
-clique of the intersection graph (two non-overlapping positives force the
-cell empty), which turns the naive 2^|P| scan into a walk over the clique
-tree.  Each candidate cell is rejection-sampled; cells with witnesses are
-classified against the target oracle by the fraction of witnesses inside.
+arrangement carves out of space.  The cells are found by tabulation:
+every primitive draws interior points, and each point is keyed by the
+product it lies in (``sign_vector_samples``).  A cell's positive set must
+be a clique of the intersection graph (two non-overlapping positives force
+the cell empty), so groups whose positive set is not one are dropped.  The
+kept groups' points are the cells' witnesses, classified against the
+target oracle by the fraction inside.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FileFormatError, ParameterError, read_json
-from .geometry import check_primitive_set, index_primitives, sample_region
+from .geometry import check_primitive_set, sign_vector_samples
 from .graph import IntersectionGraph, clique_sort_key
 from .geometry.sampling import derive_seed
 
@@ -29,7 +31,9 @@ LABEL_MIXED = "mixed"
 DEFAULT_PRODUCT_SAMPLES = 2048
 DEFAULT_TAU_IN = 0.95
 DEFAULT_TAU_OUT = 0.05
-REGION_LIMIT = 2**12  # enumerate_cliques refuses graphs with more cliques than this
+# enumerate_cliques refuses graphs with more cliques than this; it bounds
+# the roots of the cover-candidate walk
+REGION_LIMIT = 2**12
 
 
 def product_sort_key(positive_set) -> tuple:
@@ -117,7 +121,7 @@ def enumerate_cliques(graph: IntersectionGraph):
             out.append(frozenset(new))
             if len(out) > REGION_LIMIT:
                 raise ParameterError(
-                    f"product stage exceeded REGION_LIMIT = {REGION_LIMIT} "
+                    f"clique walk exceeded REGION_LIMIT = {REGION_LIMIT} "
                     f"regions on {len(order)} primitives"
                 )
             nv = graph.neighbors(v)
@@ -136,33 +140,37 @@ def enumerate_products(
     tau_in: float = DEFAULT_TAU_IN,
     tau_out: float = DEFAULT_TAU_OUT,
 ) -> ProductTable:
-    """Sample every clique-shaped cell and classify it against the oracle.
+    """Tabulate the cells that interior samples land in; classify each one.
 
-    A cell is kept iff at least one sample survives rejection; the
-    all-negative product (empty positive set) is excluded by construction.
-    Mixed cells (inside fraction strictly between the thresholds) signal
-    that the primitives do not cleanly describe the target; they are kept
-    in the table with the ``mixed`` label and surfaced by the pipeline as
+    Each primitive draws ``samples_per_region`` interior points.  Points
+    are grouped by the set of primitives containing them, and a group whose
+    positive set is a clique of ``graph`` is a cell whose witnesses are its
+    points.  They are uniform in the cell, which lies inside every positive
+    that drew them.  The all-negative product is never sampled.  A cell is
+    found only if a sample of one of its positives lands in it.  Mixed
+    cells (inside fraction strictly between the thresholds) signal that the
+    primitives do not cleanly describe the target; they are kept in the
+    table with the ``mixed`` label and surfaced by the pipeline as
     warnings, not failures.
     """
     prims = check_primitive_set(primitives)
-    by_id = index_primitives(prims)
-    if set(graph.vertices) != set(by_id):
+    ids = tuple(p.pid for p in prims)
+    if set(graph.vertices) != set(ids):
         raise ValueError("graph and primitive set disagree")
     if not (0.0 <= tau_out < tau_in <= 1.0):
         raise ValueError("thresholds must satisfy 0 <= tau_out < tau_in <= 1")
 
-    order = sorted(by_id)
+    seeds = [derive_seed(seed, _SEED_NAMESPACE, i) for i in range(len(prims))]
+    cells: dict[frozenset[str], list[np.ndarray]] = {}
+    for groups in sign_vector_samples(prims, samples_per_region, seeds):
+        for positives, pts in groups.items():
+            cells.setdefault(frozenset(ids[j] for j in positives), []).append(pts)
     products = []
-    for idx, positive_set in enumerate(enumerate_cliques(graph)):
-        positive = [by_id[i] for i in sorted(positive_set)]
-        negative = [by_id[i] for i in order if i not in positive_set]
-        region_seed = derive_seed(seed, _SEED_NAMESPACE, idx)
-        samples = sample_region(positive, negative, samples_per_region, region_seed)
-        if samples.shape[0] == 0:
+    for positive_set, parts in cells.items():
+        if not graph.is_clique(positive_set):
             continue
-        inside = np.asarray(oracle.inside(samples))
-        frac = float(np.mean(inside))
+        samples = np.concatenate(parts)
+        frac = float(np.mean(np.asarray(oracle.inside(samples))))
         if frac >= tau_in:
             label = LABEL_INSIDE
         elif frac <= tau_out:
@@ -172,7 +180,7 @@ def enumerate_products(
         products.append(
             FundamentalProduct(positive_set, label, frac, samples)
         )
-    return ProductTable(tuple(p.pid for p in prims), tuple(products))
+    return ProductTable(ids, tuple(products))
 
 
 @dataclass(frozen=True)

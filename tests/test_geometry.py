@@ -3,7 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csgcompress.errors import StructuralError, UnsupportedOracleError
@@ -26,6 +26,7 @@ from csgcompress.geometry import (
     sample_surface,
     save_cloud,
     save_primitives,
+    sign_vector_samples,
     signed_distance,
     sphere,
     tree_from_dict,
@@ -33,7 +34,6 @@ from csgcompress.geometry import (
     tree_to_dict,
     tree_value,
 )
-from csgcompress.geometry.sampling import region_box
 
 
 def _rot_z(angle):
@@ -211,161 +211,55 @@ class TestTreeMembership:
 class TestSampleRegion:
     def test_inside_sphere(self):
         s = sphere("A", (0, 0, 0), 1.0)
-        pts = sample_region([s], [], 100, seed=1)
+        pts = sample_region(s, 100, seed=1)
         assert pts.shape == (100, 3)
         assert np.all(signed_distance(s, pts) < 0)
 
     def test_contradictory_region_empty(self):
-        s = sphere("A", (0, 0, 0), 1.0)
-        assert sample_region([s], [s], 100, seed=1).shape == (0, 3)
+        # Two copies of one sphere: no point lies in one but not the other.
+        a = sphere("A", (0, 0, 0), 1.0)
+        b = sphere("B", (0, 0, 0), 1.0)
+        tables = sign_vector_samples([a, b], 100, [1, 2])
+        assert [sorted(t) for t in tables] == [[(0, 1)], [(0, 1)]]
+        assert [t[(0, 1)].shape for t in tables] == [(100, 3), (100, 3)]
 
     def test_lens_region(self):
         a = sphere("A", (0, 0, 0), 1.0)
         b = sphere("B", (1, 0, 0), 1.0)
-        pts = sample_region([a, b], [], 200, seed=2)
-        assert pts.shape[0] == 200
-        assert np.all(signed_distance(a, pts) < 0)
-        assert np.all(signed_distance(b, pts) < 0)
+        prims, seeds = (a, b), (2, 3)
+        tables = sign_vector_samples(prims, 200, seeds)
+        for i, table in enumerate(tables):
+            assert sorted(table) == sorted([(i,), (0, 1)])
+            # The groups split exactly the points the primitive draws.
+            drawn = sample_region(prims[i], 200, seeds[i])
+            pooled = np.concatenate(list(table.values()))
+            assert sorted(map(tuple, pooled)) == sorted(map(tuple, drawn))
+            lens = table[(0, 1)]
+            assert np.all(signed_distance(a, lens) < 0)
+            assert np.all(signed_distance(b, lens) < 0)
+            assert np.all(signed_distance(prims[1 - i], table[(i,)]) >= 0)
 
     def test_disjoint_boxes_return_empty(self):
+        # Bounding boxes that miss each other: each primitive's points form
+        # one group, in draw order, and no lens group appears.
         a = sphere("A", (0, 0, 0), 1.0)
         b = sphere("B", (10, 0, 0), 1.0)
-        assert sample_region([a, b], [], 50, seed=3).shape == (0, 3)
+        tables = sign_vector_samples([a, b], 50, [3, 4])
+        assert [sorted(t) for t in tables] == [[(0,)], [(1,)]]
+        npt.assert_array_equal(tables[0][(0,)], sample_region(a, 50, 3))
 
     def test_reproducible(self):
         s = sphere("A", (0, 0, 0), 1.0)
-        p1 = sample_region([s], [], 64, seed=9)
-        p2 = sample_region([s], [], 64, seed=9)
+        p1 = sample_region(s, 64, seed=9)
+        p2 = sample_region(s, 64, seed=9)
         npt.assert_array_equal(p1, p2)
 
     def test_prefix_property(self):
         # More requested points extend, never reshuffle, the accepted stream.
         s = sphere("A", (0, 0, 0), 1.0)
-        small = sample_region([s], [], 32, seed=4)
-        large = sample_region([s], [], 64, seed=4)
+        small = sample_region(s, 32, seed=4)
+        large = sample_region(s, 64, seed=4)
         npt.assert_array_equal(large[:32], small)
-
-
-def reference_sample_region(positive, negative, count, seed):
-    """Rejection sampling that tests every primitive on the whole batch."""
-    if count <= 0:
-        return np.empty((0, 3))
-    sampling_box = region_box(positive)
-    if sampling_box is None:
-        return np.empty((0, 3))
-    lo, hi = sampling_box
-    rng = np.random.default_rng(int(seed))
-    accepted, n_accepted, attempts = [], 0, 0
-    while n_accepted < count and attempts < 64 * count:
-        pts = rng.uniform(lo, hi, size=(4096, 3))
-        attempts += 4096
-        ok = np.ones(4096, dtype=bool)
-        for p in positive:
-            ok &= signed_distance(p, pts) < 0
-        for p in negative:
-            ok &= signed_distance(p, pts) >= 0
-        if ok.any():
-            accepted.append(pts[ok])
-            n_accepted += int(ok.sum())
-    if not accepted:
-        return np.empty((0, 3))
-    return np.concatenate(accepted)[:count]
-
-
-# Dyadic coordinates and sizes keep the bounding boxes of unrotated
-# primitives exact, so a box placed against a face of the sampling box
-# touches it exactly; rotated primitives give inexact boxes.
-_COORD = st.integers(-24, 24).map(lambda k: k / 16)
-_SIZE = st.integers(4, 32).map(lambda k: k / 16)
-
-
-@st.composite
-def _primitive(draw, pid, coord=_COORD):
-    kind = draw(st.sampled_from(("sphere", "box", "cylinder")))
-    rotation = (1.0, 0.0, 0.0, 0.0)
-    if draw(st.booleans()):
-        q = np.array(draw(st.tuples(*[st.integers(-4, 4)] * 4)), dtype=float)
-        assume(q.any())
-        rotation = q / np.linalg.norm(q)
-    centre = draw(st.tuples(coord, coord, coord))
-    if kind == "sphere":
-        params = {"radius": draw(_SIZE)}
-    elif kind == "box":
-        params = {"half_extents": draw(st.tuples(_SIZE, _SIZE, _SIZE))}
-    else:
-        params = {"radius": draw(_SIZE), "half_height": draw(_SIZE)}
-    return Primitive(pid, kind, np.array(centre), np.array(rotation), params)
-
-
-def _beside(pid, sampling_box, axis, upper, gap, half):
-    """Axis-aligned box just across one face of the sampling box.
-
-    ``gap`` > 0 leaves space, 0 touches the face, < 0 overlaps the box.
-    """
-    lo, hi = sampling_box
-    centre = (lo + hi) / 2
-    centre[axis] = hi[axis] + gap + half if upper else lo[axis] - gap - half
-    return box(pid, centre, (half, half, half))
-
-
-@st.composite
-def _sampling_problem(draw):
-    positive = [draw(_primitive(f"P{i}")) for i in range(draw(st.integers(1, 3)))]
-    negative = []
-    sampling_box = region_box(positive)
-    for i in range(draw(st.integers(0, 5))):
-        choice = draw(st.sampled_from(("any", "far", "beside", "copy")))
-        if choice == "beside" and sampling_box is not None:
-            gap = draw(st.sampled_from((0.0, 0.0, 1 / 64, -1 / 64, 1e-12)))
-            negative.append(_beside(f"N{i}", sampling_box, draw(st.integers(0, 2)),
-                                    draw(st.booleans()), gap, draw(_SIZE)))
-        elif choice == "copy":
-            # Cuts the region empty, so the sampler runs into its attempt cap.
-            p = draw(st.sampled_from(positive))
-            negative.append(Primitive(f"N{i}", p.kind, p.translation, p.rotation, p.params))
-        else:
-            coord = _COORD if choice == "any" else st.integers(64, 96).map(lambda k: k / 16)
-            negative.append(draw(_primitive(f"N{i}", coord)))
-    count = draw(st.sampled_from((1, 7, 100, 1000, 2047, 4097, 5000)))
-    return positive, negative, count, draw(st.integers(0, 2**32 - 1))
-
-
-def _thin_lens_problem():
-    # A lens about 0.8% of its sampling box: 2048 points need about 260k
-    # attempts, past the cap of exactly 32 batches, so the sampler returns
-    # a partial set whose size moves with the cap.
-    positive = [sphere("P0", (0.0, 0.0, 0.0), 1.0), sphere("P1", (1.98, 0.0, 0.0), 1.0)]
-    lens_box = region_box(positive)
-    negative = [
-        _beside("N0", lens_box, 0, True, 0.0, 0.5),
-        _beside("N1", lens_box, 1, False, 0.0, 0.5),
-        sphere("N2", (5.0, 5.0, 5.0), 1.0),
-        sphere("N3", (1.0, 0.9, 0.0), 0.2),
-    ]
-    return positive, negative, 2048, 17
-
-
-class TestSampleRegionMatchesReference:
-    """The box cull and survivor-only tests keep every accepted point."""
-
-    @given(_sampling_problem())
-    @example(_thin_lens_problem())
-    def test_bit_identical_to_full_batch_sampler(self, problem):
-        positive, negative, count, seed = problem
-        got = sample_region(positive, negative, count, seed)
-        want = reference_sample_region(positive, negative, count, seed)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-    def test_thin_lens_hits_the_attempt_cap(self):
-        positive, negative, count, seed = _thin_lens_problem()
-        assert 0 < sample_region(positive, negative, count, seed).shape[0] < count
-
-    def test_face_touching_box_is_exact(self):
-        positive, negative, _, _ = _thin_lens_problem()
-        lo, hi = region_box(positive)
-        assert aabb(negative[0])[0][0] == hi[0]
-        assert aabb(negative[1])[1][1] == lo[1]
 
 
 # ---------------------------------------------------------------------------

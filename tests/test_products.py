@@ -1,13 +1,28 @@
 """Tests for fundamental product enumeration and the size bounds."""
 
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from csgcompress import cover, products
 from csgcompress.errors import FileFormatError, ParameterError
-from csgcompress.geometry import Leaf, TreeOracle, signed_distance, sphere
-from csgcompress.graph import IntersectionGraph, build_intersection_graph, maximal_cliques_bk
+from csgcompress.geometry import (
+    Leaf,
+    Primitive,
+    TreeOracle,
+    Union,
+    sample_region,
+    signed_distance,
+    sphere,
+)
+from csgcompress.geometry.sampling import derive_seed
+from csgcompress.graph import _SEED_NAMESPACE as GRAPH_SEED_NAMESPACE
+from csgcompress.graph import IntersectionGraph, build_intersection_graph
+from csgcompress.pipeline import compress
 from csgcompress.products import (
     LABEL_INSIDE,
     LABEL_MIXED,
@@ -209,16 +224,105 @@ class TestRegionLimit:
 
     def test_reference_scene_past_a_lowered_limit(self, monkeypatch, fig_primitives,
                                                  fig_oracle):
-        graph = build_intersection_graph(fig_primitives, count=1024, seed=0)
-        monkeypatch.setattr(products, "REGION_LIMIT", 14)  # the scene has 15 cells
-        with pytest.raises(ParameterError, match="REGION_LIMIT = 14 regions on 6 primitives"):
-            enumerate_products(fig_primitives, graph, fig_oracle, seed=0)
+        # The scene's graph has 15 cliques; the product stage walks none of
+        # them, so the limit fires when the candidate walk starts.
+        monkeypatch.setattr(products, "REGION_LIMIT", 14)
+        with pytest.raises(ParameterError,
+                           match="REGION_LIMIT = 14 regions on 6 primitives") as err:
+            compress(fig_primitives, fig_oracle)
+        assert err.value.stage == "candidates"
 
     def test_concentric_spheres_are_refused(self):
-        # 13 nested spheres overlap pairwise: 2^13 - 1 = 8191 cliques.
+        # 13 nested spheres overlap pairwise: 13 cells (the ball and 12
+        # shells), but 2^13 - 1 = 8191 cliques for the candidate walk.
         prims = [sphere(f"S{i:02d}", (0, 0, 0), 1.0 + 0.1 * i) for i in range(13)]
         graph = build_intersection_graph(prims, count=256, seed=0)
         assert len(graph.edges) == 13 * 12 // 2
         oracle = TreeOracle(Leaf("S00"), prims)
-        with pytest.raises(ParameterError, match="REGION_LIMIT = 4096 regions on 13 primitives"):
-            enumerate_products(prims, graph, oracle, seed=0)
+        table = enumerate_products(prims, graph, oracle, seed=0)
+        ids = [p.pid for p in prims]
+        assert [p.positive_set for p in table.products] == [
+            frozenset(ids[k:]) for k in reversed(range(13))
+        ]
+        with pytest.raises(ParameterError,
+                           match="REGION_LIMIT = 4096 regions on 13 primitives") as err:
+            compress(prims, oracle)
+        assert err.value.stage == "candidates"
+
+
+def _union_oracle(prims):
+    return TreeOracle(Union(tuple(Leaf(p.pid) for p in prims)), prims)
+
+
+class TestSignVectorTabulation:
+    def test_chain_past_64_primitives(self):
+        # Primitive indices run past 63, so a single int64 key would overflow.
+        prims = [sphere(f"P{i:02d}", (2.0 * i, 0, 0), 1.2) for i in range(70)]
+        graph = build_intersection_graph(prims)
+        ids = [p.pid for p in prims]
+        assert graph.edges == frozenset(zip(ids, ids[1:]))
+        table = enumerate_products(prims, graph, _union_oracle(prims))
+        assert table.n_f == 139
+        assert {p.positive_set for p in table.products} == (
+            {frozenset({i}) for i in ids} | {frozenset(e) for e in zip(ids, ids[1:])}
+        )
+        assert len(table.universe) == 139
+
+    def test_dense_grid_cells(self):
+        # A 3x3x3 grid of unit spheres 1.3 apart: face-diagonal neighbours
+        # overlap too (54 + 72 edges), and cells have up to 4 positives.
+        prims = [sphere(f"S{i}{j}{k}", (1.3 * i, 1.3 * j, 1.3 * k), 1.0)
+                 for i, j, k in itertools.product(range(3), repeat=3)]
+        graph = build_intersection_graph(prims)
+        assert len(graph.edges) == 126
+        table = enumerate_products(prims, graph, _union_oracle(prims))
+        assert table.n_f == 261
+        assert len(table.universe) == 261
+
+    @given(st.lists(st.sampled_from(("sphere", "box", "cylinder")),
+                    min_size=1, max_size=5).flatmap(
+        lambda kinds: st.tuples(*[_primitive(f"P{i}", k) for i, k in enumerate(kinds)])),
+        st.sampled_from((1, 64, 256)), st.integers(0, 2**32 - 1))
+    def test_random_scenes(self, prims, count, seed):
+        graph = build_intersection_graph(prims, count=count, seed=seed)
+        assert graph.edges == _pairwise_reference_edges(prims, count, seed)
+        table = enumerate_products(prims, graph, TreeOracle(Leaf("P0"), prims),
+                                   samples_per_region=count, seed=seed)
+        for product in table.products:
+            assert graph.is_clique(product.positive_set)
+            for prim in prims:
+                inside = signed_distance(prim, product.samples) < 0
+                assert np.all(inside == (prim.pid in product.positive_set))
+
+
+def _pairwise_reference_edges(prims, count, seed):
+    """Edge when either primitive's interior samples hit the other, pair by pair."""
+    samples = [sample_region(p, count, derive_seed(seed, GRAPH_SEED_NAMESPACE, i))
+               for i, p in enumerate(prims)]
+    return frozenset(
+        (prims[i].pid, prims[j].pid)
+        for i, j in itertools.combinations(range(len(prims)), 2)
+        if np.any(signed_distance(prims[j], samples[i]) < 0)
+        or np.any(signed_distance(prims[i], samples[j]) < 0)
+    )
+
+
+_COORD = st.integers(-24, 24).map(lambda k: k / 16)
+_SIZE = st.integers(4, 32).map(lambda k: k / 16)
+
+
+@st.composite
+def _primitive(draw, pid, kind):
+    rotation = (1.0, 0.0, 0.0, 0.0)
+    if draw(st.booleans()):
+        q = np.array(draw(st.tuples(*[st.integers(-4, 4)] * 4)), dtype=float)
+        assume(q.any())
+        rotation = q / np.linalg.norm(q)
+    centre = draw(st.tuples(_COORD, _COORD, _COORD))
+    if kind == "sphere":
+        params = {"radius": draw(_SIZE)}
+    elif kind == "box":
+        params = {"half_extents": draw(st.tuples(_SIZE, _SIZE, _SIZE))}
+    else:
+        params = {"radius": draw(_SIZE), "half_height": draw(_SIZE)}
+    return Primitive(pid, kind, np.array(centre), np.array(rotation), params)
