@@ -34,15 +34,15 @@ from .geometry import (
     tree_from_dict,
     tree_to_dict,
 )
-from .graph import DEFAULT_GRAPH_SAMPLES, load_graph, maximal_cliques_bk
+from .graph import DEFAULT_GRAPH_SAMPLES, load_graph
 from .pipeline import (
     CLIQUE_METHODS,
     COVER_SOLVERS,
     DEFAULT_AGREEMENT_POINTS,
     PipelineConfig,
-    cliques_via_qubo_sa,
     compress as run_compress,
     compress_abstract,
+    find_cliques,
     oracle_agreement,
     product_table,
     report_stats,
@@ -196,14 +196,10 @@ def _now() -> str:
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def cliques_cmd(graph_path, method, seed, penalty_a, penalty_b, schedule_text, out):
     """Enumerate maximal cliques (bk) or peel SA-found cliques (experimental)."""
-    graph = load_graph(graph_path)
-    if method == "bk":
-        cliques = maximal_cliques_bk(graph)
-    else:
-        cliques = cliques_via_qubo_sa(
-            graph, A=penalty_a, B=penalty_b,
-            schedule=_parse_schedule(schedule_text), seed=seed,
-        )
+    cliques = find_cliques(
+        load_graph(graph_path), method, penalty_a=penalty_a, penalty_b=penalty_b,
+        schedule=_parse_schedule(schedule_text), seed=seed,
+    )
     payload = {"method": method, "cliques": [sorted(c) for c in cliques]}
     _emit(json.dumps(payload, indent=2) + "\n", out)
 

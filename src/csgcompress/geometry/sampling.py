@@ -3,7 +3,8 @@
 All randomness flows from explicit integer seeds through
 ``numpy.random.SeedSequence``, so results are reproducible bit for bit and
 parallel callers can derive independent per-task streams from one master
-seed.  Rejection sampling draws fixed-size attempt batches; with the same
+seed.  ``rejection_sample``, the one rejection loop (the pipeline's
+agreement check uses it too), draws fixed-size attempt batches; with the same
 seed, runs that ask for more points extend the accepted sequence of runs
 that asked for fewer (a prefix property the intersection-graph builder
 relies on).
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import StructuralError
+from ..errors import ParameterError, StructuralError
 from .cloud import PointCloud
 from .csg import CsgNode, leaf_ids, tree_value
 from .primitives import (
@@ -36,7 +37,9 @@ _SURFACE_ATTEMPT_FACTOR = 512
 
 
 def derive_rng(master_seed: int, *key) -> np.random.Generator:
-    """Independent generator for subtask ``key`` of a master seed."""
+    """Independent generator for subtask ``key`` of a non-negative master seed."""
+    if master_seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {master_seed}")
     return np.random.default_rng(np.random.SeedSequence((int(master_seed),) + tuple(int(k) for k in key)))
 
 
@@ -59,6 +62,26 @@ def scene_diameter(primitives) -> float:
     return float(np.linalg.norm(hi - lo))
 
 
+def rejection_sample(draw, accept, count: int, max_attempts: int) -> tuple[np.ndarray, ...]:
+    """The kept rows of ``_BATCH``-row batches, up to ``count`` of them.
+
+    ``draw(n)`` returns n candidate rows; ``accept(rows)`` returns the kept
+    ones as a tuple of row-aligned arrays (the points first, then any
+    per-point values the filter computed).  Batches are drawn until
+    ``count`` rows are kept or ``max_attempts`` rows are drawn.  Returns each
+    array concatenated in draw order and truncated to ``count``; the tuple
+    is empty when no batch was drawn.
+    """
+    parts = []
+    kept = attempts = 0
+    while kept < count and attempts < max_attempts:
+        arrays = accept(draw(_BATCH))
+        attempts += _BATCH
+        parts.append(arrays)
+        kept += len(arrays[0])
+    return tuple(np.concatenate(column)[:count] for column in zip(*parts))
+
+
 def sample_region(primitive: Primitive, count: int, seed: int) -> np.ndarray:
     """Up to ``count`` uniform points inside ``primitive``.
 
@@ -69,20 +92,11 @@ def sample_region(primitive: Primitive, count: int, seed: int) -> np.ndarray:
         return np.empty((0, 3))
     lo, hi = aabb(primitive)
     rng = np.random.default_rng(int(seed))
-    accepted: list[np.ndarray] = []
-    n_accepted = 0
-    attempts = 0
-    max_attempts = _ATTEMPT_FACTOR * count
-    while n_accepted < count and attempts < max_attempts:
-        pts = rng.uniform(lo, hi, size=(_BATCH, 3))
-        attempts += _BATCH
-        pts = pts[signed_distance(primitive, pts) < 0]
-        if len(pts):
-            accepted.append(pts)
-            n_accepted += len(pts)
-    if not accepted:
-        return np.empty((0, 3))
-    return np.concatenate(accepted)[:count]
+    return rejection_sample(
+        lambda n: rng.uniform(lo, hi, size=(n, 3)),
+        lambda pts: (pts[signed_distance(primitive, pts) < 0],),
+        count, _ATTEMPT_FACTOR * count,
+    )[0]
 
 
 def sign_vector_samples(primitives, count: int,
@@ -218,47 +232,32 @@ def sample_surface(tree: CsgNode, primitives, count: int, seed: int) -> PointClo
     grad_eps = 1e-6 * max(diag, 1.0)
 
     rng = np.random.default_rng(int(seed))
-    pts_out: list[np.ndarray] = []
-    nrm_out: list[np.ndarray] = []
-    n_total = 0
-    attempts = 0
-    max_attempts = _SURFACE_ATTEMPT_FACTOR * count
-    while n_total < count and attempts < max_attempts:
-        counts = rng.multinomial(_BATCH, weights)
+
+    def draw(n):
+        counts = rng.multinomial(n, weights)
         batch = np.vstack(
-            [
-                _sample_on_primitive(p, k, rng)
-                for p, k in zip(prims, counts)
-                if k > 0
-            ]
+            [_sample_on_primitive(p, k, rng) for p, k in zip(prims, counts) if k > 0]
         )
-        # The batch is blocked by primitive; shuffle so truncation below
-        # cannot bias the cloud toward the first primitives.
-        batch = batch[rng.permutation(batch.shape[0])]
-        attempts += _BATCH
-        v = tree_value(tree, by_id, batch)
-        batch = batch[np.abs(v) <= on_tol]
-        if batch.shape[0] == 0:
-            continue
+        # The batch is blocked by primitive; shuffle so truncation cannot
+        # bias the cloud toward the first primitives.
+        return batch[rng.permutation(batch.shape[0])]
+
+    def accept(batch):
+        batch = batch[np.abs(tree_value(tree, by_id, batch)) <= on_tol]
         normals = _numeric_normals(tree, by_id, batch, grad_eps)
         ok = np.linalg.norm(normals, axis=1) > 0.5
         batch, normals = batch[ok], normals[ok]
-        if batch.shape[0] == 0:
-            continue
         # Two-sided probe: +normal side must be outside, -normal side inside.
         out_side = tree_value(tree, by_id, batch + probe * normals) >= 0
         in_side = tree_value(tree, by_id, batch - probe * normals) < 0
         keep = out_side & in_side
-        if keep.any():
-            pts_out.append(batch[keep])
-            nrm_out.append(normals[keep])
-            n_total += int(keep.sum())
-    if n_total < count:
+        return batch[keep], normals[keep]
+
+    pts, nrm = rejection_sample(draw, accept, count, _SURFACE_ATTEMPT_FACTOR * count)
+    if len(pts) < count:
         raise StructuralError(
-            f"surface sampler produced only {n_total}/{count} points; "
+            f"surface sampler produced only {len(pts)}/{count} points; "
             "the solid may be degenerate"
         )
-    pts = np.concatenate(pts_out)[:count]
-    nrm = np.concatenate(nrm_out)[:count]
     nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
     return PointCloud(pts, nrm)

@@ -7,8 +7,9 @@ so a report is reproducible byte for byte apart from its optional
 timestamp.  Errors raised inside a stage are re-raised with the stage name
 prefixed, which the CLI turns into exit codes.
 
-``product_table`` runs the sampling stages for both ``compress`` and
-``csgc products``.  Sample-count and threshold defaults live in the stage
+``compress`` shares ``product_table`` with ``csgc products``, and the
+dispatches ``find_cliques`` and ``solve_cover`` with ``csgc cliques`` and
+``csgc cover``.  Sample-count and threshold defaults live in the stage
 modules, penalty defaults in ``qubo``, and the agreement point count here.
 """
 
@@ -32,7 +33,7 @@ from .cover import (
 )
 from .errors import CsgcError, ParameterError, StructuralError, UnsatisfiableError
 from .geometry import CsgNode, leaf_count, tree_to_dict, tree_value, union_box
-from .geometry.sampling import derive_rng, derive_seed, scene_diameter
+from .geometry.sampling import derive_rng, derive_seed, rejection_sample, scene_diameter
 from .graph import (
     DEFAULT_GRAPH_SAMPLES,
     IntersectionGraph,
@@ -65,6 +66,10 @@ CLIQUE_METHODS = ("bk", "qubo_sa_experimental")
 #: off-surface points on which a tree is compared with the oracle
 DEFAULT_AGREEMENT_POINTS = 10_000
 
+#: agreement points closer than this fraction of the scene diameter to
+#: either surface are too close to call and are skipped
+SURFACE_MARGIN_FRAC = 0.01
+
 #: variable-count ceiling below which a qubo_sa run is cross-checked
 #: against the exhaustive solver to report the energy gap
 _SA_GAP_CHECK_LIMIT = 20
@@ -96,6 +101,8 @@ class PipelineConfig:
             raise ParameterError(f"unknown clique method {self.clique_method!r}")
         if self.graph_samples < 1 or self.product_samples < 1:
             raise ParameterError("sample counts must be >= 1")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
         if not (0.0 <= self.tau_out < self.tau_in <= 1.0):
             raise ParameterError("need 0 <= tau_out < tau_in <= 1")
 
@@ -185,11 +192,10 @@ def oracle_agreement(
     oracle,
     n_points: int = DEFAULT_AGREEMENT_POINTS,
     seed: int = 0,
-    surface_margin_frac: float = 0.01,
 ) -> tuple[float, int]:
     """Membership agreement between ``tree`` and ``oracle`` on random points.
 
-    Points within ``surface_margin_frac`` of the scene diameter of either
+    Points within ``SURFACE_MARGIN_FRAC`` of the scene diameter of either
     surface are excluded; returns (agreement fraction, points used).  Fewer
     than ``n_points`` are used when 50 * ``n_points`` draws do not yield them.
     Raises ParameterError when ``n_points`` is below 1.
@@ -200,27 +206,22 @@ def oracle_agreement(
     lo, hi = union_box(prims)
     pad = 0.1 * (hi - lo)
     lo, hi = lo - pad, hi + pad
-    eps = surface_margin_frac * scene_diameter(prims)
+    eps = SURFACE_MARGIN_FRAC * scene_diameter(prims)
     rng = derive_rng(seed, 0xE7A1)
-    kept_match = 0
-    kept_total = 0
-    attempts = 0
-    while kept_total < n_points and attempts < 50 * n_points:
-        batch = rng.uniform(lo, hi, size=(4096, 3))
-        attempts += batch.shape[0]
+
+    def accept(batch):
         v = tree_value(tree, prims, batch)
         far = (np.abs(v) > eps) & (oracle.surface_distance(batch) > eps)
-        batch, v = batch[far], v[far]
-        if batch.shape[0] == 0:
-            continue
-        take = min(batch.shape[0], n_points - kept_total)
-        batch, v = batch[:take], v[:take]
-        truth = np.asarray(oracle.inside(batch))
-        kept_match += int(np.sum((v < 0) == truth))
-        kept_total += take
-    if kept_total == 0:
+        return batch[far], v[far]
+
+    pts, v = rejection_sample(
+        lambda n: rng.uniform(lo, hi, size=(n, 3)), accept,
+        n_points, 50 * n_points,
+    )
+    if len(pts) == 0:
         return 0.0, 0
-    return kept_match / kept_total, kept_total
+    truth = np.asarray(oracle.inside(pts))
+    return int(np.sum((v < 0) == truth)) / len(pts), len(pts)
 
 
 def cliques_via_qubo_sa(
@@ -253,6 +254,28 @@ def cliques_via_qubo_sa(
         remaining -= members
         round_no += 1
     return sorted(cliques, key=clique_sort_key)
+
+
+def find_cliques(
+    graph: IntersectionGraph,
+    method: str = PipelineConfig.clique_method,
+    *,
+    penalty_a: float | None = None,
+    penalty_b: float | None = None,
+    schedule: AnnealSchedule | None = None,
+    seed: int = 0,
+) -> list[frozenset[str]]:
+    """The cliques of ``graph`` by the named method.
+
+    ``bk`` lists every maximal clique (Bron-Kerbosch); the penalties,
+    schedule and seed are unused.  ``qubo_sa_experimental`` runs
+    ``cliques_via_qubo_sa`` with them.
+    """
+    if method not in CLIQUE_METHODS:
+        raise ParameterError(f"unknown clique method {method!r}")
+    if method == "bk":
+        return maximal_cliques_bk(graph)
+    return cliques_via_qubo_sa(graph, penalty_a, penalty_b, schedule, seed)
 
 
 def _repair_clique(graph: IntersectionGraph, members) -> set[str]:
@@ -323,26 +346,19 @@ def _require_inside_products(table: ProductTable) -> None:
         )
 
 
-def _cliques_for(graph: IntersectionGraph, cfg: PipelineConfig):
-    if cfg.clique_method == "bk":
-        return maximal_cliques_bk(graph)
-    return cliques_via_qubo_sa(
-        graph, schedule=cfg.schedule, seed=derive_seed(cfg.seed, 3)
-    )
-
-
 def _compress_from_table(
     cfg: PipelineConfig,
     graph: IntersectionGraph,
-    cliques,
     table: ProductTable,
     prims=None,
     oracle=None,
 ) -> CompressionReport:
-    """Every stage after the product table: candidates, cover, tree, report.
+    """Every stage after the product table, from the cliques to the report.
 
     With an ``oracle`` the tree is also evaluated against it over ``prims``.
     """
+    cliques = _staged("cliques", find_cliques, graph, cfg.clique_method,
+                      schedule=cfg.schedule, seed=derive_seed(cfg.seed, 3))
     warnings = [
         f"product {'&'.join(sorted(p.positive_set))} is mixed "
         f"(inside fraction {p.inside_fraction:.3f}); treated as outside"
@@ -437,8 +453,7 @@ def compress(primitives, oracle, cfg: PipelineConfig = PipelineConfig()) -> Comp
     """Full geometric pipeline: primitives + oracle -> compressed CSG tree."""
     prims = tuple(primitives)
     graph, table = product_table(prims, oracle, cfg)
-    cliques = _staged("cliques", _cliques_for, graph, cfg)
-    return _compress_from_table(cfg, graph, cliques, table, prims, oracle)
+    return _compress_from_table(cfg, graph, table, prims, oracle)
 
 
 def compress_abstract(
@@ -452,8 +467,7 @@ def compress_abstract(
     candidates must partition the universe, which in abstract mode *is*
     the semantics of the tree.
     """
-    cliques = _staged("cliques", _cliques_for, graph, cfg)
-    return _compress_from_table(cfg, graph, cliques, table)
+    return _compress_from_table(cfg, graph, table)
 
 
 # ---------------------------------------------------------------------------

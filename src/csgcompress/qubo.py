@@ -16,8 +16,9 @@ reward -A per chosen vertex, penalty +B on every non-edge, with B > A so
 dropping a violating vertex always pays.
 
 This module is the one home of the penalty defaults (cover: B = 1 and
-A = n*B + 1, resolved by ``cover_penalties``; max clique: A = 1, B = 2) and
-of the exhaustive solver's ``EXACT_LIMIT``; callers pass None for a default.
+A = n*B + 1, resolved by ``cover_penalties``, which requires B > 0; max
+clique: A = 1, B = 2) and of the exhaustive solver's ``EXACT_LIMIT``;
+callers pass None for a default.
 """
 
 from __future__ import annotations
@@ -96,75 +97,58 @@ class IsingModel:
         object.__setattr__(self, "offset", float(self.offset))
 
 
-def _as_bits(x, n: int) -> np.ndarray:
-    if isinstance(x, str):
-        vals = [int(ch) for ch in x]
-    else:
-        vals = [int(v) for v in x]
+def _checked(vals: list[int], n: int, allowed: tuple[int, int], kind: str) -> list[int]:
     if len(vals) != n:
-        raise ValueError(f"assignment length {len(vals)} != n={n}")
-    if any(v not in (0, 1) for v in vals):
-        raise ValueError("binary assignment entries must be 0 or 1")
-    return np.array(vals, dtype=float)
+        raise ValueError(f"{kind} length {len(vals)} != n={n}")
+    if any(v not in allowed for v in vals):
+        raise ValueError(f"{kind} entries must be {allowed[0]} or {allowed[1]}")
+    return vals
 
 
-def qubo_energy(q: Qubo, x) -> float:
-    bits = _as_bits(x, q.n)
-    e = q.offset
-    for i, v in q.linear.items():
-        e += v * bits[i]
-    for (i, j), v in q.quadratic.items():
-        e += v * bits[i] * bits[j]
-    return float(e)
-
-
-def ising_energy(m: IsingModel, s) -> float:
-    if isinstance(s, str):
-        vals = [1 if ch == "+" else -1 if ch == "-" else int(ch) for ch in s]
-    else:
-        vals = [int(v) for v in s]
-    if len(vals) != m.n:
-        raise ValueError(f"spin length {len(vals)} != n={m.n}")
-    if any(v not in (-1, 1) for v in vals):
-        raise ValueError("spins must be -1 or +1")
-    e = m.offset
-    for i, v in m.h.items():
+def _energy(offset, linear, quadratic, vals) -> float:
+    e = offset
+    for i, v in linear.items():
         e += v * vals[i]
-    for (i, j), v in m.J.items():
+    for (i, j), v in quadratic.items():
         e += v * vals[i] * vals[j]
     return float(e)
 
 
+def qubo_energy(q: Qubo, x) -> float:
+    bits = _checked([int(v) for v in x], q.n, (0, 1), "assignment")
+    return _energy(q.offset, q.linear, q.quadratic, bits)
+
+
+def ising_energy(m: IsingModel, s) -> float:
+    if isinstance(s, str):
+        s = [1 if ch == "+" else -1 if ch == "-" else ch for ch in s]
+    spins = _checked([int(v) for v in s], m.n, (-1, 1), "spin")
+    return _energy(m.offset, m.h, m.J, spins)
+
+
+def _substitute(offset, linear, quadratic, a: float, b: float):
+    """Terms of offset + sum c_i u_i + sum c_ij u_i u_j after u = a*v + b."""
+    lin: dict[int, float] = {}
+    quad: dict[tuple[int, int], float] = {}
+    for i, c in linear.items():
+        lin[i] = lin.get(i, 0.0) + c * a
+        offset += c * b
+    for (i, j), c in quadratic.items():
+        quad[(i, j)] = c * (a * a)
+        lin[i] = lin.get(i, 0.0) + c * (a * b)
+        lin[j] = lin.get(j, 0.0) + c * (a * b)
+        offset += c * (b * b)
+    return lin, quad, offset
+
+
 def qubo_to_ising(q: Qubo) -> IsingModel:
     """Substitute x = (1 + s) / 2; energies match pointwise under the bijection."""
-    h: dict[int, float] = {}
-    J: dict[tuple[int, int], float] = {}
-    offset = q.offset
-    for i, v in q.linear.items():
-        h[i] = h.get(i, 0.0) + v / 2.0
-        offset += v / 2.0
-    for (i, j), v in q.quadratic.items():
-        J[(i, j)] = J.get((i, j), 0.0) + v / 4.0
-        h[i] = h.get(i, 0.0) + v / 4.0
-        h[j] = h.get(j, 0.0) + v / 4.0
-        offset += v / 4.0
-    return IsingModel(q.n, h, J, offset)
+    return IsingModel(q.n, *_substitute(q.offset, q.linear, q.quadratic, 0.5, 0.5))
 
 
 def ising_to_qubo(m: IsingModel) -> Qubo:
     """Substitute s = 2x - 1, the inverse of qubo_to_ising."""
-    linear: dict[int, float] = {}
-    quadratic: dict[tuple[int, int], float] = {}
-    offset = m.offset
-    for i, v in m.h.items():
-        linear[i] = linear.get(i, 0.0) + 2.0 * v
-        offset -= v
-    for (i, j), v in m.J.items():
-        quadratic[(i, j)] = quadratic.get((i, j), 0.0) + 4.0 * v
-        linear[i] = linear.get(i, 0.0) - 2.0 * v
-        linear[j] = linear.get(j, 0.0) - 2.0 * v
-        offset += v
-    return Qubo(m.n, linear, quadratic, offset)
+    return Qubo(m.n, *_substitute(m.offset, m.h, m.J, 2.0, -1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -174,26 +158,28 @@ def ising_to_qubo(m: IsingModel) -> Qubo:
 def cover_penalties(
     instance: CoverInstance, A: float | None = None, B: float | None = None
 ) -> tuple[float, float]:
-    """The cover encoding's (A, B): B defaults to 1 and A to n*B + 1."""
+    """The cover encoding's (A, B): B defaults to 1 and A to n*B + 1.
+
+    Raises ParameterError unless B > 0: a free or rewarded subset no longer
+    makes the ground state a smallest cover.
+    """
     B = 1.0 if B is None else B
+    if not B > 0:
+        raise ParameterError(f"cover cost per subset needs B > 0, got B={B}")
     return (len(instance.universe) * B + 1.0 if A is None else A), B
 
 
 def build_cover_qubo(
-    instance: CoverInstance,
-    A: float | None = None,
-    B: float | None = None,
-    allow_weak_penalty: bool = False,
+    instance: CoverInstance, A: float | None = None, B: float | None = None
 ) -> tuple[Qubo, tuple[str, ...]]:
     """Smallest-exact-cover QUBO; variable i selects candidate i.
 
     Penalties left as None take ``cover_penalties``' defaults; the A > n*B
-    encoding condition (n = universe size) is enforced unless
-    ``allow_weak_penalty`` is set.
+    encoding condition (n = universe size) is enforced.
     """
     n = len(instance.universe)
     A, B = cover_penalties(instance, A, B)
-    if not allow_weak_penalty and A <= n * B:
+    if A <= n * B:
         raise ParameterError(
             f"cover encoding needs A > n*B (A={A}, n={n}, B={B})"
         )
@@ -345,6 +331,8 @@ def solve_sa(
     so results do not depend on how restarts are executed; the reduction
     takes the lowest energy and breaks ties by the lowest restart index.
     """
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed}")
     if schedule is None:
         schedule = default_schedule(q)
     R, S = schedule.restarts, schedule.sweeps

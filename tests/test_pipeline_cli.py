@@ -37,6 +37,7 @@ from csgcompress.pipeline import (
     cliques_via_qubo_sa,
     compress,
     compress_abstract,
+    find_cliques,
     oracle_agreement,
     report_stats,
     solve_cover,
@@ -243,6 +244,22 @@ class TestExperimentalCliques:
     def test_deterministic(self, fig_abstract_instance):
         graph, _ = abstract_instance_from_dict(fig_abstract_instance)
         assert cliques_via_qubo_sa(graph, seed=5) == cliques_via_qubo_sa(graph, seed=5)
+
+
+class TestFindCliques:
+    def test_dispatches_to_each_method(self, fig_abstract_instance):
+        graph, _ = abstract_instance_from_dict(fig_abstract_instance)
+        assert find_cliques(graph) == maximal_cliques_bk(graph)
+        schedule = AnnealSchedule(2.0, 0.01, 200, 4)
+        assert find_cliques(
+            graph, "qubo_sa_experimental", penalty_a=1.0, penalty_b=3.0,
+            schedule=schedule, seed=4,
+        ) == cliques_via_qubo_sa(graph, 1.0, 3.0, schedule, seed=4)
+
+    def test_unknown_method_rejected(self, fig_abstract_instance):
+        graph, _ = abstract_instance_from_dict(fig_abstract_instance)
+        with pytest.raises(ParameterError, match="unknown clique method"):
+            find_cliques(graph, "greedy")
 
 
 class TestReportStats:
@@ -508,6 +525,46 @@ class TestCli:
             "--solver", "qubo_exact", "--penalty-a", "3",
         ])
         capsys.readouterr()
+        assert code == 4
+
+    @pytest.mark.parametrize("command", ["compress", "cover", "qubo solve", "eval"])
+    def test_negative_seed_is_a_parameter_error(self, command, abstract_file,
+                                                cover5_file, scene_files,
+                                                cloud_file, tmp_path, capsys):
+        prim_path, tree_path = scene_files
+        model = tmp_path / "cover.qubo"
+        assert main(["qubo", "export", "--instance", str(cover5_file),
+                     "--out", str(model)]) == 0
+        args = {
+            "compress": ["compress", "--abstract", str(abstract_file)],
+            "cover": ["cover", "--instance", str(cover5_file), "--solver", "qubo_sa"],
+            "qubo solve": ["qubo", "solve", "--model", str(model)],
+            "eval": ["eval", "--tree", str(tree_path), "--primitives",
+                     str(prim_path), "--cloud", str(cloud_file)],
+        }[command]
+        code = main(args + ["--seed", "-1"])
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert code == 4
+
+    @pytest.mark.parametrize("penalty_b", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["cover", "qubo export"])
+    def test_non_positive_subset_cost_is_a_parameter_error(
+        self, command, penalty_b, tmp_path, capsys
+    ):
+        # With B = 0 the all-singletons cover ties the one-subset cover.
+        instance = tmp_path / "cover4.json"
+        instance.write_text(json.dumps({
+            "universe": [1, 2, 3, 4],
+            "subsets": [{"name": "all", "covers": [1, 2, 3, 4]}]
+            + [{"name": n, "covers": [i]} for i, n in enumerate("abcd", 1)],
+        }))
+        args = {
+            "cover": ["cover", "--instance", str(instance), "--solver", "qubo_exact"],
+            "qubo export": ["qubo", "export", "--instance", str(instance),
+                            "--out", str(tmp_path / "m.qubo")],
+        }[command]
+        code = main(args + ["--penalty-b", penalty_b])
+        assert "B > 0" in capsys.readouterr().err
         assert code == 4
 
     @pytest.mark.parametrize("samples", ["0", "-3"])

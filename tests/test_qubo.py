@@ -220,8 +220,15 @@ class TestCoverQubo:
     def test_penalty_ratio_enforced(self, instance):
         with pytest.raises(ParameterError):
             build_cover_qubo(instance, A=5.0, B=1.0)
-        q, _ = build_cover_qubo(instance, A=5.0, B=1.0, allow_weak_penalty=True)
-        assert q.n == 7
+
+    @pytest.mark.parametrize("B", [0.0, -1.0])
+    def test_subset_cost_must_be_positive(self, instance, B):
+        # B <= 0 makes extra subsets free or rewarded, so the ground state
+        # is no longer a smallest cover.
+        with pytest.raises(ParameterError, match="B > 0"):
+            cover_penalties(instance, B=B)
+        with pytest.raises(ParameterError, match="B > 0"):
+            build_cover_qubo(instance, A=100.0, B=B)
 
     def test_default_penalties(self, instance):
         q, _ = build_cover_qubo(instance)
