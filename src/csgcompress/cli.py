@@ -24,6 +24,7 @@ from .errors import (
     StructuralError,
     UnsatisfiableError,
     UnsupportedOracleError,
+    check_seed,
     read_json,
 )
 from .geometry import (
@@ -70,6 +71,10 @@ _samples_option = click.option(
     help="Interior points per primitive for both graph and product sampling "
          f"[default: {DEFAULT_GRAPH_SAMPLES} for the graph, "
          f"{DEFAULT_PRODUCT_SAMPLES} for the products].")
+# Every --seed is refused below 0, also where the command does not use it.
+_seed_option = click.option(
+    "--seed", type=int, default=0, show_default=True,
+    callback=lambda _ctx, _param, value: check_seed(value))
 _COVER_A_HELP = "Cover constraint penalty [default: n*B + 1, n = universe size]."
 _COVER_B_HELP = "Cover cost per selected subset [default: 1]."
 
@@ -132,7 +137,7 @@ def cli():
 @click.option("--clique-method", type=click.Choice(list(CLIQUE_METHODS)),
               default=PipelineConfig.clique_method, show_default=True)
 @_samples_option
-@click.option("--seed", type=int, default=0, show_default=True)
+@_seed_option
 @click.option("--penalty-a", type=float, default=None, help=_COVER_A_HELP)
 @click.option("--penalty-b", type=float, default=None, help=_COVER_B_HELP)
 @click.option("--schedule", "schedule_text", type=str, default=None,
@@ -187,7 +192,7 @@ def _now() -> str:
               help="Graph JSON with vertices and edges.")
 @click.option("--method", type=click.Choice(list(CLIQUE_METHODS)),
               default=PipelineConfig.clique_method, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_seed_option
 @click.option("--penalty-a", type=float, default=None,
               help="Reward per clique vertex [default: 1].")
 @click.option("--penalty-b", type=float, default=None,
@@ -209,7 +214,7 @@ def cliques_cmd(graph_path, method, seed, penalty_a, penalty_b, schedule_text, o
 @click.option("--cloud", "cloud_path", type=_in_file, default=None)
 @click.option("--tree", "tree_path", type=_in_file, default=None)
 @_samples_option
-@click.option("--seed", type=int, default=0, show_default=True)
+@_seed_option
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def products_cmd(primitives_path, cloud_path, tree_path, samples, seed, out):
     """Enumerate and classify the non-empty fundamental products.
@@ -231,7 +236,7 @@ def products_cmd(primitives_path, cloud_path, tree_path, samples, seed, out):
 @click.option("--penalty-a", type=float, default=None, help=_COVER_A_HELP)
 @click.option("--penalty-b", type=float, default=None, help=_COVER_B_HELP)
 @click.option("--schedule", "schedule_text", type=str, default=None)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_seed_option
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def cover_cmd(instance_path, solver, penalty_a, penalty_b, schedule_text, seed, out):
     """Solve a smallest-exact-cover instance."""
@@ -254,7 +259,7 @@ def qubo_group():
 @click.option("--solver", type=click.Choice(["exact", "sa"]), default="sa",
               show_default=True)
 @click.option("--schedule", "schedule_text", type=str, default=None)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_seed_option
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def qubo_solve_cmd(model_path, solver, schedule_text, seed, out):
     """Minimise a QUBO model file."""
@@ -300,7 +305,7 @@ def qubo_export_cmd(instance_path, graph_path, penalty_a, penalty_b, out):
               help="Oriented point cloud serving as the reference oracle.")
 @click.option("--samples", type=int, default=DEFAULT_AGREEMENT_POINTS,
               show_default=True, help="Number of off-surface query points.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@_seed_option
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def eval_cmd(tree_path, primitives_path, cloud_path, samples, seed, out):
     """Agreement between a tree and a point-cloud oracle."""

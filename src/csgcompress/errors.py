@@ -39,6 +39,13 @@ class FileFormatError(CsgcError):
     """An input file cannot be parsed; message carries file/line context."""
 
 
+def check_seed(seed: int) -> int:
+    """``seed`` itself; raises ParameterError if it is negative."""
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def read_json(path):
     """Parse a JSON file, reporting malformed JSON as a FileFormatError."""
     with open(path, "r", encoding="utf-8") as fh:

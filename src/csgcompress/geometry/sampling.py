@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ParameterError, StructuralError
+from ..errors import StructuralError, check_seed
 from .cloud import PointCloud
 from .csg import CsgNode, leaf_ids, tree_value
 from .primitives import (
@@ -38,8 +38,7 @@ _SURFACE_ATTEMPT_FACTOR = 512
 
 def derive_rng(master_seed: int, *key) -> np.random.Generator:
     """Independent generator for subtask ``key`` of a non-negative master seed."""
-    if master_seed < 0:
-        raise ParameterError(f"seed must be non-negative, got {master_seed}")
+    check_seed(master_seed)
     return np.random.default_rng(np.random.SeedSequence((int(master_seed),) + tuple(int(k) for k in key)))
 
 

@@ -31,7 +31,9 @@ from .cover import (
     union_of_conjunctions,
     verify_cover,
 )
-from .errors import CsgcError, ParameterError, StructuralError, UnsatisfiableError
+from .errors import (
+    CsgcError, ParameterError, StructuralError, UnsatisfiableError, check_seed,
+)
 from .geometry import CsgNode, leaf_count, tree_to_dict, tree_value, union_box
 from .geometry.sampling import derive_rng, derive_seed, rejection_sample, scene_diameter
 from .graph import (
@@ -101,8 +103,7 @@ class PipelineConfig:
             raise ParameterError(f"unknown clique method {self.clique_method!r}")
         if self.graph_samples < 1 or self.product_samples < 1:
             raise ParameterError("sample counts must be >= 1")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be non-negative, got {self.seed}")
+        check_seed(self.seed)
         if not (0.0 <= self.tau_out < self.tau_in <= 1.0):
             raise ParameterError("need 0 <= tau_out < tau_in <= 1")
 

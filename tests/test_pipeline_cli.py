@@ -225,6 +225,16 @@ class TestSolveCover:
         ]
 
 
+    def test_sa_exact_gap_is_zero_with_fractional_penalties(
+        self, cover5_instance_dict
+    ):
+        # Both energies come from qubo_energy on the same assignment; summed
+        # in two orders they differed by -1.78e-15 here.
+        instance = cover_instance_from_dict(cover5_instance_dict)
+        _, meta = solve_cover(instance, "qubo_sa", penalty_a=6.1, penalty_b=0.3)
+        assert meta["sa_exact_gap"] == 0.0
+
+
 class TestExperimentalCliques:
     def test_partition_is_disjoint_and_covers(self, fig_abstract_instance):
         graph, _ = abstract_instance_from_dict(fig_abstract_instance)
@@ -527,18 +537,30 @@ class TestCli:
         capsys.readouterr()
         assert code == 4
 
-    @pytest.mark.parametrize("command", ["compress", "cover", "qubo solve", "eval"])
+    @pytest.mark.parametrize("command", [
+        "compress", "cover", "cover dlx", "cover qubo_exact", "cliques bk",
+        "qubo solve", "qubo solve exact", "eval",
+    ])
     def test_negative_seed_is_a_parameter_error(self, command, abstract_file,
                                                 cover5_file, scene_files,
                                                 cloud_file, tmp_path, capsys):
+        # Refused also where the seed goes unused (dlx, qubo_exact, bk, exact).
         prim_path, tree_path = scene_files
         model = tmp_path / "cover.qubo"
         assert main(["qubo", "export", "--instance", str(cover5_file),
                      "--out", str(model)]) == 0
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]]}))
+        cover = ["cover", "--instance", str(cover5_file), "--solver"]
+        solve = ["qubo", "solve", "--model", str(model)]
         args = {
             "compress": ["compress", "--abstract", str(abstract_file)],
-            "cover": ["cover", "--instance", str(cover5_file), "--solver", "qubo_sa"],
-            "qubo solve": ["qubo", "solve", "--model", str(model)],
+            "cover": cover + ["qubo_sa"],
+            "cover dlx": cover + ["dlx"],
+            "cover qubo_exact": cover + ["qubo_exact"],
+            "cliques bk": ["cliques", "--graph", str(graph), "--method", "bk"],
+            "qubo solve": solve,
+            "qubo solve exact": solve + ["--solver", "exact"],
             "eval": ["eval", "--tree", str(tree_path), "--primitives",
                      str(prim_path), "--cloud", str(cloud_file)],
         }[command]

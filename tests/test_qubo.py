@@ -1,10 +1,13 @@
 """Tests for QUBO/Ising models, encodings, solvers, and the file format."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from csgcompress.errors import FileFormatError, ParameterError
 from csgcompress.cover import cover_instance_from_dict, solve_cover_dlx
@@ -93,6 +96,17 @@ def lex_smallest_minimiser(q):
         E += int(v) * (cols[i] & cols[j])
     minimisers = np.flatnonzero(E == E.min())
     return float(E.min()), min(tuple(int(c[k]) for c in cols) for k in minimisers)
+
+
+@st.composite
+def integer_qubos(draw, max_n=14):
+    """Integer models of 1 to max_n variables with small, often tied terms."""
+    n = draw(st.integers(1, max_n))
+    coef = st.integers(-3, 3)
+    linear = draw(st.dictionaries(st.integers(0, n - 1), coef))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    quadratic = draw(st.dictionaries(st.sampled_from(pairs), coef)) if pairs else {}
+    return Qubo(n, linear, quadratic, offset=draw(coef))
 
 
 def brute_force_min(q):
@@ -357,14 +371,21 @@ class TestSolveExact:
 
     def test_ties_break_to_the_lexicographically_smallest_minimiser(self):
         # Integer models with free variables (no terms) and small shared
-        # coefficients have many tied minima.  n = 19 and 20 span two and
-        # four chunks of 2^18 assignments, with x_0 free so that tied minima
-        # sit on both sides of every chunk boundary.
+        # coefficients have many tied minima.  The table splits at
+        # h = ceil(n/2); x_{h-1} and x_h are free so that tied minima sit on
+        # both sides of the hi/lo split.  n = 19 and 20 stream 2 and 4 row
+        # blocks of 2^18 cells, split by x_0 and x_0 x_1; x_1 is free so
+        # that tied minima sit on both sides of every block boundary.  In
+        # one model of each size x_0 is free too, in the other setting it
+        # pays -100, so the minimum lies in a later block only.
         rng = np.random.default_rng(13)
-        sizes = [int(n) for n in rng.integers(2, 13, size=40)] + [19, 20]
-        for n in sizes:
-            free = {0} if n > 12 else set()
-            free |= {int(i) for i in np.flatnonzero(rng.random(n) < 0.3)}
+        sizes = [(int(n), False) for n in rng.integers(2, 13, size=40)]
+        sizes += [(19, False), (19, True), (20, False), (20, True)]
+        for n, x0_set in sizes:
+            h = (n + 1) // 2
+            free = {h - 1, h} | {int(i) for i in np.flatnonzero(rng.random(n) < 0.3)}
+            if n > 12:
+                free = (free | {0, 1}) - ({0} if x0_set else set())
             density = 0.3 if n <= 12 else 0.05
             terms = [i for i in range(n) if i not in free]
             linear = {i: int(rng.integers(-2, 3)) for i in terms
@@ -372,11 +393,36 @@ class TestSolveExact:
             quadratic = {(i, j): int(rng.integers(-2, 3))
                          for i in terms for j in terms
                          if i < j and rng.random() < density}
+            if x0_set:
+                linear[0] = -100
             q = Qubo(n, linear, quadratic, offset=int(rng.integers(-3, 4)))
             energy, bits = lex_smallest_minimiser(q)
             res = solve_exact(q)
             assert res.energy == energy
             assert res.assignment == "".join(map(str, bits)), n
+            if n > 12:
+                assert res.assignment[0] == ("1" if x0_set else "0")
+
+    @given(integer_qubos())
+    @example(Qubo(1, {}, {}, offset=2))
+    @example(Qubo(1, {0: -1}, {}))
+    @example(Qubo(3, {0: 1, 2: -1}, {(0, 1): -2, (1, 2): 1}))
+    def test_lexicographically_smallest_minimiser_on_integer_models(self, q):
+        energy, bits = lex_smallest_minimiser(q)
+        res = solve_exact(q)
+        assert res.energy == energy
+        assert res.assignment == "".join(map(str, bits))
+
+    def test_memory_stays_at_a_few_megabytes(self):
+        # tracemalloc counts numpy's buffers; the row blocks are 2 MB.
+        q = random_qubo(np.random.default_rng(16), 22)
+        tracemalloc.start()
+        try:
+            solve_exact(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(9)
