@@ -9,6 +9,8 @@ it is exact in the limit of dense sampling and smooth surfaces.
 
 from __future__ import annotations
 
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +18,11 @@ import numpy as np
 from ..errors import FileFormatError
 
 _NORMAL_TOL = 1e-6
+# The numbers np.loadtxt parses: unlike float(), no "_" and no non-ASCII digits.
+_FLOAT_TOKEN = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf(?:inity)?|nan)",
+    re.IGNORECASE,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,31 +66,46 @@ def save_cloud(cloud: PointCloud, path) -> None:
 
 
 def load_cloud(path) -> PointCloud:
-    points: list[list[float]] = []
-    normals: list[list[float]] = []
+    """Read a cloud file; raise ``FileFormatError`` naming the first bad line.
+
+    A token is an ASCII decimal float, ``inf``/``infinity`` or ``nan``
+    (any case, optional sign).  The file is parsed by one ``np.loadtxt``
+    call; only when that fails, or its width is not 3 or 6 (an empty file
+    among them), is it scanned again line by line to find the error.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) not in (3, 6):
-                raise FileFormatError(
-                    f"{path}:{lineno}: expected 3 or 6 numbers, got {len(fields)}"
-                )
-            try:
-                values = [float(v) for v in fields]
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
-            points.append(values[:3])
-            if len(values) == 6:
-                normals.append(values[3:])
-    if normals and len(normals) != len(points):
-        raise FileFormatError(f"{path}: some points carry normals, some do not")
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, dtype=float, comments="#", ndmin=2)
+        except ValueError:
+            data = None
+        if data is None or data.shape[1] not in (3, 6):
+            fh.seek(0)
+            data = _scan_cloud(fh, path)
     try:
-        return PointCloud(
-            np.asarray(points, float).reshape(-1, 3),
-            np.asarray(normals, float) if normals else None,
-        )
+        return PointCloud(data[:, :3], data[:, 3:] if data.shape[1] == 6 else None)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
+
+
+def _scan_cloud(lines, path) -> np.ndarray:
+    """Parse line by line with ``np.loadtxt``'s token rule; an (n, 3|6) array."""
+    rows: list[list[float]] = []
+    for lineno, raw in enumerate(lines, start=1):
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
+            continue
+        if len(fields) not in (3, 6):
+            raise FileFormatError(
+                f"{path}:{lineno}: expected 3 or 6 numbers, got {len(fields)}"
+            )
+        for v in fields:
+            if not _FLOAT_TOKEN.fullmatch(v):
+                raise FileFormatError(
+                    f"{path}:{lineno}: could not convert string to float: {v!r}"
+                )
+        rows.append([float(v) for v in fields])
+    if len({len(r) for r in rows}) > 1:
+        raise FileFormatError(f"{path}: some points carry normals, some do not")
+    return np.array(rows, dtype=float) if rows else np.empty((0, 3))

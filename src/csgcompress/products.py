@@ -152,6 +152,9 @@ def enumerate_products(
     primitives do not cleanly describe the target; they are kept in the
     table with the ``mixed`` label and surfaced by the pipeline as
     warnings, not failures.
+
+    The witnesses of every kept cell go to ``oracle.inside`` in one call
+    per table; each cell's fraction is the mean over its own slice.
     """
     prims = check_primitive_set(primitives)
     ids = tuple(p.pid for p in prims)
@@ -165,12 +168,19 @@ def enumerate_products(
     for groups in sign_vector_samples(prims, samples_per_region, seeds):
         for positives, pts in groups.items():
             cells.setdefault(frozenset(ids[j] for j in positives), []).append(pts)
+    kept = [
+        (positive_set, np.concatenate(parts))
+        for positive_set, parts in cells.items()
+        if graph.is_clique(positive_set)
+    ]
+    if not kept:
+        return ProductTable(ids, ())
+    # one oracle query for the whole table; each cell reads its own slice
+    inside = np.asarray(oracle.inside(np.concatenate([s for _, s in kept])))
+    cuts = np.cumsum([len(s) for _, s in kept])[:-1]
     products = []
-    for positive_set, parts in cells.items():
-        if not graph.is_clique(positive_set):
-            continue
-        samples = np.concatenate(parts)
-        frac = float(np.mean(np.asarray(oracle.inside(samples))))
+    for (positive_set, samples), part in zip(kept, np.split(inside, cuts)):
+        frac = float(np.mean(part))
         if frac >= tau_in:
             label = LABEL_INSIDE
         elif frac <= tau_out:

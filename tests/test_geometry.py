@@ -1,12 +1,15 @@
 """Tests for implicit primitives, CSG trees, oracles, and samplers."""
 
+import io
+import tempfile
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csgcompress.errors import StructuralError, UnsupportedOracleError
+from csgcompress.errors import FileFormatError, StructuralError, UnsupportedOracleError
 from csgcompress.geometry import (
     CloudOracle,
     Complement,
@@ -355,6 +358,15 @@ def brute_force_cloud_answers(cloud, pts):
     return inside, np.sqrt((offset ** 2).sum(axis=1))
 
 
+def near_and_far_queries(rng, lo, hi, count):
+    """Uniform points in the box [lo, hi], scaled about its centre by 1.5x,
+    5x or 20x: most product witnesses lie far from a small target's cloud,
+    where the kd-tree's shape matters most."""
+    centre, half = (lo + hi) / 2, (hi - lo) / 2
+    scale = rng.choice([1.5, 5.0, 20.0], size=(count, 1))
+    return centre + rng.uniform(-1, 1, size=(count, 3)) * half * scale
+
+
 class TestCloudOracleExact:
     """Threaded kd-tree queries answer exactly like a brute-force search."""
 
@@ -367,7 +379,7 @@ class TestCloudOracleExact:
         cloud = PointCloud(rng.uniform(-1, 1, size=(n_cloud, 3)), normals)
         oracle = CloudOracle(cloud)
         # Large enough that the kd-tree splits the batch across its workers.
-        pts = rng.uniform(-1.5, 1.5, size=(3000, 3))
+        pts = near_and_far_queries(rng, -np.ones(3), np.ones(3), 3000)
         inside, dist = brute_force_cloud_answers(cloud, pts)
         npt.assert_array_equal(oracle.inside(pts), inside)
         npt.assert_array_equal(oracle.surface_distance(pts), dist)
@@ -375,6 +387,26 @@ class TestCloudOracleExact:
             got = oracle.inside(q)
             assert type(got) is bool and got == want_inside
             npt.assert_array_equal(oracle.surface_distance(q), [want_dist])
+
+    @settings(max_examples=10)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3000))
+    def test_surface_sampled_cloud_matches_brute_force(self, seed, n_cloud):
+        # A 4x4 sphere grid with a small target, as in the benchmark's grid
+        # scene: its cloud is clustered on two spheres' surfaces.
+        rng = np.random.default_rng(seed)
+        prims = [sphere(f"G{i}{j}", (2.0 * i, 2.0 * j, 0.0), 1.1)
+                 for i in range(4) for j in range(4)]
+        tree = Union((Leaf("G00"), Intersection((Leaf("G33"), Complement(Leaf("G32"))))))
+        cloud = sample_surface(tree, prims, n_cloud, seed=seed)
+        oracle = CloudOracle(cloud)
+        lo, hi = cloud.points.min(axis=0), cloud.points.max(axis=0)
+        pts = np.vstack([
+            near_and_far_queries(rng, lo, hi, 2000),
+            rng.uniform(-1.1, 7.1, size=(1000, 3)),  # the grid's witnesses
+        ])
+        inside, dist = brute_force_cloud_answers(cloud, pts)
+        npt.assert_array_equal(oracle.inside(pts), inside)
+        npt.assert_array_equal(oracle.surface_distance(pts), dist)
 
 
 # ---------------------------------------------------------------------------
@@ -415,3 +447,88 @@ class TestFileIO:
         from csgcompress.errors import FileFormatError
         with pytest.raises(FileFormatError, match="bad.xyz:1"):
             load_cloud(bad)
+
+
+class TestLoadCloud:
+    """``load_cloud``: one ``np.loadtxt`` pass, a line-by-line scan on failure."""
+
+    @pytest.mark.parametrize("normals", [True, False])
+    def test_save_cloud_round_trip_is_bit_exact(self, tmp_path, normals):
+        rng = np.random.default_rng(7)
+        pts = rng.normal(size=(500, 3)) * 10.0 ** rng.integers(-300, 300, size=(500, 3))
+        pts[:4] = [[0.0, -0.0, 5e-324], [np.inf, -np.inf, 1.0],
+                   [np.nextafter(1.0, 2.0), 0.1, 1 / 3], [-1e308, 2.2250738585072014e-308, 0]]
+        nrm = rng.normal(size=(500, 3))
+        nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+        path = tmp_path / "cloud.xyz"
+        save_cloud(PointCloud(pts, nrm if normals else None), path)
+        loaded = load_cloud(path)
+        assert loaded.points.tobytes() == pts.tobytes()
+        if normals:
+            assert loaded.normals.tobytes() == nrm.tobytes()
+        else:
+            assert loaded.normals is None
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n  # another\n"])
+    def test_empty_file_gives_an_empty_cloud(self, tmp_path, text):
+        path = tmp_path / "cloud.xyz"
+        path.write_text(text)
+        cloud = load_cloud(path)
+        assert cloud.points.shape == (0, 3)
+        assert cloud.normals is None
+
+    def test_accepted_number_syntax(self, tmp_path):
+        path = tmp_path / "cloud.xyz"
+        path.write_text("+1 -2. .5e1\t# tab and comment\n1E+2 inf -Infinity\nNaN 0 -0\n")
+        got = load_cloud(path).points
+        npt.assert_array_equal(got[:2], [[1, -2, 5], [100, np.inf, -np.inf]])
+        assert np.isnan(got[2, 0])
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 0 0\n# c\n\n1 2 3 4\n", "bad.xyz:4: expected 3 or 6 numbers, got 4"),
+        ("1\n", "bad.xyz:1: expected 3 or 6 numbers, got 1"),
+        ("1 2 3 4\n5 6 7 8\n", "bad.xyz:1: expected 3 or 6 numbers, got 4"),
+        ("0 0 0\n0 0 abc\n", "bad.xyz:2: could not convert string to float: 'abc'"),
+        ("0 0 0 1 0 0\n0 0 0 1 0 1e\n", "bad.xyz:2: could not convert string to float: '1e'"),
+        # float() accepts these two; np.loadtxt, and so load_cloud, does not
+        ("0 0 0\n0 1_0 0\n", "bad.xyz:2: could not convert string to float: '1_0'"),
+        ("# c\n0 0 ١\n", "bad.xyz:2: could not convert string to float: '١'"),
+        ("0 0 0 1 0 0\n1 1 1\n", "bad.xyz: some points carry normals, some do not"),
+        ("0 0 0 2 0 0\n", "bad.xyz: normals must be unit-norm"),
+    ])
+    def test_errors_name_the_file_and_line(self, tmp_path, text, message):
+        bad = tmp_path / "bad.xyz"
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(FileFormatError) as err:
+            load_cloud(bad)
+        assert str(err.value) == f"{tmp_path / message}"
+
+    def test_first_error_wins(self, tmp_path):
+        bad = tmp_path / "bad.xyz"
+        bad.write_text("0 0 0 1 0 0\n1 1 1\n0 0 x\n1 2\n")
+        with pytest.raises(FileFormatError, match=r"bad\.xyz:3: could not convert"):
+            load_cloud(bad)
+
+    def test_missing_file_is_an_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="No such file"):
+            load_cloud(tmp_path / "missing.xyz")
+
+    @given(st.text(st.sampled_from("0123456789+-.eEinfatyINFATY_x١０"),
+                   min_size=1, max_size=8))
+    def test_token_rule_matches_loadtxt(self, token):
+        try:
+            want = np.loadtxt(io.StringIO(f"0 0 {token}\n"), dtype=float, ndmin=2)
+        except ValueError:
+            want = None
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/cloud.xyz"
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(f"1 2 3\n0 0 {token}\n")
+            try:
+                got = load_cloud(path).points[1:]
+            except FileFormatError as exc:
+                assert want is None
+                assert str(exc) == f"{path}:2: could not convert string to float: {token!r}"
+            else:
+                assert want is not None
+                assert got.tobytes() == want.tobytes()

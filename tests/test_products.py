@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from csgcompress import cover, products
 from csgcompress.errors import FileFormatError, ParameterError
 from csgcompress.geometry import (
+    CloudOracle,
     Leaf,
     Primitive,
     TreeOracle,
     Union,
     sample_region,
+    sample_surface,
     signed_distance,
     sphere,
 )
@@ -39,6 +41,21 @@ from tests.conftest import (
     FIG_MAXIMAL_CLIQUES,
     FIG_OUTSIDE_POSITIVE_SETS,
 )
+
+
+class CountingInsideOracle:
+    """Oracle proxy that records the point count of each ``inside`` query."""
+
+    def __init__(self, oracle):
+        self._oracle = oracle
+        self.calls = []
+
+    def inside(self, points):
+        self.calls.append(len(np.atleast_2d(points)))
+        return self._oracle.inside(points)
+
+    def surface_distance(self, points):
+        raise AssertionError("the product stage only asks which points are inside")
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +129,29 @@ class TestEnumerateProducts:
         for a, b in zip(t1.products, t2.products):
             npt.assert_array_equal(a.samples, b.samples)
             assert a.label == b.label
+
+    @pytest.mark.parametrize("kind", ["tree", "cloud"])
+    def test_one_oracle_query_per_table(self, kind, fig_primitives, fig_minimal_tree,
+                                        fig_oracle):
+        oracle = fig_oracle if kind == "tree" else CloudOracle(
+            sample_surface(fig_minimal_tree, fig_primitives, 4000, seed=2))
+        counting = CountingInsideOracle(oracle)
+        graph = build_intersection_graph(fig_primitives, count=1024, seed=3)
+        table = enumerate_products(fig_primitives, graph, counting,
+                                   samples_per_region=512, seed=5)
+        assert table.n_f == 15
+        assert counting.calls == [sum(len(p.samples) for p in table.products)]
+        for p in table.products:
+            assert p.inside_fraction == float(np.mean(oracle.inside(p.samples)))
+
+    def test_no_cell_kept_asks_no_query(self):
+        # The graph misses the overlap the single sample lands in.
+        a, b = sphere("A", (0, 0, 0), 1.0), sphere("B", (1, 0, 0), 1.0)
+        counting = CountingInsideOracle(TreeOracle(Leaf("A"), [a, b]))
+        graph = IntersectionGraph(("A", "B"), frozenset())
+        table = enumerate_products([a, b], graph, counting, samples_per_region=1)
+        assert table.n_f == 0
+        assert counting.calls == []
 
     def test_mixed_product_detected(self):
         # The oracle solid only half-covers the primitive's lone cell.
