@@ -236,6 +236,10 @@ class AnnealSchedule:
     restarts: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
+            raise ParameterError(
+                f"t_start and t_end must be finite (got {self.t_start}, {self.t_end})"
+            )
         if not (self.t_start > 0 and 0 < self.t_end < self.t_start):
             raise ParameterError(
                 f"need t_start > t_end > 0 (got {self.t_start}, {self.t_end})"
@@ -382,23 +386,31 @@ def solve_sa(
 def _anneal(q: Qubo, schedule: AnnealSchedule, seed: int):
     """Each restart's lowest energy and the 0/1 assignment that first reached it.
 
-    Each restart keeps its local fields G = X W and updates them after every
-    accepted flip.  The schedule is consumed in ragged blocks: each restart
-    scores its next proposals against its frozen state, only the first
-    accepted one is applied, and that restart resumes right after it.  A
-    restart without an acceptance in its block takes a zero step and moves
-    past the block.  Rejections never change state, so nothing diverges from
-    stepping one proposal at a time.
+    Each restart keeps its local fields G = X W and its flip costs
+    D = spins * (lin + G), the expression a step-by-step walk evaluates,
+    and refreshes both after every round that accepts.  The schedule is
+    consumed in ragged blocks: each restart scores its next proposals with
+    one gather from D against its frozen state, only the first accepted one
+    is applied, and that restart resumes right after it.  A restart without
+    an acceptance in its block takes a zero step and moves past the block.
+    Rejections never change state, so nothing diverges from stepping one
+    proposal at a time.  The proposals take two tables of restarts x
+    (sweeps + _MAX_BLOCK) entries, flat flip index and threshold: 16 bytes
+    per proposal.
     """
     lin, W = _dense(q)
     R, S, n = schedule.restarts, schedule.sweeps, q.n
     # Per restart: a start state, S proposed flips and their thresholds.
+    # A flip is stored as its flat index into the raveled (R, n) state.
     # Metropolis acceptance u < exp(-delta/T) is rewritten as
     # delta <= -T ln u, which also admits every non-positive delta and keeps
-    # the loop free of exp calls.  The -inf padding is never accepted.
+    # the loop free of exp calls.  The padding, -inf thresholds on each
+    # restart's own first variable, is never accepted.
     width = S + _MAX_BLOCK
+    rows = np.arange(R)
     X = np.empty((R, n))
-    flips = np.zeros((R, width), dtype=np.int64)
+    flat_flips = np.empty((R, width), dtype=np.int64)
+    flat_flips[:, S:] = (rows * n)[:, None]
     thresholds = np.empty((R, width))
     thresholds[:, S:] = -np.inf
     neg_temps = -schedule.temperatures()
@@ -406,17 +418,19 @@ def _anneal(q: Qubo, schedule: AnnealSchedule, seed: int):
         for r in range(R):
             rng = np.random.default_rng(np.random.SeedSequence((int(seed), r)))
             X[r] = rng.integers(0, 2, size=n)
-            flips[r, :S] = rng.integers(0, n, size=S)
-            thresholds[r, :S] = neg_temps * np.log(rng.random(size=S))
+            flat_flips[r, :S] = rng.integers(0, n, size=S)
+            flat_flips[r, :S] += r * n
+            t = thresholds[r, :S]
+            rng.random(out=t)
+            np.log(t, out=t)
+            t *= neg_temps
+    flat_flips, thresholds = flat_flips.ravel(), thresholds.ravel()
 
-    rows = np.arange(R)
-    flat_flips = (flips + (rows * n)[:, None]).ravel()  # into the raveled state
-    flips, thresholds = flips.ravel(), thresholds.ravel()
-    lin_at = lin[flips]
     G = X @ W
     E = q.offset + X @ lin + 0.5 * np.einsum("ri,ri->r", G, X)
-    spins = 1.0 - 2.0 * X  # delta_i = spins_i * (lin_i + G_i)
-    Sf, Gf = spins.ravel(), G.ravel()
+    spins = 1.0 - 2.0 * X
+    D = spins * (lin + G)
+    Sf, Df = spins.ravel(), D.ravel()
     best_E = E.copy()
     best_spins = spins.copy()
     offsets = np.arange(_MAX_BLOCK)
@@ -425,19 +439,19 @@ def _anneal(q: Qubo, schedule: AnnealSchedule, seed: int):
     block = 16  # doubles whenever no restart accepts
     while True:
         idx = pos[:, None] + offsets[:block]
-        fi = flat_flips[idx]
-        sign = Sf[fi]
-        delta = sign * (lin_at[idx] + Gf[fi])
+        delta = Df[flat_flips[idx]]
         acc = delta <= thresholds[idx]
         first = acc.argmax(axis=1)
         pick = rows * block + first
         hit = acc.ravel()[pick]
         if np.count_nonzero(hit):
-            at = pos + first
-            step = sign.ravel()[pick] * hit  # +-1 where accepted, 0 elsewhere
-            Sf[flat_flips[at]] -= 2.0 * step
+            at = flat_flips[pos + first]
+            step = Sf[at] * hit  # +-1 where accepted, 0 elsewhere
+            Sf[at] -= 2.0 * step
             E += delta.ravel()[pick] * hit
-            G += step[:, None] * W[flips[at]]
+            G += step[:, None] * W[at - rows * n]
+            np.add(lin, G, out=D)
+            D *= spins
             better = E < best_E
             if np.count_nonzero(better):
                 best_E[better] = E[better]

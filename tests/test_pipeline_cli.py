@@ -537,6 +537,14 @@ class TestCli:
         capsys.readouterr()
         assert code == 4
 
+    def test_non_finite_schedule_is_a_parameter_error(self, cover5_file, capsys):
+        code = main([
+            "cover", "--instance", str(cover5_file),
+            "--solver", "qubo_sa", "--schedule", "inf,0.01,200,4",
+        ])
+        assert "t_start and t_end must be finite" in capsys.readouterr().err
+        assert code == 4
+
     @pytest.mark.parametrize("command", [
         "compress", "cover", "cover dlx", "cover qubo_exact", "cliques bk",
         "qubo solve", "qubo solve exact", "eval",

@@ -493,6 +493,36 @@ class TestSolveSa:
             npt.assert_array_equal(best_E, ref_E)
             npt.assert_array_equal(best_bits, ref_bits)
 
+    @given(
+        integer_qubos(),
+        st.builds(AnnealSchedule, st.floats(0.5, 8.0), st.just(0.01),
+                  st.integers(1, 300), st.integers(1, 4)),
+        st.integers(0, 2**16),
+    )
+    @example(Qubo(1, {0: -1}, {}), AnnealSchedule(2.0, 0.01, 50, 3), 0)
+    @example(Qubo(1, {}, {}, offset=1), AnnealSchedule(1.0, 0.01, 20, 1), 5)
+    @example(Qubo(4, {0: 1, 3: -2}, {(0, 1): -2, (1, 2): 1, (2, 3): 2}),
+             AnnealSchedule(3.0, 0.01, 300, 1), 2)
+    def test_matches_sequential_reference_on_tied_integer_models(
+        self, q, sched, seed
+    ):
+        # Many equal energies: only a strictly lower one replaces the best.
+        best_E, best_bits = qubo._anneal(q, sched, seed)
+        ref_E, ref_bits = sa_reference(q, sched, seed)
+        npt.assert_array_equal(best_E, ref_E)
+        npt.assert_array_equal(best_bits, ref_bits)
+
+    def test_memory_is_about_two_proposal_tables(self):
+        # Two 8-byte tables of 32 x (25 000 + 1024) proposals are 13.3 MB.
+        q = random_qubo(np.random.default_rng(25), 25)
+        tracemalloc.start()
+        try:
+            solve_sa(q, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_energy_is_reevaluated(self):
         rng = np.random.default_rng(13)
         q = random_qubo(rng, 9)
@@ -504,6 +534,10 @@ class TestSolveSa:
             AnnealSchedule(1.0, 2.0, 10, 1)
         with pytest.raises(ParameterError):
             AnnealSchedule(0.0, 0.0, 10, 1)
+        for t_start, t_end in [(float("inf"), 0.01), (1.0, float("nan")),
+                               (float("nan"), 0.01)]:
+            with pytest.raises(ParameterError, match="t_start and t_end"):
+                AnnealSchedule(t_start, t_end, 200, 4)
         sched = default_schedule(Qubo(3, {0: -4.0}, {}))
         assert sched.t_start == 4.0 and sched.sweeps == 3000
 
