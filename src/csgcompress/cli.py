@@ -23,7 +23,6 @@ from .errors import (
     ParameterError,
     StructuralError,
     UnsatisfiableError,
-    UnsupportedOracleError,
     check_seed,
     read_json,
 )
@@ -334,7 +333,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_PARAMETER
-    except (FileFormatError, StructuralError, UnsupportedOracleError, OSError) as exc:
+    except (FileFormatError, StructuralError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_INPUT
     except CsgcError as exc:

@@ -31,6 +31,7 @@ from .errors import (
     ParameterError,
     StructuralError,
     UnsatisfiableError,
+    json_array,
     read_json,
 )
 from .geometry import Complement, CsgNode, Intersection, Leaf, Union
@@ -276,6 +277,13 @@ def _element_order(instance: CoverInstance) -> list:
     return order
 
 
+def require_coverable(instance: CoverInstance) -> None:
+    """Raise UnsatisfiableError naming the universe elements no candidate covers."""
+    if not instance.feasible:
+        missing = ", ".join(element_name(u) for u in instance.uncoverable)
+        raise UnsatisfiableError(f"universe element(s) uncoverable: {missing}")
+
+
 def solve_cover_dlx(instance: CoverInstance) -> CoverSolution:
     """Smallest exact cover: fewest subsets, then fewest literals, then
     lexicographically smallest candidate index tuple.
@@ -292,9 +300,7 @@ def solve_cover_dlx(instance: CoverInstance) -> CoverSolution:
     ``COVER_STATE_LIMIT`` masks are solved.  The solver keeps its
     historical name ``dlx`` after Knuth's dancing links.
     """
-    if not instance.feasible:
-        missing = ", ".join(element_name(u) for u in instance.uncoverable)
-        raise UnsatisfiableError(f"universe element(s) uncoverable: {missing}")
+    require_coverable(instance)
     order = _element_order(instance)
     full = (1 << len(order)) - 1
     rows = _rows_by_lowest_bit(instance, order)
@@ -380,9 +386,9 @@ def assemble_tree(solution: CoverSolution, instance: CoverInstance) -> CsgNode:
 
 def cover_instance_from_dict(obj: dict) -> CoverInstance:
     try:
-        universe = tuple(obj["universe"])
+        universe = tuple(json_array(obj["universe"], "universe"))
         candidates = []
-        for k, rec in enumerate(obj["subsets"]):
+        for k, rec in enumerate(json_array(obj["subsets"], "subsets")):
             if not isinstance(rec, dict):
                 raise FileFormatError(
                     f"bad cover instance: subset {k} is not an object"
@@ -390,7 +396,7 @@ def cover_instance_from_dict(obj: dict) -> CoverInstance:
             candidates.append(
                 Candidate(
                     name=str(rec.get("name", f"S{k}")),
-                    covered=frozenset(rec["covers"]),
+                    covered=frozenset(json_array(rec["covers"], f"subset {k} covers")),
                     literals=None,
                     literal_count=int(rec.get("literals", 0)),
                 )

@@ -19,10 +19,6 @@ class StructuralError(CsgcError):
     """An object violates a structural contract (bad tree, unknown leaf id)."""
 
 
-class UnsupportedOracleError(CsgcError):
-    """The inside/outside oracle cannot answer (e.g. cloud without normals)."""
-
-
 class InfeasibleInstanceError(CsgcError):
     """A cover instance has universe elements no candidate can cover."""
 
@@ -44,6 +40,14 @@ def check_seed(seed: int) -> int:
     if seed < 0:
         raise ParameterError(f"seed must be non-negative, got {seed}")
     return seed
+
+
+def json_array(value, field: str):
+    """``value`` if it is an array, else a TypeError naming ``field``: the
+    JSON loaders refuse a string rather than split it into characters."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{field} must be an array, got {type(value).__name__}")
+    return value
 
 
 def read_json(path):

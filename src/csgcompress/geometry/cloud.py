@@ -27,42 +27,39 @@ _FLOAT_TOKEN = re.compile(
 
 @dataclass(frozen=True, eq=False)
 class PointCloud:
-    """Immutable point set with optional per-point unit normals."""
+    """Immutable, non-empty point set with per-point outward unit normals."""
 
     points: np.ndarray
-    normals: np.ndarray | None = None
+    normals: np.ndarray
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float).reshape(-1, 3)
+        nrm = np.asarray(self.normals, dtype=float).reshape(-1, 3)
+        if pts.shape[0] == 0:
+            raise ValueError("a point cloud needs at least one point")
+        if nrm.shape[0] != pts.shape[0]:
+            raise ValueError("normals and points must have equal length")
+        lens = np.linalg.norm(nrm, axis=1)
+        if np.any(np.abs(lens - 1.0) > _NORMAL_TOL):
+            raise ValueError("normals must be unit-norm")
         pts.setflags(write=False)
+        nrm.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        if self.normals is not None:
-            nrm = np.asarray(self.normals, dtype=float).reshape(-1, 3)
-            if nrm.shape[0] != pts.shape[0]:
-                raise ValueError("normals and points must have equal length")
-            lens = np.linalg.norm(nrm, axis=1)
-            if np.any(np.abs(lens - 1.0) > _NORMAL_TOL):
-                raise ValueError("normals must be unit-norm")
-            nrm.setflags(write=False)
-            object.__setattr__(self, "normals", nrm)
+        object.__setattr__(self, "normals", nrm)
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
 
 # ---------------------------------------------------------------------------
-# File format: one point per line, "x y z [nx ny nz]", '#' starts a comment
+# File format: one point per line, "x y z nx ny nz", '#' starts a comment
 # ---------------------------------------------------------------------------
 
 def save_cloud(cloud: PointCloud, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# x y z [nx ny nz]\n")
-        for i, p in enumerate(cloud.points):
-            row = f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}"
-            if cloud.normals is not None:
-                n = cloud.normals[i]
-                row += f" {n[0]:.17g} {n[1]:.17g} {n[2]:.17g}"
-            fh.write(row + "\n")
+        fh.write("# x y z nx ny nz\n")
+        for row in np.hstack([cloud.points, cloud.normals]):
+            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def load_cloud(path) -> PointCloud:
@@ -70,8 +67,8 @@ def load_cloud(path) -> PointCloud:
 
     A token is an ASCII decimal float, ``inf``/``infinity`` or ``nan``
     (any case, optional sign).  The file is parsed by one ``np.loadtxt``
-    call; only when that fails, or its width is not 3 or 6 (an empty file
-    among them), is it scanned again line by line to find the error.
+    call; only when that fails, or its width is not 6 (an empty file among
+    them), is it scanned again line by line to find the error.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -80,25 +77,25 @@ def load_cloud(path) -> PointCloud:
                 data = np.loadtxt(fh, dtype=float, comments="#", ndmin=2)
         except ValueError:
             data = None
-        if data is None or data.shape[1] not in (3, 6):
+        if data is None or data.shape[1] != 6:
             fh.seek(0)
             data = _scan_cloud(fh, path)
     try:
-        return PointCloud(data[:, :3], data[:, 3:] if data.shape[1] == 6 else None)
+        return PointCloud(data[:, :3], data[:, 3:])
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def _scan_cloud(lines, path) -> np.ndarray:
-    """Parse line by line with ``np.loadtxt``'s token rule; an (n, 3|6) array."""
+    """Parse line by line with ``np.loadtxt``'s token rule; an (n, 6) array."""
     rows: list[list[float]] = []
     for lineno, raw in enumerate(lines, start=1):
         fields = raw.split("#", 1)[0].split()
         if not fields:
             continue
-        if len(fields) not in (3, 6):
+        if len(fields) != 6:
             raise FileFormatError(
-                f"{path}:{lineno}: expected 3 or 6 numbers, got {len(fields)}"
+                f"{path}:{lineno}: expected 6 numbers (x y z nx ny nz), got {len(fields)}"
             )
         for v in fields:
             if not _FLOAT_TOKEN.fullmatch(v):
@@ -106,6 +103,4 @@ def _scan_cloud(lines, path) -> np.ndarray:
                     f"{path}:{lineno}: could not convert string to float: {v!r}"
                 )
         rows.append([float(v) for v in fields])
-    if len({len(r) for r in rows}) > 1:
-        raise FileFormatError(f"{path}: some points carry normals, some do not")
-    return np.array(rows, dtype=float) if rows else np.empty((0, 3))
+    return np.array(rows, dtype=float).reshape(-1, 6)

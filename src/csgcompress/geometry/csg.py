@@ -3,9 +3,9 @@
 A tree value at a point composes the signed distances of the leaves with
 min (union), max (intersection), and negation (complement).  The composed
 value keeps the sign contract of the primitives -- negative means inside --
-so membership is simply ``value < 0``; the value itself is only a bound on
-the true distance.  A point with value exactly zero is classified outside,
-which keeps inside sets open and sampling stable.
+so membership is simply ``tree_value(...) < 0``; the value itself is only a
+bound on the true distance.  A point with value exactly zero is classified
+outside, which keeps inside sets open and sampling stable.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import StructuralError
-from .primitives import Primitive, index_primitives, signed_distance
+from .primitives import Primitive, signed_distance
 
 
 @dataclass(frozen=True)
@@ -71,34 +71,23 @@ def leaf_ids(tree: CsgNode) -> set[str]:
     return out
 
 
-def tree_value(tree: CsgNode, primitives, point) -> float | np.ndarray:
-    """Composed implicit value at ``point`` (shape (3,) or (N, 3))."""
-    by_id = primitives if isinstance(primitives, dict) else index_primitives(primitives)
-    p = np.asarray(point, dtype=float)
-    single = p.ndim == 1
-    pts = np.atleast_2d(p)
-    v = _eval(tree, by_id, pts)
-    return float(v[0]) if single else v
+def tree_value(tree: CsgNode, by_id: dict[str, Primitive], points) -> np.ndarray:
+    """Composed implicit value at each of the (N, 3) ``points``; (N,).
 
-
-def _eval(node: CsgNode, by_id: dict[str, Primitive], pts: np.ndarray) -> np.ndarray:
-    if isinstance(node, Leaf):
-        prim = by_id.get(node.prim)
+    ``by_id`` maps primitive ids to primitives (see ``index_primitives``).
+    """
+    if isinstance(tree, Leaf):
+        prim = by_id.get(tree.prim)
         if prim is None:
-            raise StructuralError(f"tree references unknown primitive {node.prim!r}")
-        return np.asarray(signed_distance(prim, pts))
-    if isinstance(node, Union):
-        return np.minimum.reduce([_eval(c, by_id, pts) for c in node.children])
-    if isinstance(node, Intersection):
-        return np.maximum.reduce([_eval(c, by_id, pts) for c in node.children])
-    if isinstance(node, Complement):
-        return -_eval(node.child, by_id, pts)
-    raise StructuralError(f"unknown tree node {node!r}")
-
-
-def tree_membership(tree: CsgNode, primitives, point) -> bool | np.ndarray:
-    """True where the point is strictly inside the solid the tree describes."""
-    return tree_value(tree, primitives, point) < 0
+            raise StructuralError(f"tree references unknown primitive {tree.prim!r}")
+        return signed_distance(prim, points)
+    if isinstance(tree, Union):
+        return np.minimum.reduce([tree_value(c, by_id, points) for c in tree.children])
+    if isinstance(tree, Intersection):
+        return np.maximum.reduce([tree_value(c, by_id, points) for c in tree.children])
+    if isinstance(tree, Complement):
+        return -tree_value(tree.child, by_id, points)
+    raise StructuralError(f"unknown tree node {tree!r}")
 
 
 # ---------------------------------------------------------------------------

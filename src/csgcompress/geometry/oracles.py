@@ -4,10 +4,11 @@ The pipeline asks two questions of the target: is this point inside, and
 how far is it at least from the surface (so that the agreement check can
 skip points too close to call)?  Two sources answer them -- a ground-truth
 CSG tree (exact, used for fixtures and evaluation) and an oriented point
-cloud (the lossy input of the compression problem).  Both are deterministic
-and safe to query concurrently.  ``CloudOracle`` answers a batch of points
-with nearest-neighbour queries spread over all cores; each point's answer
-does not depend on how the batch is split.
+cloud (the lossy input of the compression problem).  Both answer an (N, 3)
+array of points with an (N,) array, are deterministic and are safe to query
+concurrently.  ``CloudOracle`` answers a batch with nearest-neighbour
+queries spread over all cores; each point's answer does not depend on how
+the batch is split.
 
 ``CloudOracle`` builds its kd-tree with the sliding-midpoint split rule
 (``balanced_tree=False``), uncompacted nodes and 64 points per leaf.  Most
@@ -26,9 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ..errors import UnsupportedOracleError
 from .cloud import PointCloud
-from .csg import CsgNode, tree_membership, tree_value
+from .csg import CsgNode, tree_value
 from .primitives import index_primitives
 
 # kd-tree construction for CloudOracle: sliding-midpoint splits, uncompacted
@@ -49,12 +49,12 @@ class TreeOracle:
         object.__setattr__(self, "primitives", tuple(self.primitives))
         object.__setattr__(self, "_by_id", index_primitives(self.primitives))
 
-    def inside(self, points) -> bool | np.ndarray:
-        return tree_membership(self.tree, self._by_id, points)
+    def inside(self, points) -> np.ndarray:
+        return tree_value(self.tree, self._by_id, points) < 0
 
     def surface_distance(self, points) -> np.ndarray:
         """Lower bound on the distance to the solid's surface."""
-        return np.abs(np.atleast_1d(tree_value(self.tree, self._by_id, points)))
+        return np.abs(tree_value(self.tree, self._by_id, points))
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,10 +64,6 @@ class CloudOracle:
     cloud: PointCloud
 
     def __post_init__(self):
-        if len(self.cloud) == 0:
-            raise UnsupportedOracleError("point cloud oracle needs a non-empty cloud")
-        if self.cloud.normals is None:
-            raise UnsupportedOracleError("point cloud oracle needs outward normals")
         object.__setattr__(self, "_kdtree", cKDTree(
             self.cloud.points,
             leafsize=_KDTREE_LEAFSIZE,
@@ -75,19 +71,15 @@ class CloudOracle:
             compact_nodes=_KDTREE_COMPACT,
         ))
 
-    def inside(self, points) -> bool | np.ndarray:
-        p = np.asarray(points, dtype=float)
-        single = p.ndim == 1
-        pts = np.atleast_2d(p)
+    def inside(self, points) -> np.ndarray:
+        pts = np.asarray(points, dtype=float)
         _, idx = self._kdtree.query(pts, k=1, workers=-1)
         side = np.einsum(
             "ij,ij->i", pts - self.cloud.points[idx], self.cloud.normals[idx]
         )
-        inside = side < 0
-        return bool(inside[0]) if single else inside
+        return side < 0
 
     def surface_distance(self, points) -> np.ndarray:
         """Distance to the nearest surface sample."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        dist, _ = self._kdtree.query(pts, k=1, workers=-1)
-        return np.asarray(dist)
+        dist, _ = self._kdtree.query(points, k=1, workers=-1)
+        return dist

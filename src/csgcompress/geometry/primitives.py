@@ -113,27 +113,20 @@ def cylinder(pid: str, center, radius: float, half_height: float,
                      {"radius": radius, "half_height": half_height})
 
 
-def signed_distance(primitive: Primitive, point) -> float | np.ndarray:
-    """Signed distance from ``point`` (shape (3,) or (N, 3)) to the primitive."""
-    p = np.asarray(point, dtype=float)
-    single = p.ndim == 1
-    pts = np.atleast_2d(p)
+def signed_distance(primitive: Primitive, points) -> np.ndarray:
+    """Signed distance from each of the (N, 3) ``points`` to the primitive; (N,)."""
+    pts = np.asarray(points, dtype=float)
     local = (pts - primitive.translation) @ primitive._rot  # rows become R^T (p - t)
     if primitive.kind == "sphere":
-        d = np.linalg.norm(local, axis=1) - primitive.params["radius"]
-    elif primitive.kind == "box":
+        return np.linalg.norm(local, axis=1) - primitive.params["radius"]
+    if primitive.kind == "box":
         q = np.abs(local) - primitive.params["half_extents"]
-        outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
-        inside = np.minimum(q.max(axis=1), 0.0)
-        d = outside + inside
     else:  # cylinder
         radial = np.linalg.norm(local[:, :2], axis=1) - primitive.params["radius"]
         axial = np.abs(local[:, 2]) - primitive.params["half_height"]
         q = np.stack([radial, axial], axis=1)
-        outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
-        inside = np.minimum(q.max(axis=1), 0.0)
-        d = outside + inside
-    return float(d[0]) if single else d
+    # Exact distance outside, the deepest face distance inside.
+    return np.linalg.norm(np.maximum(q, 0.0), axis=1) + np.minimum(q.max(axis=1), 0.0)
 
 
 def aabb(primitive: Primitive) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import StructuralError, check_seed
+from ..errors import ParameterError, StructuralError, check_seed
 from .cloud import PointCloud
 from .csg import CsgNode, leaf_ids, tree_value
 from .primitives import (
@@ -211,14 +211,15 @@ def sample_surface(tree: CsgNode, primitives, count: int, seed: int) -> PointClo
     kept when the composed tree value vanishes there, and validated with a
     two-sided membership probe so that spurious zero-value points interior
     to the solid (an artefact of min/max composition) are rejected.  The
-    same probe orients the normals outward.
+    same probe orients the normals outward.  Raises ParameterError when
+    ``count`` is below 1.
     """
     by_id = index_primitives(primitives)
     validate = leaf_ids(tree) - set(by_id)
     if validate:
         raise StructuralError(f"tree references unknown primitives: {sorted(validate)}")
-    if count <= 0:
-        return PointCloud(np.empty((0, 3)), np.empty((0, 3)))
+    if count < 1:
+        raise ParameterError(f"a surface sample needs count >= 1, got {count}")
     if not _tree_bounded(tree, by_id):
         raise StructuralError("cannot sample the surface of an unbounded solid")
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FileFormatError, read_json
+from .errors import FileFormatError, json_array, read_json
 from .geometry import check_primitive_set, sign_vector_samples
 from .geometry.sampling import derive_seed
 
@@ -144,11 +144,19 @@ def graph_to_dict(graph: IntersectionGraph) -> dict:
     }
 
 
+def edges_from_list(edges) -> frozenset:
+    """Id pairs from a JSON array of two-element arrays."""
+    pairs = []
+    for k, edge in enumerate(json_array(edges, "edges")):
+        a, b = json_array(edge, f"edge {k}")
+        pairs.append((str(a), str(b)))
+    return frozenset(pairs)
+
+
 def graph_from_dict(obj: dict) -> IntersectionGraph:
     try:
-        vertices = tuple(str(v) for v in obj["vertices"])
-        edges = frozenset((str(a), str(b)) for a, b in obj.get("edges", []))
-        return IntersectionGraph(vertices, edges)
+        vertices = tuple(str(v) for v in json_array(obj["vertices"], "vertices"))
+        return IntersectionGraph(vertices, edges_from_list(obj.get("edges", [])))
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"bad graph record: {exc}") from exc
 

@@ -27,6 +27,7 @@ from .cover import (
     CoverSolution,
     assemble_tree,
     generate_candidates,
+    require_coverable,
     solve_cover_dlx,
     union_of_conjunctions,
     verify_cover,
@@ -34,7 +35,7 @@ from .cover import (
 from .errors import (
     CsgcError, ParameterError, StructuralError, UnsatisfiableError, check_seed,
 )
-from .geometry import CsgNode, leaf_count, tree_to_dict, tree_value, union_box
+from .geometry import CsgNode, index_primitives, leaf_count, tree_to_dict, tree_value, union_box
 from .geometry.sampling import derive_rng, derive_seed, rejection_sample, scene_diameter
 from .graph import (
     DEFAULT_GRAPH_SAMPLES,
@@ -204,6 +205,7 @@ def oracle_agreement(
     if n_points < 1:
         raise ParameterError(f"oracle agreement needs n_points >= 1, got {n_points}")
     prims = tuple(primitives)
+    by_id = index_primitives(prims)
     lo, hi = union_box(prims)
     pad = 0.1 * (hi - lo)
     lo, hi = lo - pad, hi + pad
@@ -211,7 +213,7 @@ def oracle_agreement(
     rng = derive_rng(seed, 0xE7A1)
 
     def accept(batch):
-        v = tree_value(tree, prims, batch)
+        v = tree_value(tree, by_id, batch)
         far = (np.abs(v) > eps) & (oracle.surface_distance(batch) > eps)
         return batch[far], v[far]
 
@@ -221,7 +223,7 @@ def oracle_agreement(
     )
     if len(pts) == 0:
         return 0.0, 0
-    truth = np.asarray(oracle.inside(pts))
+    truth = oracle.inside(pts)
     return int(np.sum((v < 0) == truth)) / len(pts), len(pts)
 
 
@@ -303,10 +305,13 @@ def solve_cover(
     minimise the cover QUBO (penalties left as None take ``cover_penalties``'
     defaults).  ``qubo_sa`` runs ``schedule`` (None picks the default) and,
     on models of at most 20 variables, also records its energy gap to the
-    exhaustive minimum.  Every selection is verified to be an exact cover.
+    exhaustive minimum.  An instance with an element no candidate covers is
+    refused before any solver runs.  Every selection is verified to be an
+    exact cover.
     """
     if solver not in COVER_SOLVERS:
         raise ParameterError(f"unknown cover solver {solver!r}")
+    require_coverable(instance)
     if solver == "dlx":
         solution, meta = solve_cover_dlx(instance), {"name": "dlx"}
     else:
@@ -331,10 +336,11 @@ def solve_cover(
 
     check = verify_cover(instance, solution.selected)
     if not check.valid:
+        short = ", or the schedule is too short" if solver == "qubo_sa" else ""
         raise UnsatisfiableError(
             f"{solver} did not reach an exact cover "
             f"({len(check.uncovered)} uncovered, {len(check.double_covered)} doubly "
-            "covered); no cover may exist, or the schedule is too short"
+            f"covered); no cover may exist{short}"
         )
     return solution, meta
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FileFormatError, ParameterError, read_json
+from .errors import FileFormatError, ParameterError, json_array, read_json
 from .geometry import check_primitive_set, sign_vector_samples
-from .graph import IntersectionGraph, clique_sort_key
+from .graph import IntersectionGraph, clique_sort_key, edges_from_list
 from .geometry.sampling import derive_seed
 
 _SEED_NAMESPACE = 0x50  # keeps product sub-streams apart from other modules'
@@ -176,7 +176,7 @@ def enumerate_products(
     if not kept:
         return ProductTable(ids, ())
     # one oracle query for the whole table; each cell reads its own slice
-    inside = np.asarray(oracle.inside(np.concatenate([s for _, s in kept])))
+    inside = oracle.inside(np.concatenate([s for _, s in kept]))
     cuts = np.cumsum([len(s) for _, s in kept])[:-1]
     products = []
     for (positive_set, samples), part in zip(kept, np.split(inside, cuts)):
@@ -198,22 +198,19 @@ class CandidateBounds:
     """Upper bounds on the number of cover candidates."""
 
     global_bound: int                      # 2^n_f - 1
-    partitioned_bound: int | None          # sum_j (2^n_f^j - 1)
+    partitioned_bound: int                 # sum_j (2^n_f^j - 1)
     per_clique_nf: tuple[int, ...]
 
 
-def candidate_bounds(table: ProductTable, cliques=None) -> CandidateBounds:
-    """Evaluate the global and (optionally) partitioned candidate bounds.
+def candidate_bounds(table: ProductTable, cliques) -> CandidateBounds:
+    """Evaluate the global and partitioned candidate bounds.
 
     ``n_f^j`` counts the table products whose positive set lies inside
     clique j.  Python integers keep the 2^n_f term exact for any n_f.
     """
     global_bound = 2 ** table.n_f - 1
-    if cliques is None:
-        return CandidateBounds(global_bound, None, ())
     cliques = sorted((frozenset(c) for c in cliques), key=clique_sort_key)
-    covered = set().union(*cliques) if cliques else set()
-    if covered != set(table.primitive_ids):
+    if set().union(*cliques) != set(table.primitive_ids):
         raise ValueError("cliques must cover all primitives")
     per = tuple(
         sum(1 for p in table.products if p.positive_set <= c) for c in cliques
@@ -230,12 +227,12 @@ def candidate_bounds(table: ProductTable, cliques=None) -> CandidateBounds:
 
 def abstract_instance_from_dict(obj: dict) -> tuple[IntersectionGraph, ProductTable]:
     try:
-        ids = tuple(str(v) for v in obj["primitives"])
-        edges = frozenset((str(a), str(b)) for a, b in obj.get("edges", []))
-        graph = IntersectionGraph(ids, edges)
+        ids = tuple(str(v) for v in json_array(obj["primitives"], "primitives"))
+        graph = IntersectionGraph(ids, edges_from_list(obj.get("edges", [])))
         products = []
-        for rec in obj["products"]:
-            positives = frozenset(str(v) for v in rec["positives"])
+        for k, rec in enumerate(json_array(obj["products"], "products")):
+            field = f"product {k} positives"
+            positives = frozenset(str(v) for v in json_array(rec["positives"], field))
             label = LABEL_INSIDE if rec["inside"] else LABEL_OUTSIDE
             products.append(
                 FundamentalProduct(

@@ -17,8 +17,8 @@ dropping a violating vertex always pays.
 
 This module is the one home of the penalty defaults (cover: B = 1 and
 A = n*B + 1, resolved by ``cover_penalties``, which requires B > 0; max
-clique: A = 1, B = 2) and of the exhaustive solver's ``EXACT_LIMIT``;
-callers pass None for a default.
+clique: A = 1, B = 2), of the exhaustive solver's ``EXACT_LIMIT`` and of
+the annealer's ``SA_TABLE_LIMIT``; callers pass None for a default.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .cover import CoverInstance
 from .graph import IntersectionGraph
 
 EXACT_LIMIT = 30  # exhaustive search refuses models larger than this
+SA_TABLE_LIMIT = 2**30  # bytes of proposal tables an annealing run may allocate
 
 
 def _canonical_terms(n, linear, quadratic):
@@ -120,8 +121,6 @@ def qubo_energy(q: Qubo, x) -> float:
 
 
 def ising_energy(m: IsingModel, s) -> float:
-    if isinstance(s, str):
-        s = [1 if ch == "+" else -1 if ch == "-" else ch for ch in s]
     spins = _checked([int(v) for v in s], m.n, (-1, 1), "spin")
     return _energy(m.offset, m.h, m.J, spins)
 
@@ -363,6 +362,8 @@ def solve_sa(
     Each restart r runs its own substream derived as SeedSequence((seed, r)),
     so results do not depend on how restarts are executed; the reduction
     takes the lowest energy and breaks ties by the lowest restart index.
+    Raises ParameterError, before allocating anything, when the schedule's
+    proposal tables would exceed ``SA_TABLE_LIMIT`` bytes.
     """
     check_seed(seed)
     if schedule is None:
@@ -370,6 +371,12 @@ def solve_sa(
     R, S = schedule.restarts, schedule.sweeps
     if q.n == 0:
         return SolveResult("", q.offset, "sa", int(seed), S, R)
+    table_bytes = 16 * R * (S + _MAX_BLOCK)  # _anneal's two 8-byte tables
+    if table_bytes > SA_TABLE_LIMIT:
+        raise ParameterError(
+            f"the annealing schedule needs {table_bytes} bytes of proposal tables, "
+            f"above SA_TABLE_LIMIT = {SA_TABLE_LIMIT}; use fewer sweeps or restarts"
+        )
     best_E, best_bits = _anneal(q, schedule, seed)
     r_best = int(np.argmin(best_E))  # argmin returns the first = lowest index
     assignment = _bitstring(best_bits[r_best])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csgcompress.errors import FileFormatError, StructuralError, UnsupportedOracleError
+from csgcompress.errors import FileFormatError, ParameterError, StructuralError
 from csgcompress.geometry import (
     CloudOracle,
     Complement,
@@ -22,6 +22,7 @@ from csgcompress.geometry import (
     box,
     check_primitive_set,
     cylinder,
+    index_primitives,
     leaf_count,
     load_cloud,
     load_primitives,
@@ -33,10 +34,13 @@ from csgcompress.geometry import (
     signed_distance,
     sphere,
     tree_from_dict,
-    tree_membership,
     tree_to_dict,
     tree_value,
 )
+
+
+def _inside(tree, primitives, points):
+    return tree_value(tree, index_primitives(primitives), points) < 0
 
 
 def _rot_z(angle):
@@ -50,44 +54,44 @@ def _rot_z(angle):
 
 class TestSignedDistance:
     def test_unit_sphere_center(self):
-        npt.assert_allclose(signed_distance(sphere("A", (0, 0, 0), 1.0), (0, 0, 0)), -1.0)
+        npt.assert_allclose(signed_distance(sphere("A", (0, 0, 0), 1.0), [(0, 0, 0)]), -1.0)
 
     def test_unit_sphere_surface(self):
-        npt.assert_allclose(signed_distance(sphere("A", (0, 0, 0), 1.0), (1, 0, 0)), 0.0)
+        npt.assert_allclose(signed_distance(sphere("A", (0, 0, 0), 1.0), [(1, 0, 0)]), 0.0)
 
     def test_box_face_distance(self):
         b = box("B", (0, 0, 0), (1, 1, 1))
-        npt.assert_allclose(signed_distance(b, (3, 0, 0)), 2.0)
+        npt.assert_allclose(signed_distance(b, [(3, 0, 0)]), 2.0)
 
     def test_box_corner_distance_exact(self):
         b = box("B", (0, 0, 0), (1, 1, 1))
-        npt.assert_allclose(signed_distance(b, (2, 2, 2)), np.sqrt(3.0))
+        npt.assert_allclose(signed_distance(b, [(2, 2, 2)]), np.sqrt(3.0))
 
     def test_cylinder_outside_corner(self):
         c = cylinder("C", (0, 0, 0), 1.0, 1.0)
         # Beyond both the rim and the cap: exact Euclidean corner distance.
-        npt.assert_allclose(signed_distance(c, (2, 0, 2)), np.sqrt(2.0))
+        npt.assert_allclose(signed_distance(c, [(2, 0, 2)]), np.sqrt(2.0))
 
     def test_cylinder_side(self):
         c = cylinder("C", (0, 0, 0), 1.0, 2.0)
-        npt.assert_allclose(signed_distance(c, (3, 0, 0)), 2.0)
+        npt.assert_allclose(signed_distance(c, [(3, 0, 0)]), 2.0)
 
     def test_inside_signs(self):
         for p in (sphere("A", (0, 0, 0), 1.0),
                   box("B", (0, 0, 0), (1, 2, 3)),
                   cylinder("C", (0, 0, 0), 1.0, 1.0)):
-            assert signed_distance(p, (0, 0, 0)) < 0
+            assert signed_distance(p, [(0, 0, 0)])[0] < 0
 
     def test_translation(self):
         s = sphere("A", (5, 0, 0), 1.0)
-        npt.assert_allclose(signed_distance(s, (5, 0, 0)), -1.0)
-        npt.assert_allclose(signed_distance(s, (7, 0, 0)), 1.0)
+        npt.assert_allclose(signed_distance(s, [(5, 0, 0)]), -1.0)
+        npt.assert_allclose(signed_distance(s, [(7, 0, 0)]), 1.0)
 
     def test_rotation_box(self):
         # Box rotated 90 degrees about z: half-extents (2, 1, 1) become (1, 2, 1).
         b = box("B", (0, 0, 0), (2, 1, 1), rotation=_rot_z(np.pi / 2))
-        npt.assert_allclose(signed_distance(b, (0, 1.5, 0)), -0.5, atol=1e-12)
-        npt.assert_allclose(signed_distance(b, (1.5, 0, 0)), 0.5, atol=1e-12)
+        npt.assert_allclose(signed_distance(b, [(0, 1.5, 0)]), -0.5, atol=1e-12)
+        npt.assert_allclose(signed_distance(b, [(1.5, 0, 0)]), 0.5, atol=1e-12)
 
     def test_batch_shape(self):
         s = sphere("A", (0, 0, 0), 1.0)
@@ -142,32 +146,32 @@ class TestTreeMembership:
 
     def test_union_inside_one(self):
         tree = Union((Leaf("A"), Leaf("B")))
-        assert tree_membership(tree, [self.A, self.B], (-0.5, 0, 0))
+        assert _inside(tree, [self.A, self.B], [(-0.5, 0, 0)])
 
     def test_complement_flips(self):
         tree = Complement(Leaf("A"))
-        assert not tree_membership(tree, [self.A], (0, 0, 0))
-        assert tree_membership(tree, [self.A], (5, 0, 0))
+        assert not _inside(tree, [self.A], [(0, 0, 0)])
+        assert _inside(tree, [self.A], [(5, 0, 0)])
 
     def test_disjoint_intersection_empty(self):
         tree = Intersection((Leaf("A"), Leaf("F")))
         for p in [(0, 0, 0), (10, 0, 0), (5, 0, 0)]:
-            assert not tree_membership(tree, [self.A, self.FAR], p)
+            assert not _inside(tree, [self.A, self.FAR], [p])
 
     def test_surface_counts_as_outside(self):
-        assert not tree_membership(Union((Leaf("A"), Leaf("B"))),
-                                   [self.A, self.B], (-1.0, 0, 0))
+        assert not _inside(Union((Leaf("A"), Leaf("B"))),
+                           [self.A, self.B], [(-1.0, 0, 0)])
 
     def test_unknown_leaf_raises(self):
         with pytest.raises(StructuralError):
-            tree_membership(Leaf("Z"), [self.A], (0, 0, 0))
+            _inside(Leaf("Z"), [self.A], [(0, 0, 0)])
 
     def test_de_morgan(self):
         rng = np.random.default_rng(3)
         pts = rng.uniform(-3, 3, size=(2000, 3))
         prims = [self.A, self.B]
-        lhs = tree_membership(Complement(Union((Leaf("A"), Leaf("B")))), prims, pts)
-        rhs = tree_membership(
+        lhs = _inside(Complement(Union((Leaf("A"), Leaf("B")))), prims, pts)
+        rhs = _inside(
             Intersection((Complement(Leaf("A")), Complement(Leaf("B")))), prims, pts
         )
         assert np.array_equal(lhs, rhs)
@@ -287,6 +291,12 @@ class TestSampleSurface:
         assert on_a.sum() > 0 and on_b.sum() > 0
         assert np.all(on_a | on_b)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_rejected(self, count):
+        s = sphere("A", (0, 0, 0), 1.0)
+        with pytest.raises(ParameterError, match="count >= 1"):
+            sample_surface(Leaf("A"), [s], count, seed=0)
+
     def test_unbounded_tree_rejected(self):
         s = sphere("A", (0, 0, 0), 1.0)
         with pytest.raises(StructuralError):
@@ -318,12 +328,14 @@ class TestCloudMembership:
     def test_sphere_cloud(self):
         s = sphere("A", (0, 0, 0), 1.0)
         oracle = CloudOracle(sample_surface(Leaf("A"), [s], 800, seed=11))
-        assert oracle.inside((0, 0, 0)) is True
-        assert oracle.inside((2, 0, 0)) is False
+        npt.assert_array_equal(oracle.inside([(0, 0, 0), (2, 0, 0)]), [True, False])
 
     def test_missing_normals_raises(self):
-        with pytest.raises(UnsupportedOracleError):
-            CloudOracle(PointCloud(np.zeros((4, 3))))
+        # A cloud is oriented and non-empty by construction.
+        with pytest.raises(TypeError):
+            PointCloud(np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="at least one point"):
+            PointCloud(np.empty((0, 3)), np.empty((0, 3)))
 
     def test_agreement_with_tree_membership(self):
         # Cloud oracle and ground-truth tree agree away from the surface.
@@ -338,10 +350,10 @@ class TestCloudMembership:
         spacing = np.sqrt(area / n_surf)
         rng = np.random.default_rng(13)
         pts = rng.uniform(-2.5, 3.0, size=(20_000, 3))
-        v = tree_value(tree, prims, pts)
+        v = tree_value(tree, index_primitives(prims), pts)
         far = np.abs(v) > 2 * spacing
         pts = pts[far][:10_000]
-        truth = tree_membership(tree, prims, pts)
+        truth = _inside(tree, prims, pts)
         approx = CloudOracle(cloud).inside(pts)
         agreement = np.mean(truth == approx)
         assert agreement >= 0.999
@@ -383,10 +395,6 @@ class TestCloudOracleExact:
         inside, dist = brute_force_cloud_answers(cloud, pts)
         npt.assert_array_equal(oracle.inside(pts), inside)
         npt.assert_array_equal(oracle.surface_distance(pts), dist)
-        for q, want_inside, want_dist in zip(pts[:5], inside, dist):
-            got = oracle.inside(q)
-            assert type(got) is bool and got == want_inside
-            npt.assert_array_equal(oracle.surface_distance(q), [want_dist])
 
     @settings(max_examples=10)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 3000))
@@ -452,8 +460,7 @@ class TestFileIO:
 class TestLoadCloud:
     """``load_cloud``: one ``np.loadtxt`` pass, a line-by-line scan on failure."""
 
-    @pytest.mark.parametrize("normals", [True, False])
-    def test_save_cloud_round_trip_is_bit_exact(self, tmp_path, normals):
+    def test_save_cloud_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(7)
         pts = rng.normal(size=(500, 3)) * 10.0 ** rng.integers(-300, 300, size=(500, 3))
         pts[:4] = [[0.0, -0.0, 5e-324], [np.inf, -np.inf, 1.0],
@@ -461,39 +468,43 @@ class TestLoadCloud:
         nrm = rng.normal(size=(500, 3))
         nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
         path = tmp_path / "cloud.xyz"
-        save_cloud(PointCloud(pts, nrm if normals else None), path)
+        save_cloud(PointCloud(pts, nrm), path)
         loaded = load_cloud(path)
         assert loaded.points.tobytes() == pts.tobytes()
-        if normals:
-            assert loaded.normals.tobytes() == nrm.tobytes()
-        else:
-            assert loaded.normals is None
+        assert loaded.normals.tobytes() == nrm.tobytes()
 
     @pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n  # another\n"])
-    def test_empty_file_gives_an_empty_cloud(self, tmp_path, text):
+    def test_empty_file_is_rejected(self, tmp_path, text):
         path = tmp_path / "cloud.xyz"
         path.write_text(text)
-        cloud = load_cloud(path)
-        assert cloud.points.shape == (0, 3)
-        assert cloud.normals is None
+        with pytest.raises(FileFormatError) as err:
+            load_cloud(path)
+        assert str(err.value) == f"{path}: a point cloud needs at least one point"
 
     def test_accepted_number_syntax(self, tmp_path):
         path = tmp_path / "cloud.xyz"
-        path.write_text("+1 -2. .5e1\t# tab and comment\n1E+2 inf -Infinity\nNaN 0 -0\n")
-        got = load_cloud(path).points
-        npt.assert_array_equal(got[:2], [[1, -2, 5], [100, np.inf, -np.inf]])
-        assert np.isnan(got[2, 0])
+        path.write_text("+1 -2. .5e1 0 0 1\t# tab and comment\n"
+                        "1E+2 inf -Infinity -0 1. 0e0\nNaN 0 -0 +1 0 0\n")
+        got = load_cloud(path)
+        npt.assert_array_equal(got.points[:2], [[1, -2, 5], [100, np.inf, -np.inf]])
+        assert np.isnan(got.points[2, 0])
+        npt.assert_array_equal(got.normals, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
 
     @pytest.mark.parametrize("text, message", [
-        ("0 0 0\n# c\n\n1 2 3 4\n", "bad.xyz:4: expected 3 or 6 numbers, got 4"),
-        ("1\n", "bad.xyz:1: expected 3 or 6 numbers, got 1"),
-        ("1 2 3 4\n5 6 7 8\n", "bad.xyz:1: expected 3 or 6 numbers, got 4"),
-        ("0 0 0\n0 0 abc\n", "bad.xyz:2: could not convert string to float: 'abc'"),
+        ("0 0 0 1 0 0\n# c\n\n1 2 3 4\n",
+         "bad.xyz:4: expected 6 numbers (x y z nx ny nz), got 4"),
+        ("1\n", "bad.xyz:1: expected 6 numbers (x y z nx ny nz), got 1"),
+        ("1 2 3 4\n5 6 7 8\n", "bad.xyz:1: expected 6 numbers (x y z nx ny nz), got 4"),
+        # points without normals, in every row or in some
+        ("0 0 0\n1 1 1\n", "bad.xyz:1: expected 6 numbers (x y z nx ny nz), got 3"),
+        ("0 0 0 1 0 0\n1 1 1\n", "bad.xyz:2: expected 6 numbers (x y z nx ny nz), got 3"),
+        ("0 0 0 1 0 0\n0 0 abc 1 0 0\n",
+         "bad.xyz:2: could not convert string to float: 'abc'"),
         ("0 0 0 1 0 0\n0 0 0 1 0 1e\n", "bad.xyz:2: could not convert string to float: '1e'"),
         # float() accepts these two; np.loadtxt, and so load_cloud, does not
-        ("0 0 0\n0 1_0 0\n", "bad.xyz:2: could not convert string to float: '1_0'"),
-        ("# c\n0 0 ١\n", "bad.xyz:2: could not convert string to float: '١'"),
-        ("0 0 0 1 0 0\n1 1 1\n", "bad.xyz: some points carry normals, some do not"),
+        ("0 0 0 1 0 0\n0 1_0 0 1 0 0\n",
+         "bad.xyz:2: could not convert string to float: '1_0'"),
+        ("# c\n0 0 ١ 1 0 0\n", "bad.xyz:2: could not convert string to float: '١'"),
         ("0 0 0 2 0 0\n", "bad.xyz: normals must be unit-norm"),
     ])
     def test_errors_name_the_file_and_line(self, tmp_path, text, message):
@@ -505,8 +516,8 @@ class TestLoadCloud:
 
     def test_first_error_wins(self, tmp_path):
         bad = tmp_path / "bad.xyz"
-        bad.write_text("0 0 0 1 0 0\n1 1 1\n0 0 x\n1 2\n")
-        with pytest.raises(FileFormatError, match=r"bad\.xyz:3: could not convert"):
+        bad.write_text("0 0 0 1 0 0\n0 0 x 1 0 0\n1 2\n0 0 0 2 0 0\n")
+        with pytest.raises(FileFormatError, match=r"bad\.xyz:2: could not convert"):
             load_cloud(bad)
 
     def test_missing_file_is_an_os_error(self, tmp_path):
@@ -523,7 +534,7 @@ class TestLoadCloud:
         with tempfile.TemporaryDirectory() as tmp:
             path = f"{tmp}/cloud.xyz"
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(f"1 2 3\n0 0 {token}\n")
+                fh.write(f"1 2 3 0 0 1\n0 0 {token} 0 0 1\n")
             try:
                 got = load_cloud(path).points[1:]
             except FileFormatError as exc:

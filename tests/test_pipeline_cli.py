@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from csgcompress import qubo
 from csgcompress.cli import main
 from csgcompress.cover import (
     MODE_GLOBAL,
@@ -459,6 +460,19 @@ class TestCli:
         golden = GOLDEN / "products_reference_tree.json"
         assert out.read_bytes() == golden.read_bytes()
 
+    @pytest.mark.parametrize("source", ["tree", "cloud"])
+    def test_compress_matches_golden_report(self, source, scene_files, cloud_file,
+                                            tmp_path):
+        # The geometric report runs both oracles and the agreement check.
+        prim_path, tree_path = scene_files
+        target = tree_path if source == "tree" else cloud_file
+        out = tmp_path / "report.json"
+        assert main(["compress", "--primitives", str(prim_path),
+                     f"--{source}", str(target), "--no-timestamp",
+                     "--out", str(out)]) == 0
+        golden = GOLDEN / f"compress_reference_{source}.json"
+        assert out.read_bytes() == golden.read_bytes()
+
     @pytest.mark.parametrize("solver", ["dlx", "qubo_exact", "qubo_sa"])
     def test_compress_abstract_matches_golden_report(self, solver, abstract_file,
                                                      tmp_path):
@@ -638,6 +652,102 @@ class TestCli:
         code = main(["cover", "--instance", str(bad)])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("solver", ["dlx", "qubo_exact", "qubo_sa"])
+    def test_every_solver_names_an_uncoverable_element(self, solver, tmp_path,
+                                                         capsys):
+        bad = tmp_path / "uncoverable.json"
+        bad.write_text(json.dumps({
+            "universe": ["a", "b", "c"],
+            "subsets": [{"name": "S0", "covers": ["a"]},
+                        {"name": "S1", "covers": ["b"]}],
+        }))
+        code = main(["cover", "--instance", str(bad), "--solver", solver])
+        assert capsys.readouterr().err == "error: universe element(s) uncoverable: c\n"
+        assert code == 2
+
+    @pytest.mark.parametrize("solver, reason", [
+        ("qubo_exact", "no cover may exist\n"),
+        ("qubo_sa", "no cover may exist, or the schedule is too short\n"),
+    ])
+    def test_only_qubo_sa_blames_the_schedule(self, solver, reason, tmp_path, capsys):
+        # Every element is coverable, but no exact cover exists.
+        bad = tmp_path / "unsat.json"
+        bad.write_text(json.dumps({
+            "universe": [1, 2, 3],
+            "subsets": [{"name": "S0", "covers": [1, 2]},
+                        {"name": "S1", "covers": [2, 3]}],
+        }))
+        code = main(["cover", "--instance", str(bad), "--solver", solver])
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {solver} did not reach an exact cover")
+        assert err.endswith(f"; {reason}")
+        assert code == 2
+
+    def test_schedule_above_the_table_limit_is_a_parameter_error(
+        self, cover5_file, monkeypatch, capsys
+    ):
+        # 4 restarts x (31 744 + 1024) proposals x 16 bytes are 2 MiB.
+        monkeypatch.setattr(qubo, "SA_TABLE_LIMIT", 1 << 20)
+        code = main(["cover", "--instance", str(cover5_file), "--solver", "qubo_sa",
+                     "--schedule", "1,0.01,31744,4"])
+        err = capsys.readouterr().err
+        assert "2097152 bytes of proposal tables, above SA_TABLE_LIMIT = 1048576" in err
+        assert code == 4
+
+    @pytest.mark.parametrize("command, record, field", [
+        pytest.param(command, record, field, id=f"{command}-{field}")
+        for command, record, field in [
+            ("cover", {"universe": "ab", "subsets": [{"covers": ["a", "b"]}]},
+             "universe"),
+            ("cover", {"universe": ["a", "b"], "subsets": [{"covers": "ab"}]},
+             "subset 0 covers"),
+            ("cover", {"universe": ["a"], "subsets": "a"}, "subsets"),
+            ("abstract", {"primitives": "AB", "edges": [["A", "B"]],
+                          "products": [{"positives": ["A"], "inside": True}]},
+             "primitives"),
+            ("abstract", {"primitives": ["A", "B"], "edges": "AB",
+                          "products": [{"positives": ["A"], "inside": True}]},
+             "edges"),
+            ("abstract", {"primitives": ["A", "B"], "edges": ["AB"],
+                          "products": [{"positives": ["A"], "inside": True}]},
+             "edge 0"),
+            ("abstract", {"primitives": ["A", "B"], "edges": [["A", "B"]],
+                          "products": "AB"},
+             "products"),
+            ("abstract", {"primitives": ["A", "B"], "edges": [["A", "B"]],
+                          "products": [{"positives": "AB", "inside": True}]},
+             "product 0 positives"),
+            ("graph", {"vertices": "AB", "edges": []}, "vertices"),
+            ("graph", {"vertices": ["A", "B"], "edges": "AB"}, "edges"),
+            ("graph", {"vertices": ["A", "B"], "edges": ["AB"]}, "edge 0"),
+        ]
+    ])
+    def test_string_for_an_array_is_an_input_error(self, command, record, field,
+                                                   tmp_path, capsys):
+        # Iterating a string would split it into characters.
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(record))
+        args = {"cover": ["cover", "--instance"],
+                "abstract": ["compress", "--abstract"],
+                "graph": ["cliques", "--graph"]}[command]
+        code = main(args + [str(path)])
+        assert f"{field} must be an array, got str" in capsys.readouterr().err
+        assert code == 3
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 0 0\n1 0 0\n", "cloud.xyz:1: expected 6 numbers (x y z nx ny nz), got 3"),
+        ("# no points\n", "cloud.xyz: a point cloud needs at least one point"),
+    ])
+    def test_cloud_without_normals_or_points_is_an_input_error(
+        self, scene_files, tmp_path, capsys, text, message
+    ):
+        prim_path, _ = scene_files
+        cloud = tmp_path / "cloud.xyz"
+        cloud.write_text(text)
+        code = main(["compress", "--primitives", str(prim_path), "--cloud", str(cloud)])
+        assert capsys.readouterr().err == f"error: {tmp_path / message}\n"
+        assert code == 3
 
     def test_non_object_subset_is_an_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad_subset.json"

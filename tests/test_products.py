@@ -166,14 +166,15 @@ class TestEnumerateProducts:
 
 class TestCandidateBounds:
     def test_global_bound_values(self, fig_table):
-        assert candidate_bounds(fig_table).global_bound == 32767  # 2^15 - 1
+        bounds = candidate_bounds(fig_table, FIG_MAXIMAL_CLIQUES)
+        assert bounds.global_bound == 32767  # 2^15 - 1
 
     def test_global_bound_single(self):
         a = sphere("A", (0, 0, 0), 1.0)
         graph = build_intersection_graph([a], count=128, seed=0)
         table = enumerate_products([a], graph, TreeOracle(Leaf("A"), [a]),
                                    samples_per_region=128, seed=0)
-        assert candidate_bounds(table).global_bound == 1
+        assert candidate_bounds(table, [{"A"}]).global_bound == 1
 
     def test_partitioned_bound_reference(self, fig_table):
         bounds = candidate_bounds(fig_table, FIG_MAXIMAL_CLIQUES)
@@ -191,7 +192,9 @@ class TestCandidateBounds:
             for i in ids
         )
         table = ProductTable(ids, prods)
-        assert candidate_bounds(table).global_bound == 2**70 - 1
+        bounds = candidate_bounds(table, [{i} for i in ids])
+        assert bounds.global_bound == 2**70 - 1
+        assert bounds.partitioned_bound == 70
 
 
 class TestAbstractInstance:

@@ -523,6 +523,16 @@ class TestSolveSa:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_proposal_tables_above_the_limit_are_refused(self, monkeypatch):
+        # 4 restarts x (31 744 + 1024) proposals x 16 bytes are 2 MiB.
+        monkeypatch.setattr(qubo, "SA_TABLE_LIMIT", 1 << 20)
+        q = Qubo(2, {0: -1.0}, {(0, 1): 1.0})
+        with pytest.raises(ParameterError,
+                           match=r"2097152 bytes .* SA_TABLE_LIMIT = 1048576"):
+            solve_sa(q, AnnealSchedule(1.0, 0.01, 31744, 4))
+        # Tables of exactly the limit are allowed.
+        assert solve_sa(q, AnnealSchedule(1.0, 0.01, 15360, 4)).assignment == "10"
+
     def test_energy_is_reevaluated(self):
         rng = np.random.default_rng(13)
         q = random_qubo(rng, 9)

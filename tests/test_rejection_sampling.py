@@ -11,7 +11,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csgcompress.errors import StructuralError
+from csgcompress.errors import ParameterError, StructuralError
 from csgcompress.geometry import (
     CloudOracle,
     Complement,
@@ -70,8 +70,8 @@ def reference_sample_surface(tree, primitives, count, seed):
     validate = leaf_ids(tree) - set(by_id)
     if validate:
         raise StructuralError(f"tree references unknown primitives: {sorted(validate)}")
-    if count <= 0:
-        return PointCloud(np.empty((0, 3)), np.empty((0, 3)))
+    if count < 1:
+        raise ParameterError(f"a surface sample needs count >= 1, got {count}")
     if not _tree_bounded(tree, by_id):
         raise StructuralError("cannot sample the surface of an unbounded solid")
 
@@ -140,7 +140,7 @@ def reference_oracle_agreement(tree, primitives, oracle, n_points, seed):
     while kept_total < n_points and attempts < 50 * n_points:
         batch = rng.uniform(lo, hi, size=(4096, 3))
         attempts += batch.shape[0]
-        v = tree_value(tree, prims, batch)
+        v = tree_value(tree, index_primitives(prims), batch)
         far = (np.abs(v) > eps) & (oracle.surface_distance(batch) > eps)
         batch, v = batch[far], v[far]
         if batch.shape[0] == 0:
@@ -203,7 +203,7 @@ def solids(draw):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except StructuralError as exc:
+    except (ParameterError, StructuralError) as exc:
         return str(exc)
 
 
