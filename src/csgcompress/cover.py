@@ -381,7 +381,8 @@ def assemble_tree(solution: CoverSolution, instance: CoverInstance) -> CsgNode:
 
 # ---------------------------------------------------------------------------
 # Cover-instance JSON: {"universe": [...],
-#   "subsets": [{"name": str, "covers": [...], "literals": optional int}]}
+#   "subsets": [{"name": str, "covers": [...],
+#                "literals": optional non-negative int}]}
 # ---------------------------------------------------------------------------
 
 def cover_instance_from_dict(obj: dict) -> CoverInstance:
@@ -393,12 +394,18 @@ def cover_instance_from_dict(obj: dict) -> CoverInstance:
                 raise FileFormatError(
                     f"bad cover instance: subset {k} is not an object"
                 )
+            literals = rec.get("literals", 0)
+            if type(literals) is not int or literals < 0:
+                raise ValueError(
+                    f"subset {k} literals must be a non-negative integer, "
+                    f"got {literals!r}"
+                )
             candidates.append(
                 Candidate(
                     name=str(rec.get("name", f"S{k}")),
                     covered=frozenset(json_array(rec["covers"], f"subset {k} covers")),
                     literals=None,
-                    literal_count=int(rec.get("literals", 0)),
+                    literal_count=literals,
                 )
             )
         return CoverInstance(universe, tuple(candidates))

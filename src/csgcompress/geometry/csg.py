@@ -75,18 +75,32 @@ def tree_value(tree: CsgNode, by_id: dict[str, Primitive], points) -> np.ndarray
     """Composed implicit value at each of the (N, 3) ``points``; (N,).
 
     ``by_id`` maps primitive ids to primitives (see ``index_primitives``).
+    Each primitive is evaluated once per call, however many leaves name it.
     """
+    return _tree_value(tree, by_id, points, {})
+
+
+def _tree_value(tree, by_id, points, distances: dict[str, np.ndarray]) -> np.ndarray:
     if isinstance(tree, Leaf):
-        prim = by_id.get(tree.prim)
-        if prim is None:
-            raise StructuralError(f"tree references unknown primitive {tree.prim!r}")
-        return signed_distance(prim, points)
+        d = distances.get(tree.prim)
+        if d is None:
+            prim = by_id.get(tree.prim)
+            if prim is None:
+                raise StructuralError(
+                    f"tree references unknown primitive {tree.prim!r}"
+                )
+            d = distances[tree.prim] = signed_distance(prim, points)
+        return d
     if isinstance(tree, Union):
-        return np.minimum.reduce([tree_value(c, by_id, points) for c in tree.children])
+        return np.minimum.reduce(
+            [_tree_value(c, by_id, points, distances) for c in tree.children]
+        )
     if isinstance(tree, Intersection):
-        return np.maximum.reduce([tree_value(c, by_id, points) for c in tree.children])
+        return np.maximum.reduce(
+            [_tree_value(c, by_id, points, distances) for c in tree.children]
+        )
     if isinstance(tree, Complement):
-        return -tree_value(tree.child, by_id, points)
+        return -_tree_value(tree.child, by_id, points, distances)
     raise StructuralError(f"unknown tree node {tree!r}")
 
 

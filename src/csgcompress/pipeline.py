@@ -214,7 +214,9 @@ def oracle_agreement(
 
     def accept(batch):
         v = tree_value(tree, by_id, batch)
-        far = (np.abs(v) > eps) & (oracle.surface_distance(batch) > eps)
+        clear = np.abs(v) > eps
+        batch, v = batch[clear], v[clear]
+        far = oracle.surface_distance(batch) > eps
         return batch[far], v[far]
 
     pts, v = rejection_sample(

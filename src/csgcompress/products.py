@@ -233,11 +233,14 @@ def abstract_instance_from_dict(obj: dict) -> tuple[IntersectionGraph, ProductTa
         for k, rec in enumerate(json_array(obj["products"], "products")):
             field = f"product {k} positives"
             positives = frozenset(str(v) for v in json_array(rec["positives"], field))
-            label = LABEL_INSIDE if rec["inside"] else LABEL_OUTSIDE
-            products.append(
-                FundamentalProduct(
-                    positives, label, 1.0 if rec["inside"] else 0.0, None
+            inside = rec["inside"]
+            if not isinstance(inside, bool):
+                raise TypeError(
+                    f"product {k} inside must be true or false, got {inside!r}"
                 )
+            label = LABEL_INSIDE if inside else LABEL_OUTSIDE
+            products.append(
+                FundamentalProduct(positives, label, 1.0 if inside else 0.0, None)
             )
         table = ProductTable(ids, tuple(products))
     except (KeyError, TypeError, ValueError) as exc:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csgcompress.errors import FileFormatError, ParameterError, StructuralError
+from csgcompress.geometry import csg
 from csgcompress.geometry import (
     CloudOracle,
     Complement,
@@ -165,6 +166,32 @@ class TestTreeMembership:
     def test_unknown_leaf_raises(self):
         with pytest.raises(StructuralError):
             _inside(Leaf("Z"), [self.A], [(0, 0, 0)])
+
+    def test_repeated_primitive_evaluated_once(self, monkeypatch):
+        # A u (B n !A) u (!A n !B): A named three times, B twice.
+        tree = Union((
+            Leaf("A"),
+            Intersection((Leaf("B"), Complement(Leaf("A")))),
+            Intersection((Complement(Leaf("A")), Complement(Leaf("B")))),
+        ))
+        pts = np.random.default_rng(5).uniform(-3, 3, size=(500, 3))
+        dA, dB = signed_distance(self.A, pts), signed_distance(self.B, pts)
+        want = np.minimum.reduce([
+            dA, np.maximum.reduce([dB, -dA]), np.maximum.reduce([-dA, -dB]),
+        ])
+        calls = []
+
+        def counting(prim, points):
+            calls.append(prim.pid)
+            return signed_distance(prim, points)
+
+        monkeypatch.setattr(csg, "signed_distance", counting)
+        got = tree_value(tree, index_primitives([self.A, self.B]), pts)
+        assert np.array_equal(got, want)
+        assert sorted(calls) == ["A", "B"]
+        with pytest.raises(StructuralError, match="unknown primitive 'Z'"):
+            tree_value(Union((Leaf("A"), Leaf("Z"), Leaf("A"))),
+                       index_primitives([self.A]), pts)
 
     def test_de_morgan(self):
         rng = np.random.default_rng(3)

@@ -756,6 +756,27 @@ class TestCli:
         assert "subset 0 is not an object" in capsys.readouterr().err
         assert code == 3
 
+    @pytest.mark.parametrize("command, record, message", [
+        # "false" is truthy: read by truthiness it would label the cell inside.
+        *[("abstract", {"primitives": ["A"], "edges": [],
+                        "products": [{"positives": ["A"], "inside": inside}]},
+           f"product 0 inside must be true or false, got {inside!r}")
+          for inside in ["false", "true", 0, 1, None]],
+        *[("cover", {"universe": ["a"],
+                     "subsets": [{"covers": ["a"], "literals": literals}]},
+           f"subset 0 literals must be a non-negative integer, got {literals!r}")
+          for literals in [2.7, 2.0, "3", True, -1, None]],
+    ])
+    def test_mistyped_scalar_is_an_input_error(self, command, record, message,
+                                              tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(record))
+        args = {"cover": ["cover", "--instance"],
+                "abstract": ["compress", "--abstract"]}[command]
+        code = main(args + [str(path)])
+        assert message in capsys.readouterr().err
+        assert code == 3
+
     def test_numeric_primitive_ids_compress(self, tmp_path, capsys):
         spheres = (sphere("5", (0.0, 0.0, 0.0), 1.0), sphere("7", (1.5, 0.0, 0.0), 1.0))
         cloud = tmp_path / "cloud.xyz"
