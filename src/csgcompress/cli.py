@@ -19,7 +19,6 @@ from .cover import load_cover_instance, solution_to_dict
 from .errors import (
     CsgcError,
     FileFormatError,
-    InfeasibleInstanceError,
     ParameterError,
     StructuralError,
     UnsatisfiableError,
@@ -327,7 +326,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except click.Abort:
         return 1
-    except (InfeasibleInstanceError, UnsatisfiableError) as exc:
+    except UnsatisfiableError as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_INFEASIBLE
     except ParameterError as exc:

@@ -195,11 +195,7 @@ def generate_candidates(
         for covered, (count, _, lits) in sorted(best.items(), key=lambda kv: kv[1])
     )
     instance = CoverInstance(universe, candidates)
-    if not instance.feasible:
-        missing = ", ".join(element_name(u) for u in instance.uncoverable)
-        raise InfeasibleInstanceError(
-            f"no admissible candidate covers product(s): {missing}"
-        )
+    require_coverable(instance)
     return instance
 
 
@@ -278,10 +274,10 @@ def _element_order(instance: CoverInstance) -> list:
 
 
 def require_coverable(instance: CoverInstance) -> None:
-    """Raise UnsatisfiableError naming the universe elements no candidate covers."""
+    """Raise InfeasibleInstanceError naming the universe elements no candidate covers."""
     if not instance.feasible:
         missing = ", ".join(element_name(u) for u in instance.uncoverable)
-        raise UnsatisfiableError(f"universe element(s) uncoverable: {missing}")
+        raise InfeasibleInstanceError(f"universe element(s) uncoverable: {missing}")
 
 
 def solve_cover_dlx(instance: CoverInstance) -> CoverSolution:

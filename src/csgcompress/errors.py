@@ -19,12 +19,12 @@ class StructuralError(CsgcError):
     """An object violates a structural contract (bad tree, unknown leaf id)."""
 
 
-class InfeasibleInstanceError(CsgcError):
-    """A cover instance has universe elements no candidate can cover."""
-
-
 class UnsatisfiableError(CsgcError):
     """No exact cover exists for a feasible-looking instance."""
+
+
+class InfeasibleInstanceError(UnsatisfiableError):
+    """A cover instance has universe elements no candidate can cover."""
 
 
 class ParameterError(CsgcError):

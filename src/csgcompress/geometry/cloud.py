@@ -39,6 +39,8 @@ class PointCloud:
             raise ValueError("a point cloud needs at least one point")
         if nrm.shape[0] != pts.shape[0]:
             raise ValueError("normals and points must have equal length")
+        if not (np.isfinite(pts).all() and np.isfinite(nrm).all()):
+            raise ValueError("points and normals must be finite")
         lens = np.linalg.norm(nrm, axis=1)
         if np.any(np.abs(lens - 1.0) > _NORMAL_TOL):
             raise ValueError("normals must be unit-norm")

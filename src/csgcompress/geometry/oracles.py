@@ -1,14 +1,13 @@
 """Inside/outside oracles for the target solid.
 
-The pipeline asks two questions of the target: is this point inside, and
-how far is it at least from the surface (so that the agreement check can
-skip points too close to call)?  Two sources answer them -- a ground-truth
-CSG tree (exact, used for fixtures and evaluation) and an oriented point
-cloud (the lossy input of the compression problem).  Both answer an (N, 3)
-array of points with an (N,) array, are deterministic and are safe to query
-concurrently.  ``CloudOracle`` answers a batch with nearest-neighbour
-queries spread over all cores; each point's answer does not depend on how
-the batch is split.
+The pipeline asks one question of the target: which of these points are
+inside?  An oracle is any object with an ``inside(points)`` method.  Two
+sources answer it -- a ground-truth CSG tree (exact, used for fixtures and
+evaluation) and an oriented point cloud (the lossy input of the compression
+problem).  Both answer an (N, 3) array of points with an (N,) boolean
+array, are deterministic and are safe to query concurrently.
+``CloudOracle`` answers a batch with nearest-neighbour queries spread over
+all cores; each point's answer does not depend on how the batch is split.
 
 ``CloudOracle`` builds its kd-tree with the sliding-midpoint split rule
 (``balanced_tree=False``), uncompacted nodes and 64 points per leaf.  Most
@@ -56,10 +55,6 @@ class TreeOracle:
     def inside(self, points) -> np.ndarray:
         return tree_value(self.tree, self._by_id, points) < 0
 
-    def surface_distance(self, points) -> np.ndarray:
-        """Lower bound on the distance to the solid's surface."""
-        return np.abs(tree_value(self.tree, self._by_id, points))
-
 
 @dataclass(frozen=True, eq=False)
 class CloudOracle:
@@ -84,8 +79,3 @@ class CloudOracle:
             "ij,ij->i", pts - self.cloud.points[idx], self.cloud.normals[idx]
         )
         return side < 0
-
-    def surface_distance(self, points) -> np.ndarray:
-        """Distance to the nearest surface sample."""
-        dist, _ = self._kdtree.query(points, k=1, workers=-1)
-        return dist

@@ -13,6 +13,7 @@ pipeline.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,6 +87,8 @@ class Primitive:
                 )
             params = {"radius": r, "half_height": h}
             half = np.array([r, r, h])
+        if not all(map(math.isfinite, t.tolist() + q.tolist() + half.tolist())):
+            raise ValueError(f"primitive {self.pid!r} needs finite pose and sizes")
         t.setflags(write=False)
         q.setflags(write=False)
         object.__setattr__(self, "translation", t)
@@ -213,5 +216,5 @@ def load_primitives(path) -> tuple[Primitive, ...]:
         raise FileFormatError(f"{path}: expected a JSON array of primitives")
     try:
         return check_primitive_set(primitive_from_dict(obj) for obj in data)
-    except ValueError as exc:
+    except (ValueError, FileFormatError) as exc:
         raise FileFormatError(f"{path}: {exc}") from exc

@@ -18,7 +18,8 @@ dropping a violating vertex always pays.
 This module is the one home of the penalty defaults (cover: B = 1 and
 A = n*B + 1, resolved by ``cover_penalties``, which requires B > 0; max
 clique: A = 1, B = 2), of the exhaustive solver's ``EXACT_LIMIT`` and of
-the annealer's ``SA_TABLE_LIMIT``; callers pass None for a default.
+the annealer's ``SA_TABLE_LIMIT``; callers pass None for a default.  Every
+penalty, coefficient and offset must be finite.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ EXACT_LIMIT = 30  # exhaustive search refuses models larger than this
 SA_TABLE_LIMIT = 2**30  # bytes of proposal tables an annealing run may allocate
 
 
-def _canonical_terms(n, linear, quadratic):
+def _canonical_terms(n, linear, quadratic, offset):
+    """Merged non-zero terms in index order and the offset; all finite."""
     if n < 0:
         raise ValueError(f"model size must be non-negative, got n={n}")
     lin: dict[int, float] = {}
@@ -44,8 +46,7 @@ def _canonical_terms(n, linear, quadratic):
         i = int(i)
         if not 0 <= i < n:
             raise ValueError(f"linear index {i} out of range for n={n}")
-        w = lin.get(i, 0.0) + float(v)
-        lin[i] = w
+        lin[i] = lin.get(i, 0.0) + float(v)
     quad: dict[tuple[int, int], float] = {}
     for (i, j), v in (quadratic or {}).items():
         i, j = int(i), int(j)
@@ -55,9 +56,13 @@ def _canonical_terms(n, linear, quadratic):
             raise ValueError(f"quadratic index ({i},{j}) out of range for n={n}")
         key = (i, j) if i < j else (j, i)
         quad[key] = quad.get(key, 0.0) + float(v)
+    offset = float(offset)
+    if not all(map(math.isfinite, [offset, *lin.values(), *quad.values()])):
+        raise ValueError("coefficients and offset must be finite")
     return (
         {i: v for i, v in sorted(lin.items()) if v != 0.0},
         {k: v for k, v in sorted(quad.items()) if v != 0.0},
+        offset,
     )
 
 
@@ -71,10 +76,11 @@ class Qubo:
     offset: float = 0.0
 
     def __post_init__(self):
-        lin, quad = _canonical_terms(self.n, self.linear, self.quadratic)
+        lin, quad, offset = _canonical_terms(self.n, self.linear, self.quadratic,
+                                             self.offset)
         object.__setattr__(self, "linear", lin)
         object.__setattr__(self, "quadratic", quad)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", offset)
 
     def max_abs_coefficient(self) -> float:
         vals = [abs(v) for v in self.linear.values()]
@@ -92,10 +98,10 @@ class IsingModel:
     offset: float = 0.0
 
     def __post_init__(self):
-        h, J = _canonical_terms(self.n, self.h, self.J)
+        h, J, offset = _canonical_terms(self.n, self.h, self.J, self.offset)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "J", J)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", offset)
 
 
 def _checked(vals: list[int], n: int, allowed: tuple[int, int], kind: str) -> list[int]:
@@ -159,13 +165,19 @@ def cover_penalties(
 ) -> tuple[float, float]:
     """The cover encoding's (A, B): B defaults to 1 and A to n*B + 1.
 
-    Raises ParameterError unless B > 0: a free or rewarded subset no longer
-    makes the ground state a smallest cover.
+    Raises ParameterError unless both are finite and B > 0: a free or
+    rewarded subset no longer makes the ground state a smallest cover.
     """
-    B = 1.0 if B is None else B
+    B = _finite_penalty("B", 1.0 if B is None else B)
     if not B > 0:
         raise ParameterError(f"cover cost per subset needs B > 0, got B={B}")
-    return (len(instance.universe) * B + 1.0 if A is None else A), B
+    return _finite_penalty("A", len(instance.universe) * B + 1.0 if A is None else A), B
+
+
+def _finite_penalty(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ParameterError(f"penalty {name} must be finite, got {name}={value}")
+    return value
 
 
 def build_cover_qubo(
@@ -194,7 +206,10 @@ def build_cover_qubo(
             if o:
                 quadratic[(i, j)] = 2.0 * A * o
     names = tuple(c.name for c in instance.candidates)
-    return Qubo(len(cover_sets), linear, quadratic, A * n), names
+    try:
+        return Qubo(len(cover_sets), linear, quadratic, A * n), names
+    except ValueError as exc:  # finite penalties whose products overflow
+        raise ParameterError(f"cover penalties A={A}, B={B}: {exc}") from exc
 
 
 def build_max_clique_qubo(
@@ -206,8 +221,8 @@ def build_max_clique_qubo(
     B > A > 0 (every non-edge among selected vertices costs more than a
     vertex earns).  Penalties left as None default to A = 1 and B = 2.
     """
-    A = 1.0 if A is None else A
-    B = 2.0 if B is None else B
+    A = _finite_penalty("A", 1.0 if A is None else A)
+    B = _finite_penalty("B", 2.0 if B is None else B)
     if not (B > A > 0):
         raise ParameterError(f"max-clique encoding needs B > A > 0 (A={A}, B={B})")
     verts = graph.vertices

@@ -313,6 +313,22 @@ class TestGenerateCandidates:
                 table, [frozenset("a"), frozenset("b")], graph, MODE_PARTITIONED
             )
 
+    def test_uncoverable_element_is_refused_by_require_coverable(self):
+        # The same check and error as every cover solver: an
+        # InfeasibleInstanceError is an UnsatisfiableError (exit 2).
+        graph, table = abstract_instance_from_dict({
+            "primitives": ["a", "b"], "edges": [["a", "b"]],
+            "products": [{"positives": ["a"], "inside": False},
+                         {"positives": ["b"], "inside": False},
+                         {"positives": ["a", "b"], "inside": True}],
+        })
+        with pytest.raises(UnsatisfiableError) as err:
+            generate_candidates(
+                table, [frozenset("a"), frozenset("b")], graph, MODE_PARTITIONED
+            )
+        assert type(err.value) is InfeasibleInstanceError
+        assert str(err.value) == "universe element(s) uncoverable: a&b"
+
 
 class TestSolveCoverDlx:
     def test_five_element_instance(self, cover5):

@@ -3,7 +3,6 @@
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from csgcompress import qubo
@@ -124,33 +123,19 @@ class TestCompress:
         r2 = compress(fig_primitives, fig_oracle, cfg)
         assert report_stats(r1) == report_stats(r2)
 
-    def test_warns_when_the_agreement_check_runs_short_of_points(
-        self, fig_primitives, fig_oracle
-    ):
-        class SurfaceHuggingOracle:
-            """The reference oracle, but 99 of every 100 points count as on
-            the surface, so the agreement check hits its 50x draw cap."""
-
+    def test_an_oracle_needs_only_inside(self, fig_primitives, fig_oracle):
+        class InsideOnlyOracle:
             def inside(self, points):
                 return fig_oracle.inside(points)
 
-            def surface_distance(self, points):
-                d = fig_oracle.surface_distance(points).copy()
-                d[np.arange(d.size) % 100 != 0] = 0.0
-                return d
-
         cfg = PipelineConfig(graph_samples=1024, product_samples=512,
-                             agreement_points=200)
-        report = compress(fig_primitives, SurfaceHuggingOracle(), cfg)
-        _, used = oracle_agreement(report.tree, fig_primitives,
-                                   SurfaceHuggingOracle(), n_points=200,
-                                   seed=derive_seed(cfg.seed, 5))
-        assert 0 < used < 200
-        assert (f"oracle agreement rests on only {used} of 200 points: too few "
-                "random points fell clear of both surfaces") in report.warnings
-        full = compress(fig_primitives, fig_oracle, cfg)
-        assert not any("rests on only" in w for w in full.warnings)
-        assert list(report.to_dict()) == list(full.to_dict())
+                             agreement_points=2000)
+        report = compress(fig_primitives, InsideOnlyOracle(), cfg)
+        assert report_stats(report) == report_stats(compress(fig_primitives,
+                                                             fig_oracle, cfg))
+        assert oracle_agreement(report.tree, fig_primitives, InsideOnlyOracle(),
+                                n_points=2000, seed=derive_seed(cfg.seed, 5)) == (
+            report.oracle_agreement, 2000)
 
     def test_agreement_without_points_is_refused(self, fig_primitives, fig_oracle):
         cfg = PipelineConfig(graph_samples=256, product_samples=256,
@@ -748,6 +733,89 @@ class TestCli:
         code = main(["compress", "--primitives", str(prim_path), "--cloud", str(cloud)])
         assert capsys.readouterr().err == f"error: {tmp_path / message}\n"
         assert code == 3
+
+    @pytest.mark.parametrize("pid, field, value", [
+        ("B", "params", {"radius": float("nan")}),
+        ("C", "translation", [1.6, float("inf"), 0.0]),
+    ])
+    def test_non_finite_primitive_is_an_input_error(
+        self, fig_primitives, scene_files, tmp_path, capsys, pid, field, value
+    ):
+        # Python's json reads NaN and Infinity; nan passes every "<= 0" test.
+        _, tree_path = scene_files
+        records = [primitive_to_dict(p) for p in fig_primitives]
+        next(r for r in records if r["id"] == pid)[field] = value
+        prims = tmp_path / "bad_prims.json"
+        prims.write_text(json.dumps(records))
+        code = main(["compress", "--primitives", str(prims), "--tree", str(tree_path)])
+        assert capsys.readouterr().err == (
+            f"error: {prims}: bad primitive record: primitive {pid!r} needs "
+            "finite pose and sizes\n")
+        assert code == 3
+
+    @pytest.mark.parametrize("row", [
+        "0.5 0.5 0.5 nan nan nan",  # passes the unit-normal test: nan > tol is false
+        "0.5 nan 0.5 0 0 1",
+        "0.5 0.5 inf 0 0 1",
+    ])
+    def test_non_finite_cloud_row_is_an_input_error(self, tmp_path, capsys, row):
+        spheres = (sphere("A", (0.0, 0.0, 0.0), 1.0), sphere("B", (1.5, 0.0, 0.0), 1.0))
+        prims = tmp_path / "prims.json"
+        save_primitives(spheres, prims)
+        cloud = tmp_path / "cloud.xyz"
+        save_cloud(sample_surface(Union((Leaf("A"), Leaf("B"))), spheres, 2000, seed=0),
+                   cloud)
+        with open(cloud, "a", encoding="utf-8") as fh:
+            fh.write(row + "\n")
+        code = main(["compress", "--primitives", str(prims), "--cloud", str(cloud),
+                     "--samples", "512", "--no-timestamp"])
+        assert capsys.readouterr().err == (
+            f"error: {cloud}: points and normals must be finite\n")
+        assert code == 3
+
+    @pytest.mark.parametrize("model", [
+        "p qubo 0 2 2 1\n0 0 nan\n1 1 1\n0 1 1\n",
+        "c offset inf\np qubo 0 2 2 0\n0 0 1\n1 1 -1\n",
+    ])
+    def test_non_finite_qubo_model_is_an_input_error(self, tmp_path, capsys, model):
+        path = tmp_path / "bad.qubo"
+        path.write_text(model)
+        code = main(["qubo", "solve", "--model", str(path), "--solver", "exact"])
+        assert capsys.readouterr().err == (
+            f"error: {path}: coefficients and offset must be finite\n")
+        assert code == 3
+
+    @pytest.mark.parametrize("solver, penalty", [
+        ("qubo_exact", "nan"), ("qubo_exact", "inf"), ("qubo_sa", "inf"),
+    ])
+    def test_non_finite_cover_penalty_is_a_parameter_error(
+        self, cover5_file, capsys, solver, penalty
+    ):
+        code = main(["cover", "--instance", str(cover5_file), "--solver", solver,
+                     "--penalty-a", penalty])
+        assert capsys.readouterr().err == (
+            f"error: penalty A must be finite, got A={penalty}\n")
+        assert code == 4
+
+    @pytest.mark.parametrize("source, flag", [
+        ("--instance", "--penalty-a"), ("--instance", "--penalty-b"),
+        ("--graph", "--penalty-a"), ("--graph", "--penalty-b"),
+    ])
+    def test_non_finite_export_penalty_is_a_parameter_error(
+        self, cover5_file, tmp_path, capsys, source, flag
+    ):
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"vertices": ["a", "b", "c"],
+                                     "edges": [["a", "b"]]}))
+        out = tmp_path / "m.qubo"
+        code = main(["qubo", "export", source,
+                     str(cover5_file if source == "--instance" else graph),
+                     flag, "inf", "--out", str(out)])
+        name = flag[-1].upper()
+        assert capsys.readouterr().err == (
+            f"error: penalty {name} must be finite, got {name}=inf\n")
+        assert code == 4
+        assert not out.exists()
 
     def test_non_object_subset_is_an_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad_subset.json"

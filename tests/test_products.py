@@ -54,9 +54,6 @@ class CountingInsideOracle:
         self.calls.append(len(np.atleast_2d(points)))
         return self._oracle.inside(points)
 
-    def surface_distance(self, points):
-        raise AssertionError("the product stage only asks which points are inside")
-
 
 @pytest.fixture(scope="module")
 def fig_table(fig_primitives, fig_oracle):

@@ -161,6 +161,17 @@ class TestEnergies:
             with pytest.raises(ValueError, match="n=-1"):
                 model(-1, {}, {})
 
+    @pytest.mark.parametrize("linear, quadratic, offset", [
+        ({0: float("nan")}, {}, 0.0),
+        ({}, {(0, 1): float("inf")}, 0.0),
+        ({}, {}, float("-inf")),
+        ({}, {(0, 1): 1e308, (1, 0): 1e308}, 0.0),  # finite entries, merged to inf
+    ])
+    def test_non_finite_terms_rejected(self, linear, quadratic, offset):
+        for model in (Qubo, IsingModel):
+            with pytest.raises(ValueError, match="must be finite"):
+                model(2, linear, quadratic, offset)
+
 
 class TestConversions:
     def test_hand_case(self):
@@ -244,6 +255,22 @@ class TestCoverQubo:
         with pytest.raises(ParameterError, match="B > 0"):
             build_cover_qubo(instance, A=100.0, B=B)
 
+    @pytest.mark.parametrize("A, B", [
+        (float("nan"), None), (float("inf"), None), (None, float("inf")),
+        (100.0, float("nan")),
+    ])
+    def test_penalties_must_be_finite(self, instance, A, B):
+        name = "A" if B is None else "B"
+        with pytest.raises(ParameterError, match=f"penalty {name} must be finite"):
+            cover_penalties(instance, A, B)
+        with pytest.raises(ParameterError, match=f"penalty {name} must be finite"):
+            build_cover_qubo(instance, A, B)
+
+    def test_overflowing_penalties_are_a_parameter_error(self, instance):
+        # A finite A whose coefficients overflow: 2 * A * overlap is inf.
+        with pytest.raises(ParameterError, match="A=1e\\+308.*must be finite"):
+            build_cover_qubo(instance, A=1e308)
+
     def test_default_penalties(self, instance):
         q, _ = build_cover_qubo(instance)
         # A = n*B + 1 = 6 with B = 1; offset = A*n = 30.
@@ -313,6 +340,13 @@ class TestMaxCliqueQubo:
         g = IntersectionGraph(("a",), frozenset())
         with pytest.raises(ParameterError):
             build_max_clique_qubo(g, A=2.0, B=2.0)
+
+    @pytest.mark.parametrize("A, B", [(float("nan"), None), (None, float("inf"))])
+    def test_penalties_must_be_finite(self, A, B):
+        g = IntersectionGraph(("a", "b"), frozenset())
+        name = "A" if B is None else "B"
+        with pytest.raises(ParameterError, match=f"penalty {name} must be finite"):
+            build_max_clique_qubo(g, A=A, B=B)
 
     def test_default_penalties(self):
         g = IntersectionGraph(tuple("ABCDEF"), FIG_EDGES)

@@ -2,8 +2,9 @@
 
 ``sample_region``, ``sample_surface`` and ``oracle_agreement`` used to keep
 one hand-written "draw a batch, filter, count attempts, truncate" loop each.
-The reference implementations below are those loops as they were; every
-output of the merged routine must equal theirs bit for bit.
+The reference implementations below are those loops as they were, except
+that the agreement check no longer asks the oracle for a surface distance;
+every output of the merged routine must equal theirs bit for bit.
 """
 
 import numpy as np
@@ -141,7 +142,7 @@ def reference_oracle_agreement(tree, primitives, oracle, n_points, seed):
         batch = rng.uniform(lo, hi, size=(4096, 3))
         attempts += batch.shape[0]
         v = tree_value(tree, index_primitives(prims), batch)
-        far = (np.abs(v) > eps) & (oracle.surface_distance(batch) > eps)
+        far = np.abs(v) > eps
         batch, v = batch[far], v[far]
         if batch.shape[0] == 0:
             continue
@@ -200,6 +201,41 @@ def solids(draw):
     return tree, prims
 
 
+@st.composite
+def thin_solids(draw):
+    """Solids over one to four primitives, among them boxes with a 1e-3
+    half-extent and cylinders twenty times longer than wide."""
+    n = draw(st.integers(1, 4))
+    prims = []
+    for pid in "ABCD"[:n]:
+        shape = draw(st.sampled_from(["any", "thin box", "long cylinder"]))
+        center = (draw(_coord), draw(_coord), draw(_coord))
+        if shape == "thin box":
+            prims.append(box(pid, center, (1e-3, draw(_size), draw(_size)),
+                             draw(rotations())))
+        elif shape == "long cylinder":
+            r = draw(st.floats(0.01, 0.1))
+            prims.append(cylinder(pid, center, r, 20 * r, draw(rotations())))
+        else:
+            prims.append(draw(primitives(pid)))
+    leaves = [Leaf(p.pid) for p in prims]
+    if n == 1:
+        return draw(st.sampled_from([leaves[0], Complement(leaves[0])])), prims
+    tree = draw(st.sampled_from([
+        Union(tuple(leaves)),
+        Intersection(tuple(leaves)),
+        Union((leaves[0], *(Complement(leaf) for leaf in leaves[1:]))),
+    ]))
+    return tree, prims
+
+
+class InsideOnlyOracle:
+    """An oracle with nothing but ``inside``: here, every point is outside."""
+
+    def inside(self, points):
+        return np.zeros(len(points), dtype=bool)
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -248,19 +284,6 @@ def fig_cloud_oracle(fig_primitives, fig_minimal_tree):
     return CloudOracle(sample_surface(fig_minimal_tree, fig_primitives, 3000, seed=9))
 
 
-@pytest.fixture(scope="module")
-def lattice_oracle():
-    """A cloud oracle on a lattice just too coarse to put every point within
-    the surface margin of a unit sphere's padded box: only points near the
-    lattice cell centres count, so the check runs short of points."""
-    eps = 0.01 * 2 * np.sqrt(3.0)  # margin of a unit sphere's scene
-    step = 2 * eps / np.sqrt(3.0) * 1.04
-    axis = np.arange(-1.2, 1.2 + step, step)
-    lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
-    normals = np.tile([0.0, 0.0, 1.0], (len(lattice), 1))
-    return CloudOracle(PointCloud(lattice, normals))
-
-
 class TestOracleAgreement:
     @settings(max_examples=20)
     @given(n_points=st.integers(1, 6000), seed=_seeds,
@@ -278,10 +301,27 @@ class TestOracleAgreement:
         want = reference_oracle_agreement(tree, fig_primitives, oracle, n_points, seed)
         assert got == want
 
-    @pytest.mark.parametrize("n_points, seed", [(50, 0), (400, 1), (400, 7)])
-    def test_short_of_points_matches_reference(self, lattice_oracle, n_points, seed):
-        unit = [sphere("U", (0.0, 0.0, 0.0), 1.0)]
-        got = oracle_agreement(Leaf("U"), unit, lattice_oracle, n_points, seed)
-        want = reference_oracle_agreement(Leaf("U"), unit, lattice_oracle, n_points, seed)
-        assert got == want
-        assert got[1] < n_points
+    @pytest.mark.parametrize("which, agreement", [
+        ("minimal", 1.0), ("union", 0.9535), ("disjoint", 0.8751),
+    ])
+    def test_pins_agreement_of_right_and_wrong_trees(
+        self, fig_primitives, fig_minimal_tree, fig_oracle, which, agreement
+    ):
+        # Only the tree's own surface margin filters points, so a wrong tree
+        # is also judged near the target's surface.
+        tree = {
+            "minimal": fig_minimal_tree,
+            "union": Union(tuple(Leaf(p.pid) for p in fig_primitives)),
+            "disjoint": Union((Leaf("A"), Leaf("F"))),
+        }[which]
+        assert oracle_agreement(tree, fig_primitives, fig_oracle, seed=0) == (
+            agreement, 10_000)
+
+    @settings(max_examples=100, deadline=None)
+    @given(solid=thin_solids(), n_points=st.integers(1, 2000), seed=_seeds)
+    def test_uses_every_requested_point(self, solid, n_points, seed):
+        # Over 13% of the padded box lies beyond the union box on its longest
+        # axis by more than the margin, so the draw cap is never reached.
+        tree, prims = solid
+        _, used = oracle_agreement(tree, prims, InsideOnlyOracle(), n_points, seed)
+        assert used == n_points
