@@ -284,6 +284,20 @@ def fig_cloud_oracle(fig_primitives, fig_minimal_tree):
     return CloudOracle(sample_surface(fig_minimal_tree, fig_primitives, 3000, seed=9))
 
 
+@pytest.fixture(scope="module")
+def lattice_oracle():
+    """A cloud oracle on a lattice just too coarse to put every point within
+    the surface margin of a unit sphere's padded box. A filter on the
+    oracle's distance would keep only points near the lattice cell centres
+    and run the check short of points; the tree's own margin does not."""
+    eps = 0.01 * 2 * np.sqrt(3.0)  # margin of a unit sphere's scene
+    step = 2 * eps / np.sqrt(3.0) * 1.04
+    axis = np.arange(-1.2, 1.2 + step, step)
+    lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+    normals = np.tile([0.0, 0.0, 1.0], (len(lattice), 1))
+    return CloudOracle(PointCloud(lattice, normals))
+
+
 class TestOracleAgreement:
     @settings(max_examples=20)
     @given(n_points=st.integers(1, 6000), seed=_seeds,
@@ -316,6 +330,16 @@ class TestOracleAgreement:
         }[which]
         assert oracle_agreement(tree, fig_primitives, fig_oracle, seed=0) == (
             agreement, 10_000)
+
+    @pytest.mark.parametrize("n_points, seed", [(50, 0), (400, 1), (400, 7)])
+    def test_short_of_points_matches_reference(self, lattice_oracle, n_points, seed):
+        # The scene on which an oracle-side distance filter ran the check
+        # short: only the tree's margin filters, so every point is used.
+        unit = [sphere("U", (0.0, 0.0, 0.0), 1.0)]
+        got = oracle_agreement(Leaf("U"), unit, lattice_oracle, n_points, seed)
+        want = reference_oracle_agreement(Leaf("U"), unit, lattice_oracle, n_points, seed)
+        assert got == want
+        assert got[1] == n_points
 
     @settings(max_examples=100, deadline=None)
     @given(solid=thin_solids(), n_points=st.integers(1, 2000), seed=_seeds)
