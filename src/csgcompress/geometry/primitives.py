@@ -116,31 +116,46 @@ def cylinder(pid: str, center, radius: float, half_height: float,
                      {"radius": radius, "half_height": half_height})
 
 
+def _row_norm(*columns: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row given as its columns.
+
+    The squares are summed left to right, exactly as
+    ``np.linalg.norm(axis=1)`` sums two or three columns, so the result is
+    bit-identical to it; summing whole columns skips the norm's generic
+    reduction, which costs several times more on (N, 2) and (N, 3) arrays.
+    """
+    total = columns[0] * columns[0]
+    for column in columns[1:]:
+        total += column * column
+    return np.sqrt(total)
+
+
 def signed_distance(primitive: Primitive, points) -> np.ndarray:
-    """Signed distance from each of the (N, 3) ``points`` to the primitive; (N,)."""
+    """Signed distance from each of the (N, 3) ``points`` to the primitive; (N,).
+
+    Every norm is summed column by column (``_row_norm``), bit-identical to
+    ``np.linalg.norm(axis=1)`` on the stacked columns.
+    """
     pts = np.asarray(points, dtype=float)
     local = (pts - primitive.translation) @ primitive._rot  # rows become R^T (p - t)
+    x, y, z = local.T
     if primitive.kind == "sphere":
-        return np.linalg.norm(local, axis=1) - primitive.params["radius"]
+        return _row_norm(x, y, z) - primitive.params["radius"]
     if primitive.kind == "box":
-        q = np.abs(local) - primitive.params["half_extents"]
-    else:  # cylinder
-        radial = np.linalg.norm(local[:, :2], axis=1) - primitive.params["radius"]
-        axial = np.abs(local[:, 2]) - primitive.params["half_height"]
-        q = np.stack([radial, axial], axis=1)
-    # Exact distance outside, the deepest face distance inside.
-    return np.linalg.norm(np.maximum(q, 0.0), axis=1) + np.minimum(q.max(axis=1), 0.0)
+        qx, qy, qz = (np.abs(local) - primitive.params["half_extents"]).T
+        # Exact distance outside, the deepest face distance inside.
+        outside = _row_norm(np.maximum(qx, 0.0), np.maximum(qy, 0.0), np.maximum(qz, 0.0))
+        return outside + np.minimum(np.maximum(np.maximum(qx, qy), qz), 0.0)
+    radial = _row_norm(x, y) - primitive.params["radius"]  # cylinder
+    axial = np.abs(z) - primitive.params["half_height"]
+    outside = _row_norm(np.maximum(radial, 0.0), np.maximum(axial, 0.0))
+    return outside + np.minimum(np.maximum(radial, axial), 0.0)
 
 
 def aabb(primitive: Primitive) -> tuple[np.ndarray, np.ndarray]:
     """Conservative world-space axis-aligned bounding box (lo, hi)."""
     half = np.abs(primitive._rot) @ primitive._local_half
     return primitive.translation - half, primitive.translation + half
-
-
-def aabbs_overlap(a: tuple[np.ndarray, np.ndarray],
-                  b: tuple[np.ndarray, np.ndarray]) -> bool:
-    return bool(np.all(a[0] <= b[1]) and np.all(b[0] <= a[1]))
 
 
 def surface_area(primitive: Primitive) -> float:

@@ -12,7 +12,12 @@ relies on).
 ``sign_vector_samples`` is the one sampling pass of the graph and product
 stages: it draws interior points of every primitive and groups them by the
 set of primitives that contain them, i.e. by the cell of the primitive
-arrangement they fall in.
+arrangement they fall in.  It computes the bounding-box overlaps of all
+pairs once per pass and tests each drawn point once against each other
+primitive whose box meets its own; the drawing primitive's membership is
+known, since the draw kept only its interior points.  Rows are keyed by
+their membership bits packed into 64-bit words, so a row may span any
+number of near primitives.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from .csg import CsgNode, leaf_ids, tree_value
 from .primitives import (
     Primitive,
     aabb,
-    aabbs_overlap,
     index_primitives,
     signed_distance,
     surface_area,
@@ -106,28 +110,45 @@ def sign_vector_samples(primitives, count: int,
     seeds[i])`` draws, keyed by the ascending indices of all primitives
     that contain them (i among them).  That positive set fixes the point's
     inside/outside sign over every primitive, however many there are.  A
-    point is tested only against the primitives whose AABBs meet the AABB of
-    the one that drew it; no other can contain it.  Each group keeps the
-    draw order of its points.
+    point is tested once against each other primitive whose AABB meets the
+    AABB of the one that drew it; no other can contain it, and its own
+    column is known true, since ``sample_region`` kept the point by that
+    very test.  The membership row is packed into bits, padded to whole
+    64-bit big-endian words and the rows are stably sorted by their words,
+    so the groups come out in ascending order of their packed rows and each
+    keeps the draw order of its points.  Raises ParameterError when
+    ``count`` is below 1 and ValueError when ``seeds`` does not give one
+    seed per primitive.
     """
-    boxes = [aabb(p) for p in primitives]
+    if count < 1:
+        raise ParameterError(f"a region sample needs count >= 1, got {count}")
+    if len(seeds) != len(primitives):
+        raise ValueError(
+            f"need one seed per primitive, got {len(seeds)} for {len(primitives)}"
+        )
+    boxes = np.array([aabb(p) for p in primitives])  # (n, 2, 3): lo, hi
+    # below[i, j]: box i starts at or below the end of box j on every axis,
+    # so boxes i and j meet exactly when both below[i, j] and below[j, i].
+    below = np.all(boxes[:, None, 0] <= boxes[None, :, 1], axis=2)
+    overlap = below & below.T
     tables = []
     for i, seed in enumerate(seeds):
         pts = sample_region(primitives[i], count, seed)
-        near = [j for j, b in enumerate(boxes) if aabbs_overlap(boxes[i], b)]
-        member = np.column_stack(
-            [signed_distance(primitives[j], pts) < 0 for j in near]
-        )
-        # One opaque byte string per row, as wide as the row needs.
-        packed = np.packbits(member, axis=1)
-        _, first, which = np.unique(
-            packed.view(f"V{packed.shape[1]}").ravel(),
-            return_index=True, return_inverse=True,
-        )
-        tables.append({
-            tuple(near[j] for j in np.flatnonzero(member[f])): pts[which == r]
-            for r, f in enumerate(first)
-        })
+        near = np.flatnonzero(overlap[i]).tolist()
+        # One bit per near primitive, padded with false columns to whole words.
+        member = np.zeros((len(pts), -(-len(near) // 64) * 64), dtype=bool)
+        for c, j in enumerate(near):
+            member[:, c] = True if j == i else signed_distance(primitives[j], pts) < 0
+        words = np.packbits(member, axis=1).view(">u8")
+        order = np.lexsort(words.T[::-1])
+        ranked = words[order]
+        cuts = np.flatnonzero(np.any(ranked[1:] != ranked[:-1], axis=1)) + 1
+        table = {}
+        for group in np.split(order, cuts):
+            if len(group):  # the one group is empty when nothing was drawn
+                positives = np.flatnonzero(member[group[0], : len(near)])
+                table[tuple(near[c] for c in positives)] = pts[group]
+        tables.append(table)
     return tables
 
 

@@ -83,7 +83,8 @@ def build_intersection_graph(primitives, count: int = DEFAULT_GRAPH_SAMPLES,
 
     Misses are possible for sliver overlaps thinner than the sampling
     resolution; raise ``count`` to tighten.  Result depends only on
-    (primitives, count, seed), not on evaluation order.
+    (primitives, count, seed), not on evaluation order.  Raises
+    ParameterError when ``count`` is below 1.
     """
     prims = check_primitive_set(primitives)
     # One sub-stream per primitive so pairwise tests are order independent

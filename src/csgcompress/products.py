@@ -155,6 +155,7 @@ def enumerate_products(
 
     The witnesses of every kept cell go to ``oracle.inside`` in one call
     per table; each cell's fraction is the mean over its own slice.
+    Raises ParameterError when ``samples_per_region`` is below 1.
     """
     prims = check_primitive_set(primitives)
     ids = tuple(p.pid for p in prims)

@@ -1,10 +1,13 @@
-"""Bit-identity of the shared rejection loop against the per-caller loops it replaced.
+"""Bit-identity of the geometry kernels against the implementations they replaced.
 
 ``sample_region``, ``sample_surface`` and ``oracle_agreement`` used to keep
 one hand-written "draw a batch, filter, count attempts, truncate" loop each.
-The reference implementations below are those loops as they were, except
-that the agreement check no longer asks the oracle for a surface distance;
-every output of the merged routine must equal theirs bit for bit.
+``signed_distance`` used to take its row norms from ``np.linalg.norm``, and
+``sign_vector_samples`` used to test each point against its own primitive
+again and to group rows with ``np.unique`` over opaque byte strings.  The
+reference implementations below are that code as it was, except that the
+agreement check no longer asks the oracle for a surface distance; every
+output of the current code must equal theirs bit for bit.
 """
 
 import numpy as np
@@ -28,6 +31,7 @@ from csgcompress.geometry import (
     sample_region,
     sample_surface,
     scene_diameter,
+    sign_vector_samples,
     signed_distance,
     sphere,
     surface_area,
@@ -40,7 +44,9 @@ from csgcompress.geometry.sampling import (
     derive_rng,
     union_box,
 )
+from csgcompress.graph import build_intersection_graph
 from csgcompress.pipeline import oracle_agreement
+from csgcompress.products import enumerate_products
 
 _BATCH = 4096
 
@@ -64,6 +70,44 @@ def reference_sample_region(primitive, count, seed):
     if not accepted:
         return np.empty((0, 3))
     return np.concatenate(accepted)[:count]
+
+
+def reference_signed_distance(primitive, points):
+    pts = np.asarray(points, dtype=float)
+    local = (pts - primitive.translation) @ primitive._rot
+    if primitive.kind == "sphere":
+        return np.linalg.norm(local, axis=1) - primitive.params["radius"]
+    if primitive.kind == "box":
+        q = np.abs(local) - primitive.params["half_extents"]
+    else:
+        radial = np.linalg.norm(local[:, :2], axis=1) - primitive.params["radius"]
+        axial = np.abs(local[:, 2]) - primitive.params["half_height"]
+        q = np.stack([radial, axial], axis=1)
+    return np.linalg.norm(np.maximum(q, 0.0), axis=1) + np.minimum(q.max(axis=1), 0.0)
+
+
+def reference_sign_vector_samples(primitives, count, seeds):
+    def aabbs_overlap(a, b):
+        return bool(np.all(a[0] <= b[1]) and np.all(b[0] <= a[1]))
+
+    boxes = [aabb(p) for p in primitives]
+    tables = []
+    for i, seed in enumerate(seeds):
+        pts = reference_sample_region(primitives[i], count, seed)
+        near = [j for j, b in enumerate(boxes) if aabbs_overlap(boxes[i], b)]
+        member = np.column_stack(
+            [reference_signed_distance(primitives[j], pts) < 0 for j in near]
+        )
+        packed = np.packbits(member, axis=1)
+        _, first, which = np.unique(
+            packed.view(f"V{packed.shape[1]}").ravel(),
+            return_index=True, return_inverse=True,
+        )
+        tables.append({
+            tuple(near[j] for j in np.flatnonzero(member[f])): pts[which == r]
+            for r, f in enumerate(first)
+        })
+    return tables
 
 
 def reference_sample_surface(tree, primitives, count, seed):
@@ -246,6 +290,13 @@ def _outcome(fn, *args):
 _seeds = st.integers(0, 2**32 - 1)
 
 
+def _tilted_thin_cylinder():
+    # A sliver cylinder fills a small share of its AABB, so a large request
+    # exhausts the 64x attempt cap short of the count.
+    tilt = (np.cos(np.pi / 8), np.sin(np.pi / 8), 0.0, 0.0)  # 45 degrees about x
+    return cylinder("T", (0, 0, 0), 0.005, 1.0, tilt)
+
+
 class TestSampleRegion:
     @settings(max_examples=60)
     @given(primitive=primitives(), count=st.integers(0, 5000), seed=_seeds)
@@ -256,13 +307,85 @@ class TestSampleRegion:
         npt.assert_array_equal(got, want)
 
     def test_cap_runs_out_identically(self):
-        # A sliver cylinder fills a small share of its AABB, so a large
-        # request exhausts the 64x attempt cap short of the count.
-        tilt = (np.cos(np.pi / 8), np.sin(np.pi / 8), 0.0, 0.0)  # 45 degrees about x
-        thin = cylinder("T", (0, 0, 0), 0.005, 1.0, tilt)
+        thin = _tilted_thin_cylinder()
         got = sample_region(thin, 5000, 3)
         assert 0 < len(got) < 5000
         npt.assert_array_equal(got, reference_sample_region(thin, 5000, 3))
+
+
+class TestSignedDistance:
+    @settings(max_examples=200)
+    @given(primitive=primitives(), seed=_seeds, scale=st.floats(0.01, 4.0))
+    def test_matches_norm_formula(self, primitive, seed, scale):
+        rng = np.random.default_rng(seed)
+        t, rot = primitive.translation, primitive._rot
+        steps = scale * np.array([-1.0, -0.5, 0.0, 0.5, 1.0])[:, None]
+        points = np.vstack([
+            t + scale * rng.normal(size=(64, 3)),
+            t,  # the centre
+            *(t + steps * rot[:, k] for k in range(3)),  # on the local axes
+            [[-0.0, -0.0, -0.0], [-0.0, 0.0, -0.0], [0.0, -0.0, 1.0], [-1.0, -0.0, 0.0]],
+        ])
+        npt.assert_array_equal(
+            signed_distance(primitive, points),
+            reference_signed_distance(primitive, points),
+            strict=True,
+        )
+
+
+def assert_same_tables(got, want):
+    """Same keys in the same order, and the same points in the same order."""
+    assert len(got) == len(want)
+    for got_table, want_table in zip(got, want):
+        assert list(got_table) == list(want_table)
+        for key, pts in want_table.items():
+            npt.assert_array_equal(got_table[key], pts, strict=True)
+
+
+class TestSignVectorSamples:
+    @settings(max_examples=100)
+    @given(data=st.data(), n=st.integers(1, 5), count=st.integers(1, 800))
+    def test_matches_reference(self, data, n, count):
+        prims = [data.draw(primitives(pid)) for pid in "ABCDE"[:n]]
+        seeds = [data.draw(_seeds) for _ in prims]
+        assert_same_tables(sign_vector_samples(prims, count, seeds),
+                           reference_sign_vector_samples(prims, count, seeds))
+
+    def test_rows_wider_than_one_word(self):
+        # 70 spheres whose boxes all meet: each membership row spans two
+        # 64-bit words, and some groups differ only in the second one.
+        centres = np.random.default_rng(5).uniform(-0.5, 0.5, size=(70, 3))
+        prims = [sphere(f"S{i}", c, 1.0) for i, c in enumerate(centres)]
+        seeds = list(range(70))
+        want = reference_sign_vector_samples(prims, 100, seeds)
+        assert any(
+            a != b and [j for j in a if j < 64] == [j for j in b if j < 64]
+            for table in want for a in table for b in table
+        )
+        assert_same_tables(sign_vector_samples(prims, 100, seeds), want)
+
+    def test_short_sample(self):
+        prims = [_tilted_thin_cylinder(), sphere("S", (0.0, 0.3, 0.0), 0.5)]
+        got = sign_vector_samples(prims, 5000, [3, 4])
+        assert 0 < sum(map(len, got[0].values())) < 5000
+        assert_same_tables(got, reference_sign_vector_samples(prims, 5000, [3, 4]))
+
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_count_below_one_is_refused(self, count):
+        prims = [sphere("A", (0, 0, 0), 1.0), sphere("B", (1, 0, 0), 1.0)]
+        with pytest.raises(ParameterError, match="count >= 1"):
+            sign_vector_samples(prims, count, [1, 2])
+        with pytest.raises(ParameterError, match="count >= 1"):
+            build_intersection_graph(prims, count=count)
+        graph = build_intersection_graph(prims)
+        with pytest.raises(ParameterError, match="count >= 1"):
+            enumerate_products(prims, graph, InsideOnlyOracle(), samples_per_region=count)
+
+    @pytest.mark.parametrize("seeds", [[1], [1, 2, 3]])
+    def test_one_seed_per_primitive(self, seeds):
+        prims = [sphere("A", (0, 0, 0), 1.0), sphere("B", (1, 0, 0), 1.0)]
+        with pytest.raises(ValueError, match="one seed per primitive"):
+            sign_vector_samples(prims, 10, seeds)
 
 
 class TestSampleSurface:
