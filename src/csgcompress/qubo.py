@@ -25,6 +25,7 @@ penalty, coefficient and offset must be finite.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,6 +259,10 @@ class AnnealSchedule:
             raise ParameterError(
                 f"need t_start > t_end > 0 (got {self.t_start}, {self.t_end})"
             )
+        for field in ("sweeps", "restarts"):
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ParameterError(f"{field} must be an integer, got {value!r}")
         if self.sweeps < 1 or self.restarts < 1:
             raise ParameterError("sweeps and restarts must be >= 1")
 
@@ -269,15 +274,25 @@ class AnnealSchedule:
 
 
 def default_schedule(q: Qubo) -> AnnealSchedule:
-    """t_start = max |coefficient|, t_end = 0.01, sweeps = 1000 n, 32 restarts.
+    """t_start = max |coefficient|, t_end = 0.01, sweeps = 30 n, 256 restarts.
 
     One sweep is one single-flip Metropolis attempt.  For models whose
     coefficients are all below the 0.01 floor, t_start falls back to 1.
+
+    The restarts run in lockstep, so a run's time grows with sweeps x
+    restarts.  The point was chosen from the time-to-solution curve of
+    ``tools/sa_tts.py`` (``BENCH_sa_schedule.json``): it is the fastest on
+    that grid whose single run reaches the optimum with probability at
+    least 0.99 on the reference-scene, 6-sphere and 12-sphere chain cover
+    QUBOs (19, 25 and 55 variables), and did on all 8 seeds tried.  The
+    headroom is in size: the 12-sphere chain is twice the largest model
+    the ``anneal`` benchmark anneals, where one restart succeeds with
+    p = 0.15-0.20 and one run fails with probability below 1e-18.
     """
     t_start = q.max_abs_coefficient()
     if t_start <= 0.01:
         t_start = 1.0
-    return AnnealSchedule(t_start, 0.01, 1000 * max(q.n, 1), 32)
+    return AnnealSchedule(t_start, 0.01, 30 * max(q.n, 1), 256)
 
 
 @dataclass(frozen=True)

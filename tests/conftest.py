@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from csgcompress.cover import generate_candidates, solve_cover_dlx
 from csgcompress.geometry import (
     Complement,
     Intersection,
@@ -22,6 +23,9 @@ from csgcompress.geometry import (
     cylinder,
     sphere,
 )
+from csgcompress.graph import maximal_cliques_bk
+from csgcompress.products import abstract_instance_from_dict
+from csgcompress.qubo import build_cover_qubo, qubo_energy
 
 # Property tests run the same examples on every run and carry no per-example
 # deadline, whose wall-clock gate would flake on a loaded two-CPU machine.
@@ -145,3 +149,29 @@ def chain_primitives():
 @pytest.fixture(scope="session")
 def chain_tree(chain_primitives):
     return Union(tuple(Leaf(p.pid) for p in chain_primitives))
+
+
+# --------------------------------------------------------------------------
+# Cover QUBOs of abstract instances, with their exact minima
+# --------------------------------------------------------------------------
+
+def sphere_chain_instance(k):
+    """k primitives in a row, each overlapping its neighbours; target = union."""
+    ids = [f"P{i:02d}" for i in range(k)]
+    pairs = [[a, b] for a, b in zip(ids, ids[1:])]
+    return {
+        "primitives": ids,
+        "edges": pairs,
+        "products": [{"positives": c, "inside": True}
+                     for c in [[p] for p in ids] + pairs],
+    }
+
+
+def abstract_cover_qubo(instance_dict):
+    """The cover QUBO ``compress --abstract`` builds, and the energy of
+    ``solve_cover_dlx``'s selection: its exact minimum."""
+    graph, table = abstract_instance_from_dict(instance_dict)
+    instance = generate_candidates(table, maximal_cliques_bk(graph), graph)
+    q, _names = build_cover_qubo(instance)
+    selected = set(solve_cover_dlx(instance).selected)
+    return q, qubo_energy(q, [int(i in selected) for i in range(q.n)])

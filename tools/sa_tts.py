@@ -1,0 +1,262 @@
+#!/usr/bin/env python3
+"""Time-to-solution of the annealer's schedules on the cover QUBOs.
+
+Run from the root of a source checkout:
+
+    python3 tools/sa_tts.py --out BENCH_sa_schedule.json
+
+The instances are the cover QUBOs of the ``stagebench`` scenes: the
+reference scene and the 6-sphere chain of the ``anneal`` workload, plus
+chains of 12 to 24 spheres.  Each is built from the scene's known cells,
+overlaps and inside cells, as ``csgc compress --abstract`` reads them, so
+it is the QUBO ``compress`` builds whenever its sampling finds the cells.
+The optimum is the energy of ``solve_cover_dlx``'s selection.
+
+For every point of the grid (sweeps = f * n for f in ``SWEEPS_PER_VARIABLE``,
+restarts in ``RESTARTS``), and for the current ``default_schedule``, the
+tool reports
+
+* per-restart success p: the share of restarts, over ``SEEDS`` seeds,
+  whose best energy is the optimum;
+* how many seeds' runs reach the optimum;
+* t_run, the median wall time of ``REPEATS`` ``solve_sa`` calls;
+* p_run = 1 - (1 - p)^R and TTS99, the expected time to reach the optimum
+  with 99% probability by repeating the run (``tts99``).
+
+Each restart runs its own random stream, so a run of R restarts is the
+first R restarts of a wider run with the same seed.  The tool therefore
+anneals each (instance, sweeps, seed) once, at the widest grid restarts
+whose proposal tables fit in ``TABLE_BUDGET``, and reads narrower runs off
+its prefix; wider points are reported as over the budget.  Keys of an
+existing output file that the tool does not write are kept.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import statistics
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+if __name__ == "__main__":
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+import numpy as np  # noqa: E402
+
+from csgcompress import qubo  # noqa: E402
+from csgcompress.cover import generate_candidates, solve_cover_dlx  # noqa: E402
+from csgcompress.pipeline import PipelineConfig, find_cliques  # noqa: E402
+from csgcompress.products import abstract_instance_from_dict  # noqa: E402
+from stagebench import scenes  # noqa: E402
+
+SWEEPS_PER_VARIABLE = (10, 20, 30, 50, 100, 300, 1000)
+RESTARTS = (32, 64, 128, 256, 512)
+CHAINS = (12, 16, 20, 24)
+# The instances the default must solve on every seed (tests/test_qubo.py
+# checks the same three); the larger chains are recorded, not required.
+GUARDED = ("reference", "chain6", "chain12")
+TARGET = 0.99  # the success probability TTS is quoted for
+SEEDS = 8
+REPEATS = 3  # timed solve_sa calls per point
+# Largest proposal tables one measuring run may allocate: 1000 n x 512
+# restarts would take 0.9 GiB on chain24.
+TABLE_BUDGET = 256 * 2**20
+MEMORY_CHAIN = 40  # chain whose default run's memory is recorded (195 variables)
+
+
+def tts99(t_run: float, p_run: float) -> float:
+    """Expected time to reach the optimum with probability 0.99.
+
+    A run of ``t_run`` seconds reaches it with probability ``p_run``, so
+    ln(0.01) / ln(1 - p_run) independent runs, and never fewer than one,
+    reach it with probability 0.99.  A run that never succeeds gives inf.
+    """
+    if p_run >= 1.0:
+        return t_run
+    if p_run <= 0.0:
+        return math.inf
+    return t_run * max(1.0, math.log(1.0 - TARGET) / math.log1p(-p_run))
+
+
+def run_success(p: float, restarts: int) -> float:
+    """Probability that at least one of ``restarts`` independent restarts succeeds."""
+    return 1.0 - (1.0 - p) ** restarts
+
+
+def table_bytes(sweeps: int, restarts: int) -> int:
+    """Bytes of ``solve_sa``'s two proposal tables."""
+    return 16 * restarts * (sweeps + qubo._MAX_BLOCK)
+
+
+def cover_qubo(scene: scenes.Scene):
+    """The scene's cover QUBO and the energy of the smallest exact cover."""
+    inside = scene.inside_cells()
+    graph, table = abstract_instance_from_dict({
+        "primitives": list(scene.ids),
+        "edges": [list(e) for e in sorted(scene.edges())],
+        "products": [{"positives": sorted(c), "inside": c in inside}
+                     for c in scene.cells],
+    })
+    instance = generate_candidates(table, find_cliques(graph), graph,
+                                   PipelineConfig.mode)
+    q, _names = qubo.build_cover_qubo(instance)
+    selected = set(solve_cover_dlx(instance).selected)
+    return q, qubo.qubo_energy(q, [int(i in selected) for i in range(q.n)])
+
+
+def instances() -> dict:
+    """Name -> scene of every measured instance; scene geometry is seed-free."""
+    rng = np.random.default_rng([0, 0x5CE7E])
+    found = {s.name: s for s in scenes.workload_scenes("anneal", 0)}
+    for n in CHAINS:
+        s = scenes.chain_scene(rng, n, "tree", "qubo_sa")
+        found[s.name] = s
+    return found
+
+
+def reached(q, schedule, seed: int, optimum: float) -> np.ndarray:
+    """Whether each restart of ``solve_sa(q, schedule, seed)`` reaches ``optimum``."""
+    best_E, _bits = qubo._anneal(q, schedule, seed)
+    return best_E <= optimum + 1e-9 * max(1.0, abs(optimum))
+
+
+def seeds_reached(hits: np.ndarray, restarts: int) -> int:
+    """Seeds whose first ``restarts`` restarts include a success (rows are seeds)."""
+    return int(np.count_nonzero(hits[:, :restarts].any(axis=1)))
+
+
+def median_time(q, schedule) -> float:
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        qubo.solve_sa(q, schedule, seed=0)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
+def curve(q, optimum: float, points) -> list:
+    """One record per (sweeps per variable, restarts) point."""
+    t_start = qubo.default_schedule(q).t_start
+    records = []
+    for f in sorted({f for f, _ in points}):
+        sweeps = f * q.n
+        widths = sorted(r for g, r in points if g == f)
+        fit = [r for r in widths if table_bytes(sweeps, r) <= TABLE_BUDGET]
+        if fit:
+            wide = qubo.AnnealSchedule(t_start, 0.01, sweeps, fit[-1])
+            hits = np.array([reached(q, wide, s, optimum) for s in range(SEEDS)])
+            p = float(hits.mean())
+        for r in widths:
+            rec = {"sweeps_per_variable": f, "restarts": r,
+                   "table_mib": round(table_bytes(sweeps, r) / 2**20, 2)}
+            if r not in fit:
+                rec["skipped"] = "proposal tables above TABLE_BUDGET"
+                records.append(rec)
+                continue
+            t_run = median_time(q, qubo.AnnealSchedule(t_start, 0.01, sweeps, r))
+            p_run = run_success(p, r)
+            tts = tts99(t_run, p_run)
+            rec.update({
+                "p_restart": round(p, 5),
+                "restarts_sampled": int(hits.size),
+                "seeds_reached": seeds_reached(hits, r),
+                "seeds": SEEDS,
+                "t_run_s": round(t_run, 5),
+                "p_run": round(p_run, 6),
+                "tts99_s": round(tts, 5) if math.isfinite(tts) else "not reached",
+            })
+            records.append(rec)
+    return records
+
+
+def choose(curves: dict) -> dict | None:
+    """The grid point of least summed t_run over the ``GUARDED`` instances,
+    among those where each guarded instance reached the optimum on every
+    seed and one run reaches it with probability at least ``TARGET``, so
+    that a single run is its own TTS99.  None if no point qualifies."""
+    best = None
+    for f in SWEEPS_PER_VARIABLE:
+        for r in RESTARTS:
+            recs = [next(x for x in curves[name]
+                         if (x["sweeps_per_variable"], x["restarts"]) == (f, r))
+                    for name in GUARDED]
+            if any("skipped" in x or x["seeds_reached"] < x["seeds"]
+                   or x["p_run"] < TARGET for x in recs):
+                continue
+            cost = sum(x["t_run_s"] for x in recs)
+            if best is None or cost < best[0]:
+                best = (cost, f, r)
+    if best is None:
+        return None
+    return {"sweeps_per_variable": best[1], "restarts": best[2],
+            "guarded_t_run_s": round(best[0], 5)}
+
+
+def default_memory(q) -> dict:
+    """Table bytes and ``tracemalloc`` peak of one default ``solve_sa`` run."""
+    sched = qubo.default_schedule(q)
+    tracemalloc.start()
+    try:
+        qubo.solve_sa(q, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"variables": q.n,
+            "table_mib": round(table_bytes(sched.sweeps, sched.restarts) / 2**20, 2),
+            "tracemalloc_peak_mib": round(peak / 2**20, 2)}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_sa_schedule.json")
+    args = ap.parse_args(argv)
+
+    result = {}
+    curves = {}
+    for name, scene in instances().items():
+        q, optimum = cover_qubo(scene)
+        d = qubo.default_schedule(q)
+        default = (d.sweeps // q.n, d.restarts)
+        points = {(f, r) for f in SWEEPS_PER_VARIABLE for r in RESTARTS} | {default}
+        t0 = time.perf_counter()
+        curves[name] = curve(q, optimum, points)
+        print(f"{name}: {q.n} variables, {time.perf_counter() - t0:.1f} s",
+              file=sys.stderr, flush=True)
+        result[name] = {
+            "variables": q.n,
+            "optimum_energy": optimum,
+            "default": next(x for x in curves[name]
+                            if (x["sweeps_per_variable"], x["restarts"]) == default),
+            "curve": curves[name],
+        }
+    q40, _ = cover_qubo(scenes.chain_scene(np.random.default_rng(0), MEMORY_CHAIN,
+                                           "tree", "qubo_sa"))
+    out = json.loads(args.out.read_text()) if args.out.exists() else {}
+    out.update({
+        "tool": "python3 tools/sa_tts.py " + " ".join(argv or sys.argv[1:]),
+        "hardware": f"{len(os.sched_getaffinity(0))} CPUs, "
+                    f"{platform.system()}, Python {platform.python_version()}, "
+                    f"numpy {np.__version__}",
+        "seeds": SEEDS,
+        "target": TARGET,
+        "guarded": list(GUARDED),
+        "default_schedule": {
+            "sweeps_per_variable": default[0], "restarts": default[1]},
+        "chosen": choose(curves),
+        "instances": result,
+        f"chain{MEMORY_CHAIN}_default_memory": default_memory(q40),
+    })
+    args.out.write_text(json.dumps(out, indent=2) + "\n")
+    print(json.dumps(out["chosen"]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
