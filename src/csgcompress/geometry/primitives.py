@@ -158,6 +158,15 @@ def aabb(primitive: Primitive) -> tuple[np.ndarray, np.ndarray]:
     return primitive.translation - half, primitive.translation + half
 
 
+def bounding_radius(primitive: Primitive) -> float:
+    """Radius of the smallest ball about the translation that holds the solid."""
+    if primitive.kind == "sphere":
+        return primitive.params["radius"]
+    if primitive.kind == "box":
+        return float(np.linalg.norm(primitive.params["half_extents"]))
+    return math.hypot(primitive.params["radius"], primitive.params["half_height"])
+
+
 def surface_area(primitive: Primitive) -> float:
     """Total surface area, used to weight surface sampling."""
     if primitive.kind == "sphere":

@@ -3,21 +3,24 @@
 All randomness flows from explicit integer seeds through
 ``numpy.random.SeedSequence``, so results are reproducible bit for bit and
 parallel callers can derive independent per-task streams from one master
-seed.  ``rejection_sample``, the one rejection loop (the pipeline's
-agreement check uses it too), draws fixed-size attempt batches; with the same
-seed, runs that ask for more points extend the accepted sequence of runs
-that asked for fewer (a prefix property the intersection-graph builder
-relies on).
+seed.  ``rejection_batches`` is the one rejection loop: it yields the kept
+rows of fixed-size attempt batches, and ``rejection_sample`` (which the
+surface sampler and the pipeline's agreement check use), ``region_batches``
+and ``sample_region`` all consume it.  With the same seed, runs that ask
+for more points extend the accepted sequence of runs that asked for fewer
+(a prefix property the intersection-graph builder relies on when it stops
+a primitive's draw early).
 
-``sign_vector_samples`` is the one sampling pass of the graph and product
-stages: it draws interior points of every primitive and groups them by the
-set of primitives that contain them, i.e. by the cell of the primitive
-arrangement they fall in.  It computes the bounding-box overlaps of all
-pairs once per pass and tests each drawn point once against each other
-primitive whose box meets its own; the drawing primitive's membership is
-known, since the draw kept only its interior points.  Rows are keyed by
-their membership bits packed into 64-bit words, so a row may span any
-number of near primitives.
+``near_pairs`` is the one pair filter of the graph and product stages:
+two primitives can share an interior point only when their bounding boxes
+meet and their bounding balls meet.  ``sign_vector_samples`` is the
+product stage's sampling pass: it draws interior points of every primitive
+and groups them by the set of primitives that contain them, i.e. by the
+cell of the primitive arrangement they fall in.  Each drawn point is
+tested once against each other primitive near its own; the drawing
+primitive's membership is known, since the draw kept only its interior
+points.  Rows are keyed by their membership bits packed into 64-bit
+words, so a row may span any number of near primitives.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .csg import CsgNode, leaf_ids, tree_value
 from .primitives import (
     Primitive,
     aabb,
+    bounding_radius,
     index_primitives,
     signed_distance,
     surface_area,
@@ -38,6 +42,10 @@ from .primitives import (
 _BATCH = 4096
 _ATTEMPT_FACTOR = 64  # rejection cap: ~64 attempts per requested point
 _SURFACE_ATTEMPT_FACTOR = 512
+# Relative slack of the bounding-ball test.  A rotation from a quaternion
+# accepted within 1e-9 of unit norm may shrink lengths by a few parts in
+# 1e9, so a point a primitive calls inside may lie that far past its ball.
+_BALL_SLACK = 1e-6
 
 
 def derive_rng(master_seed: int, *key) -> np.random.Generator:
@@ -65,24 +73,45 @@ def scene_diameter(primitives) -> float:
     return float(np.linalg.norm(hi - lo))
 
 
-def rejection_sample(draw, accept, count: int, max_attempts: int) -> tuple[np.ndarray, ...]:
-    """The kept rows of ``_BATCH``-row batches, up to ``count`` of them.
+def rejection_batches(draw, accept, count: int, max_attempts: int):
+    """Yield the kept rows of ``_BATCH``-row batches, ``count`` rows in all at most.
 
     ``draw(n)`` returns n candidate rows; ``accept(rows)`` returns the kept
     ones as a tuple of row-aligned arrays (the points first, then any
     per-point values the filter computed).  Batches are drawn until
-    ``count`` rows are kept or ``max_attempts`` rows are drawn.  Returns each
-    array concatenated in draw order and truncated to ``count``; the tuple
-    is empty when no batch was drawn.
+    ``count`` rows are kept or ``max_attempts`` rows are drawn; each yield
+    is one batch's tuple, cut short where it would pass ``count``.  A
+    caller may stop early: every batch is drawn only when asked for.
     """
-    parts = []
     kept = attempts = 0
     while kept < count and attempts < max_attempts:
-        arrays = accept(draw(_BATCH))
+        arrays = tuple(a[: count - kept] for a in accept(draw(_BATCH)))
         attempts += _BATCH
-        parts.append(arrays)
         kept += len(arrays[0])
-    return tuple(np.concatenate(column)[:count] for column in zip(*parts))
+        yield arrays
+
+
+def rejection_sample(draw, accept, count: int, max_attempts: int) -> tuple[np.ndarray, ...]:
+    """Every batch of ``rejection_batches``, each array concatenated in draw order.
+
+    The tuple is empty when no batch was drawn.
+    """
+    return tuple(
+        np.concatenate(column)
+        for column in zip(*rejection_batches(draw, accept, count, max_attempts))
+    )
+
+
+def region_batches(primitive: Primitive, count: int, seed: int):
+    """Yield ``sample_region``'s points one attempt batch at a time."""
+    lo, hi = aabb(primitive)
+    rng = np.random.default_rng(int(seed))
+    for (pts,) in rejection_batches(
+        lambda n: rng.uniform(lo, hi, size=(n, 3)),
+        lambda pts: (pts[signed_distance(primitive, pts) < 0],),
+        count, _ATTEMPT_FACTOR * count,
+    ):
+        yield pts
 
 
 def sample_region(primitive: Primitive, count: int, seed: int) -> np.ndarray:
@@ -93,13 +122,32 @@ def sample_region(primitive: Primitive, count: int, seed: int) -> np.ndarray:
     """
     if count <= 0:
         return np.empty((0, 3))
-    lo, hi = aabb(primitive)
-    rng = np.random.default_rng(int(seed))
-    return rejection_sample(
-        lambda n: rng.uniform(lo, hi, size=(n, 3)),
-        lambda pts: (pts[signed_distance(primitive, pts) < 0],),
-        count, _ATTEMPT_FACTOR * count,
-    )[0]
+    return np.concatenate(list(region_batches(primitive, count, seed)))
+
+
+def check_sample_count(count: int) -> None:
+    """Refuse a per-primitive interior sample count below 1 (ParameterError)."""
+    if count < 1:
+        raise ParameterError(f"a region sample needs count >= 1, got {count}")
+
+
+def near_pairs(primitives) -> np.ndarray:
+    """(n, n) bool matrix: entry (i, j) is false when no point can lie inside both.
+
+    Primitives i and j are near when their AABBs meet and their bounding
+    balls (``bounding_radius`` about the translation) meet, the latter
+    with a relative slack of ``_BALL_SLACK``.  The matrix is symmetric and
+    its diagonal is true.
+    """
+    boxes = np.array([aabb(p) for p in primitives])  # (n, 2, 3): lo, hi
+    # below[i, j]: box i starts at or below the end of box j on every axis,
+    # so boxes i and j meet exactly when both below[i, j] and below[j, i].
+    below = np.all(boxes[:, None, 0] <= boxes[None, :, 1], axis=2)
+    centres = np.array([p.translation for p in primitives])
+    radii = np.array([bounding_radius(p) for p in primitives])
+    gaps = np.linalg.norm(centres[:, None] - centres[None, :], axis=2)
+    reach = (radii[:, None] + radii[None, :]) * (1.0 + _BALL_SLACK)
+    return below & below.T & (gaps <= reach)
 
 
 def sign_vector_samples(primitives, count: int,
@@ -111,30 +159,27 @@ def sign_vector_samples(primitives, count: int,
     that contain them (i among them).  That positive set fixes the point's
     inside/outside sign over every primitive, however many there are.  A
     point is tested once against each other primitive whose AABB meets the
-    AABB of the one that drew it; no other can contain it, and its own
-    column is known true, since ``sample_region`` kept the point by that
-    very test.  The membership row is packed into bits, padded to whole
-    64-bit big-endian words and the rows are stably sorted by their words,
-    so the groups come out in ascending order of their packed rows and each
-    keeps the draw order of its points.  Raises ParameterError when
-    ``count`` is below 1 and ValueError when ``seeds`` does not give one
-    seed per primitive.
+    AABB of the one that drew it and whose bounding ball meets its ball
+    (``near_pairs``); no other can contain it, and its own column is known
+    true, since ``sample_region`` kept the point by that very test.  The
+    membership row is packed into bits, padded to whole 64-bit big-endian
+    words and the rows are stably sorted by their words, so the groups come
+    out in ascending order of their packed rows and each keeps the draw
+    order of its points.  A pair the ball test drops has an all-false
+    column, so dropping it moves no row in that order.  Raises
+    ParameterError when ``count`` is below 1 and ValueError when ``seeds``
+    does not give one seed per primitive.
     """
-    if count < 1:
-        raise ParameterError(f"a region sample needs count >= 1, got {count}")
+    check_sample_count(count)
     if len(seeds) != len(primitives):
         raise ValueError(
             f"need one seed per primitive, got {len(seeds)} for {len(primitives)}"
         )
-    boxes = np.array([aabb(p) for p in primitives])  # (n, 2, 3): lo, hi
-    # below[i, j]: box i starts at or below the end of box j on every axis,
-    # so boxes i and j meet exactly when both below[i, j] and below[j, i].
-    below = np.all(boxes[:, None, 0] <= boxes[None, :, 1], axis=2)
-    overlap = below & below.T
+    near_matrix = near_pairs(primitives)
     tables = []
     for i, seed in enumerate(seeds):
         pts = sample_region(primitives[i], count, seed)
-        near = np.flatnonzero(overlap[i]).tolist()
+        near = np.flatnonzero(near_matrix[i]).tolist()
         # One bit per near primitive, padded with false columns to whole words.
         member = np.zeros((len(pts), -(-len(near) // 64) * 64), dtype=bool)
         for c, j in enumerate(near):

@@ -1,22 +1,28 @@
 """Primitive intersection graph and maximal clique enumeration.
 
 Vertices are primitive ids; an edge means the two solids' volumes overlap.
-Overlap is detected by sampling: each primitive gets a deterministic batch
+Overlap is detected by sampling: each primitive gets a deterministic draw
 of interior points (its own seed derived from the master seed), and a pair
-is connected when either batch hits the other solid.  The batches are
-``sign_vector_samples``' groups, so each point is only tested against the
-primitives whose AABBs meet its own primitive's.  Maximal cliques come from
-Bron-Kerbosch with pivoting; all outputs are canonically ordered so
-downstream candidate generation is deterministic.
+is connected when either draw hits the other solid.  Only the pairs
+``near_pairs`` keeps (bounding boxes and bounding balls meet) are tested,
+and a pair is decided by its first hit: each primitive's draw is walked one
+attempt batch at a time against the near pairs not yet joined, and stops
+once none is left open.  The edges are those of testing every kept point
+against every primitive.  An exact convex overlap test is the planned
+replacement for this sampled pass.  Maximal cliques come from Bron-Kerbosch
+with pivoting; all outputs are canonically ordered so downstream candidate
+generation is deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import FileFormatError, json_array, read_json
-from .geometry import check_primitive_set, sign_vector_samples
-from .geometry.sampling import derive_seed
+from .geometry import check_primitive_set, signed_distance
+from .geometry.sampling import check_sample_count, derive_seed, near_pairs, region_batches
 
 DEFAULT_GRAPH_SAMPLES = 4096
 
@@ -81,23 +87,34 @@ def build_intersection_graph(primitives, count: int = DEFAULT_GRAPH_SAMPLES,
                              seed: int = 0) -> IntersectionGraph:
     """Detect pairwise volume overlaps by point sampling.
 
-    Misses are possible for sliver overlaps thinner than the sampling
-    resolution; raise ``count`` to tighten.  Result depends only on
-    (primitives, count, seed), not on evaluation order.  Raises
-    ParameterError when ``count`` is below 1.
+    Primitives i and j are joined when one of the first ``count`` interior
+    points drawn for i (``sample_region`` with i's sub-seed) lies inside j,
+    or one of j's lies inside i.  Misses are possible for sliver overlaps
+    thinner than the sampling resolution; raise ``count`` to tighten.
+    Result depends only on (primitives, count, seed), not on evaluation
+    order.  Raises ParameterError when ``count`` is below 1.
     """
     prims = check_primitive_set(primitives)
+    check_sample_count(count)
     # One sub-stream per primitive so pairwise tests are order independent
     # and edge detection is monotone in the sample count.
     seeds = [derive_seed(seed, _SEED_NAMESPACE, i) for i in range(len(prims))]
-    edges = frozenset(
-        (prims[i].pid, prims[j].pid)
-        for i, groups in enumerate(sign_vector_samples(prims, count, seeds))
-        for positives in groups
-        for j in positives
-        if j != i
-    )
-    return IntersectionGraph(tuple(p.pid for p in prims), edges)
+    open_pairs = near_pairs(prims)  # row i: the pairs i's draw still tests
+    np.fill_diagonal(open_pairs, False)
+    edges = set()
+    for i, prim in enumerate(prims):
+        targets = np.flatnonzero(open_pairs[i]).tolist()
+        if not targets:
+            continue
+        for pts in region_batches(prim, count, seeds[i]):
+            hits = [j for j in targets if np.any(signed_distance(prims[j], pts) < 0)]
+            for j in hits:
+                open_pairs[j, i] = False  # j's own draw need not test i
+                edges.add((prim.pid, prims[j].pid))
+            targets = [j for j in targets if j not in hits]
+            if not targets:
+                break
+    return IntersectionGraph(tuple(p.pid for p in prims), frozenset(edges))
 
 
 def induced_subgraph(graph: IntersectionGraph, keep) -> IntersectionGraph:

@@ -305,7 +305,8 @@ def solve_cover(
     minimise the cover QUBO (penalties left as None take ``cover_penalties``'
     defaults).  ``qubo_sa`` runs ``schedule`` (None picks the default) and,
     on models of at most 20 variables, also records its energy gap to the
-    exhaustive minimum.  An instance with an element no candidate covers is
+    exhaustive minimum; ``compress`` warns when that gap is positive or
+    was not checked.  An instance with an element no candidate covers is
     refused before any solver runs.  Every selection is verified to be an
     exact cover.
     """
@@ -343,6 +344,22 @@ def solve_cover(
             f"covered); no cover may exist{short}"
         )
     return solution, meta
+
+
+def _sa_warnings(meta: dict) -> list[str]:
+    """What a ``qubo_sa`` cover's metadata says against trusting it as smallest."""
+    gap = meta.get("sa_exact_gap")
+    if gap is None:
+        return [
+            f"qubo_sa result over {meta['variables']} variables was not checked "
+            f"against the exact minimum (limit {_SA_GAP_CHECK_LIMIT})"
+        ]
+    if gap > 0:
+        return [
+            f"qubo_sa cover is not the smallest: its energy is {gap:g} above "
+            "the exact minimum"
+        ]
+    return []
 
 
 def _require_inside_products(table: ProductTable) -> None:
@@ -385,6 +402,8 @@ def _compress_from_table(
         schedule=cfg.schedule,
         seed=derive_seed(cfg.seed, 4),
     )
+    if cfg.cover_solver == "qubo_sa":
+        warnings.extend(_sa_warnings(solver_meta))
     tree = _staged("assemble", assemble_tree, solution, instance)
     agreement = None
     if oracle is not None:

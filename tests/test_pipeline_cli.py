@@ -49,6 +49,7 @@ from csgcompress.products import (
     table_to_dict,
 )
 from csgcompress.qubo import AnnealSchedule
+from tests.conftest import sphere_chain_instance
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -194,6 +195,35 @@ class TestCompressAbstract:
         assert report.bounds["partitioned"] == 11 * 7
         assert report.candidate_count <= report.bounds["partitioned"]
         assert report.oracle_agreement >= 0.999
+
+    def test_unchecked_sa_cover_is_flagged(self):
+        # A 6-sphere chain's cover QUBO has 25 variables, past the limit of
+        # the exhaustive gap check; 5 spheres give 20 and are checked.
+        graph, table = abstract_instance_from_dict(sphere_chain_instance(6))
+        report = compress_abstract(graph, table, PipelineConfig(cover_solver="qubo_sa"))
+        assert "sa_exact_gap" not in report.solver
+        assert report.warnings == (
+            "qubo_sa result over 25 variables was not checked against the "
+            "exact minimum (limit 20)",
+        )
+        graph, table = abstract_instance_from_dict(sphere_chain_instance(5))
+        report = compress_abstract(graph, table, PipelineConfig(cover_solver="qubo_sa"))
+        assert report.solver["variables"] == 20
+        assert report.solver["sa_exact_gap"] == 0
+        assert report.warnings == ()
+
+    def test_sa_cover_above_the_minimum_is_flagged(self):
+        # Ten sweeps cooling only to 0.5 leave this seed in a larger cover.
+        graph, table = abstract_instance_from_dict(sphere_chain_instance(3))
+        cfg = PipelineConfig(cover_solver="qubo_sa", seed=20,
+                             schedule=AnnealSchedule(2.0, 0.5, 10, 1))
+        report = compress_abstract(graph, table, cfg)
+        assert report.solver["sa_exact_gap"] == 1.0
+        assert (report.subsets_used, report.total_literals) != (3, 5)
+        assert report.warnings == (
+            "qubo_sa cover is not the smallest: its energy is 1 above the exact "
+            "minimum",
+        )
 
 
 class TestSolveCover:
