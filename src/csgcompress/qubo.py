@@ -281,10 +281,12 @@ def default_schedule(q: Qubo) -> AnnealSchedule:
 
     The restarts run in lockstep, so a run's time grows with sweeps x
     restarts.  The point was chosen from the time-to-solution curve of
-    ``tools/sa_tts.py`` (``BENCH_sa_schedule.json``): it is the fastest on
+    ``tools/sa_tts.py`` (``BENCH_sa_schedule.json``): it was the fastest on
     that grid whose single run reaches the optimum with probability at
     least 0.99 on the reference-scene, 6-sphere and 12-sphere chain cover
-    QUBOs (19, 25 and 55 variables), and did on all 8 seeds tried.  The
+    QUBOs (19, 25 and 55 variables), and it does on all 8 seeds tried.  On
+    the 12-sphere chain one run sits at that line (p = 0.017 per restart
+    at 10 n to 30 n sweeps), so an 8-seed estimate may favour 10 n.  The
     headroom is in size: the 12-sphere chain is twice the largest model
     the ``anneal`` benchmark anneals, where one restart succeeds with
     p = 0.15-0.20 and one run fails with probability below 1e-18.
@@ -382,6 +384,20 @@ def solve_exact(q: Qubo) -> SolveResult:
 # never accepted, so that a block of the annealing loop, which grows to at
 # most this size, never reads past its row.
 _MAX_BLOCK = 1024
+# Restarts whose uniforms are drawn in one call: a chunk of rows is all the
+# uniform buffer ever holds.
+_DRAW_ROWS = 8
+
+
+def sa_table_bytes(n: int, sweeps: int, restarts: int) -> int:
+    """Bytes of proposals ``solve_sa`` allocates for a schedule on n variables.
+
+    Two 8-byte tables of restarts x (sweeps + ``_MAX_BLOCK``) entries, flat
+    flip index and threshold, and one chunk of at most ``_DRAW_ROWS`` rows
+    of n + 2 sweeps uniforms.
+    """
+    chunk = min(restarts, _DRAW_ROWS) * (n + 2 * sweeps)
+    return 16 * restarts * (sweeps + _MAX_BLOCK) + 8 * chunk
 
 
 def solve_sa(
@@ -389,11 +405,14 @@ def solve_sa(
 ) -> SolveResult:
     """Single-flip Metropolis annealing with geometric cooling and restarts.
 
-    Each restart r runs its own substream derived as SeedSequence((seed, r)),
-    so results do not depend on how restarts are executed; the reduction
-    takes the lowest energy and breaks ties by the lowest restart index.
-    Raises ParameterError, before allocating anything, when the schedule's
-    proposal tables would exceed ``SA_TABLE_LIMIT`` bytes.
+    One generator, ``default_rng(seed)``, feeds the whole run: restart r
+    takes the r-th row of n + 2 sweeps uniforms (``_anneal``), so results
+    do not depend on how restarts are executed, and a run of R restarts is
+    the first R restarts of any wider run with the same seed.  The
+    reduction takes the lowest energy and breaks ties by the lowest
+    restart index.  Raises ParameterError, before allocating anything,
+    when the schedule's proposals (``sa_table_bytes``) would exceed
+    ``SA_TABLE_LIMIT`` bytes.
     """
     check_seed(seed)
     if schedule is None:
@@ -401,7 +420,7 @@ def solve_sa(
     R, S = schedule.restarts, schedule.sweeps
     if q.n == 0:
         return SolveResult("", q.offset, "sa", int(seed), S, R)
-    table_bytes = 16 * R * (S + _MAX_BLOCK)  # _anneal's two 8-byte tables
+    table_bytes = sa_table_bytes(q.n, S, R)
     if table_bytes > SA_TABLE_LIMIT:
         raise ParameterError(
             f"the annealing schedule needs {table_bytes} bytes of proposal tables, "
@@ -420,8 +439,35 @@ def solve_sa(
     )
 
 
+def _proposals(u, first, neg_temps, X, flat_flips, thresholds):
+    """Fill restarts first, first + 1, ... from their rows of uniforms u.
+
+    A row is n start bits (1 where u < 0.5), then S flip indices
+    floor(u n), stored as flat indices into the raveled (restarts, n)
+    state, then S thresholds -T_j ln u.  Metropolis acceptance
+    u < exp(-delta/T) is rewritten as delta <= -T ln u, which also admits
+    every non-positive delta and keeps the loop free of exp calls; u = 0
+    gives an infinite threshold.  X, flat_flips and thresholds are the
+    rows' slices of ``_anneal``'s tables.
+    """
+    n, S = X.shape[1], len(neg_temps)
+    X[:] = u[:, :n] < 0.5
+    flips = flat_flips[:, :S]
+    flips[:] = u[:, n:n + S] * n  # the cast truncates: floor of u n < n
+    flips += (first + np.arange(len(u)))[:, None] * n
+    t = thresholds[:, :S]
+    with np.errstate(divide="ignore"):
+        np.log(u[:, n + S:], out=t)
+    t *= neg_temps
+
+
 def _anneal(q: Qubo, schedule: AnnealSchedule, seed: int):
     """Each restart's lowest energy and the 0/1 assignment that first reached it.
+
+    The run draws from one stream, ``default_rng(seed)``: restart r reads
+    the r-th row of n + 2 sweeps uniforms (``_proposals``).  The rows are
+    drawn ``_DRAW_ROWS`` restarts at a time, and a chunk is the same
+    stretch of the stream as the rows of a one-shot draw.
 
     Each restart keeps its local fields G = X W and its flip costs
     D = spins * (lin + G), the expression a step-by-step walk evaluates,
@@ -437,12 +483,8 @@ def _anneal(q: Qubo, schedule: AnnealSchedule, seed: int):
     """
     lin, W = _dense(q)
     R, S, n = schedule.restarts, schedule.sweeps, q.n
-    # Per restart: a start state, S proposed flips and their thresholds.
-    # A flip is stored as its flat index into the raveled (R, n) state.
-    # Metropolis acceptance u < exp(-delta/T) is rewritten as
-    # delta <= -T ln u, which also admits every non-positive delta and keeps
-    # the loop free of exp calls.  The padding, -inf thresholds on each
-    # restart's own first variable, is never accepted.
+    # The padding, -inf thresholds on each restart's own first variable, is
+    # never accepted.
     width = S + _MAX_BLOCK
     rows = np.arange(R)
     X = np.empty((R, n))
@@ -451,16 +493,14 @@ def _anneal(q: Qubo, schedule: AnnealSchedule, seed: int):
     thresholds = np.empty((R, width))
     thresholds[:, S:] = -np.inf
     neg_temps = -schedule.temperatures()
-    with np.errstate(divide="ignore"):
-        for r in range(R):
-            rng = np.random.default_rng(np.random.SeedSequence((int(seed), r)))
-            X[r] = rng.integers(0, 2, size=n)
-            flat_flips[r, :S] = rng.integers(0, n, size=S)
-            flat_flips[r, :S] += r * n
-            t = thresholds[r, :S]
-            rng.random(out=t)
-            np.log(t, out=t)
-            t *= neg_temps
+    rng = np.random.default_rng(int(seed))
+    u = np.empty((min(R, _DRAW_ROWS), n + 2 * S))
+    for r in range(0, R, len(u)):
+        chunk = u[:R - r]
+        rng.random(out=chunk)
+        stop = r + len(chunk)
+        _proposals(chunk, r, neg_temps, X[r:stop], flat_flips[r:stop],
+                   thresholds[r:stop])
     flat_flips, thresholds = flat_flips.ravel(), thresholds.ravel()
 
     G = X @ W

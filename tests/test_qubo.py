@@ -55,13 +55,13 @@ def sa_reference(q, schedule, seed):
     W = np.zeros((n, n))
     for (i, j), v in q.quadratic.items():
         W[i, j] = W[j, i] = v
-    streams = [np.random.default_rng(np.random.SeedSequence((seed, r)))
-               for r in range(R)]
-    X = np.array([rng.integers(0, 2, size=n) for rng in streams], dtype=float)
-    flips = [rng.integers(0, n, size=S) for rng in streams]
+    # One stream for the run; restart r reads row r: n start bits, S flip
+    # indices, S Metropolis thresholds.
+    u = np.random.default_rng(seed).random((R, n + 2 * S))
+    X = (u[:, :n] < 0.5).astype(float)
+    flips = np.floor(u[:, n:n + S] * n).astype(int)
     with np.errstate(divide="ignore"):
-        thresholds = [-schedule.temperatures() * np.log(rng.random(size=S))
-                      for rng in streams]
+        thresholds = -schedule.temperatures() * np.log(u[:, n + S:])
     G = X @ W
     E = q.offset + X @ lin + 0.5 * np.einsum("ri,ri->r", G, X)
     best_E, best_X = E.copy(), X.copy()
@@ -546,8 +546,53 @@ class TestSolveSa:
         npt.assert_array_equal(best_E, ref_E)
         npt.assert_array_equal(best_bits, ref_bits)
 
+    def test_chunked_draws_equal_one_shot_draws(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        for k in range(12):
+            q = random_qubo(rng, int(rng.integers(1, 20)), 4.0)
+            R = int(rng.integers(1, 12))
+            sched = AnnealSchedule(2.0, 0.01, int(rng.integers(1, 400)), R)
+            runs = []
+            for rows in (1, 3, R, R + 5):
+                monkeypatch.setattr(qubo, "_DRAW_ROWS", rows)
+                runs.append(qubo._anneal(q, sched, k))
+            for best_E, best_bits in runs[1:]:
+                npt.assert_array_equal(best_E, runs[0][0])
+                npt.assert_array_equal(best_bits, runs[0][1])
+
+    @given(
+        integer_qubos(),
+        st.integers(1, 200),
+        st.integers(1, 20).flatmap(
+            lambda R: st.tuples(st.just(R), st.integers(1, R))),
+        st.integers(0, 2**16),
+    )
+    def test_narrower_run_is_a_prefix_of_a_wider_one(self, q, sweeps, widths, seed):
+        R, narrow = widths
+        wide_E, wide_bits = qubo._anneal(q, AnnealSchedule(2.0, 0.01, sweeps, R), seed)
+        best_E, best_bits = qubo._anneal(
+            q, AnnealSchedule(2.0, 0.01, sweeps, narrow), seed)
+        npt.assert_array_equal(best_E, wide_E[:narrow])
+        npt.assert_array_equal(best_bits, wide_bits[:narrow])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 1000, 4095, 65537,
+                                   2**20 - 1, 2**20])
+    def test_flip_indices_stay_below_n_at_the_largest_uniform(self, n):
+        # floor(u n) for the largest double below 1 must not round up to n.
+        S, rows = 3, 2
+        u = np.full((rows, n + 2 * S), np.nextafter(1.0, 0.0))
+        X = np.empty((rows, n))
+        flat_flips = np.empty((rows, S + 1), dtype=np.int64)
+        thresholds = np.empty((rows, S + 1))
+        qubo._proposals(u, 5, -np.ones(S), X, flat_flips, thresholds)
+        flips = flat_flips[:, :S] - (5 + np.arange(rows))[:, None] * n
+        npt.assert_array_equal(flips, n - 1)
+        assert not X.any()
+        assert (thresholds[:, :S] > 0).all()
+
     def test_memory_is_about_two_proposal_tables(self):
-        # Two 8-byte tables of 256 x (750 + 1024) proposals are 6.9 MiB.
+        # Two 8-byte tables of 256 x (750 + 1024) proposals and one chunk of
+        # 8 x (25 + 1500) uniforms are 7.0 MiB.
         q = random_qubo(np.random.default_rng(25), 25)
         tracemalloc.start()
         try:
@@ -558,14 +603,22 @@ class TestSolveSa:
         assert peak < 16 * 2**20
 
     def test_proposal_tables_above_the_limit_are_refused(self, monkeypatch):
-        # 4 restarts x (31 744 + 1024) proposals x 16 bytes are 2 MiB.
+        # 4 restarts x (31 744 + 1024) proposals x 16 bytes are 2 MiB, and
+        # their 4 rows of 4 + 2 x 31 744 uniforms x 8 bytes another 1.9 MiB.
         monkeypatch.setattr(qubo, "SA_TABLE_LIMIT", 1 << 20)
-        q = Qubo(2, {0: -1.0}, {(0, 1): 1.0})
+        q = Qubo(4, {0: -1.0, 1: 1.0, 2: 1.0, 3: 1.0}, {(0, 1): 1.0})
         with pytest.raises(ParameterError,
-                           match=r"2097152 bytes .* SA_TABLE_LIMIT = 1048576"):
+                           match=r"4128896 bytes .* SA_TABLE_LIMIT = 1048576"):
             solve_sa(q, AnnealSchedule(1.0, 0.01, 31744, 4))
-        # Tables of exactly the limit are allowed.
-        assert solve_sa(q, AnnealSchedule(1.0, 0.01, 15360, 4)).assignment == "10"
+        # Tables of exactly the limit are allowed: 4 x 8703 x 16 + 4 x 15362 x 8.
+        assert qubo.sa_table_bytes(4, 7679, 4) == 1 << 20
+        assert solve_sa(q, AnnealSchedule(1.0, 0.01, 7679, 4)).assignment == "1000"
+
+    def test_table_bytes_count_one_chunk_of_uniforms(self):
+        # Past _DRAW_ROWS restarts the uniform buffer stops growing.
+        R = 5 * qubo._DRAW_ROWS
+        assert qubo.sa_table_bytes(3, 10, R) == (
+            16 * R * (10 + qubo._MAX_BLOCK) + 8 * qubo._DRAW_ROWS * (3 + 20))
 
     def test_energy_is_reevaluated(self):
         rng = np.random.default_rng(13)

@@ -23,11 +23,12 @@ tool reports
 * p_run = 1 - (1 - p)^R and TTS99, the expected time to reach the optimum
   with 99% probability by repeating the run (``tts99``).
 
-Each restart runs its own random stream, so a run of R restarts is the
-first R restarts of a wider run with the same seed.  The tool therefore
-anneals each (instance, sweeps, seed) once, at the widest grid restarts
-whose proposal tables fit in ``TABLE_BUDGET``, and reads narrower runs off
-its prefix; wider points are reported as over the budget.  Keys of an
+A run draws its restarts' proposals as consecutive rows of one random
+stream, so a run of R restarts is the first R restarts of a wider run
+with the same seed.  The tool therefore anneals each (instance, sweeps,
+seed) once, at the widest grid restarts whose proposals fit in
+``TABLE_BUDGET``, and reads narrower runs off its prefix; wider points are
+reported as over the budget.  Keys of an
 existing output file that the tool does not write are kept.
 """
 
@@ -65,8 +66,8 @@ GUARDED = ("reference", "chain6", "chain12")
 TARGET = 0.99  # the success probability TTS is quoted for
 SEEDS = 8
 REPEATS = 3  # timed solve_sa calls per point
-# Largest proposal tables one measuring run may allocate: 1000 n x 512
-# restarts would take 0.9 GiB on chain24.
+# Largest proposals (``qubo.sa_table_bytes``) one measuring run may
+# allocate: 1000 n x 512 restarts would take 0.9 GiB on chain24.
 TABLE_BUDGET = 256 * 2**20
 MEMORY_CHAIN = 40  # chain whose default run's memory is recorded (195 variables)
 
@@ -88,11 +89,6 @@ def tts99(t_run: float, p_run: float) -> float:
 def run_success(p: float, restarts: int) -> float:
     """Probability that at least one of ``restarts`` independent restarts succeeds."""
     return 1.0 - (1.0 - p) ** restarts
-
-
-def table_bytes(sweeps: int, restarts: int) -> int:
-    """Bytes of ``solve_sa``'s two proposal tables."""
-    return 16 * restarts * (sweeps + qubo._MAX_BLOCK)
 
 
 def cover_qubo(scene: scenes.Scene):
@@ -148,14 +144,15 @@ def curve(q, optimum: float, points) -> list:
     for f in sorted({f for f, _ in points}):
         sweeps = f * q.n
         widths = sorted(r for g, r in points if g == f)
-        fit = [r for r in widths if table_bytes(sweeps, r) <= TABLE_BUDGET]
+        fit = [r for r in widths
+               if qubo.sa_table_bytes(q.n, sweeps, r) <= TABLE_BUDGET]
         if fit:
             wide = qubo.AnnealSchedule(t_start, 0.01, sweeps, fit[-1])
             hits = np.array([reached(q, wide, s, optimum) for s in range(SEEDS)])
             p = float(hits.mean())
         for r in widths:
             rec = {"sweeps_per_variable": f, "restarts": r,
-                   "table_mib": round(table_bytes(sweeps, r) / 2**20, 2)}
+                   "table_mib": round(qubo.sa_table_bytes(q.n, sweeps, r) / 2**20, 2)}
             if r not in fit:
                 rec["skipped"] = "proposal tables above TABLE_BUDGET"
                 records.append(rec)
@@ -209,7 +206,8 @@ def default_memory(q) -> dict:
     finally:
         tracemalloc.stop()
     return {"variables": q.n,
-            "table_mib": round(table_bytes(sched.sweeps, sched.restarts) / 2**20, 2),
+            "table_mib": round(
+                qubo.sa_table_bytes(q.n, sched.sweeps, sched.restarts) / 2**20, 2),
             "tracemalloc_peak_mib": round(peak / 2**20, 2)}
 
 
