@@ -4,12 +4,15 @@ All randomness flows from explicit integer seeds through
 ``numpy.random.SeedSequence``, so results are reproducible bit for bit and
 parallel callers can derive independent per-task streams from one master
 seed.  ``rejection_batches`` is the one rejection loop: it yields the kept
-rows of fixed-size attempt batches, and ``rejection_sample`` (which the
-surface sampler and the pipeline's agreement check use), ``region_batches``
-and ``sample_region`` all consume it.  With the same seed, runs that ask
-for more points extend the accepted sequence of runs that asked for fewer
-(a prefix property the intersection-graph builder relies on when it stops
-a primitive's draw early).
+rows of attempt batches of ``_BATCH`` rows, or of a ramp that starts
+smaller and doubles up to ``_BATCH`` and stops at the same total, and
+``rejection_sample`` (which the surface sampler and the pipeline's
+agreement check use), ``region_batches`` and ``sample_region`` all consume
+it.  With the same seed, runs that ask for more points extend the accepted
+sequence of runs that asked for fewer, and an interior draw keeps the
+same points in the same order whatever its first batch (prefix properties
+the intersection-graph builder relies on when it starts a primitive's
+draw small and stops it early).
 
 ``near_pairs`` is the one pair filter of the graph and product stages:
 two primitives can share an interior point only when their bounding boxes
@@ -73,22 +76,30 @@ def scene_diameter(primitives) -> float:
     return float(np.linalg.norm(hi - lo))
 
 
-def rejection_batches(draw, accept, count: int, max_attempts: int):
-    """Yield the kept rows of ``_BATCH``-row batches, ``count`` rows in all at most.
+def rejection_batches(draw, accept, count: int, max_attempts: int,
+                      first: int = _BATCH):
+    """Yield the kept rows of attempt batches, ``count`` rows in all at most.
 
     ``draw(n)`` returns n candidate rows; ``accept(rows)`` returns the kept
     ones as a tuple of row-aligned arrays (the points first, then any
-    per-point values the filter computed).  Batches are drawn until
-    ``count`` rows are kept or ``max_attempts`` rows are drawn; each yield
-    is one batch's tuple, cut short where it would pass ``count``.  A
-    caller may stop early: every batch is drawn only when asked for.
+    per-point values the filter computed).  The first batch draws ``first``
+    rows and each later one twice the last, up to ``_BATCH``.  Batches are
+    drawn until ``count`` rows are kept or ceil(max_attempts / ``_BATCH``)
+    whole ``_BATCH`` batches' worth of rows are drawn; the last batch is cut
+    to that total, so it is the same for every ``first``.  Each yield is
+    one batch's tuple, cut short where it would pass ``count``.  A caller
+    may stop early: every batch is drawn only when asked for.
     """
+    limit = -(-max_attempts // _BATCH) * _BATCH
     kept = attempts = 0
-    while kept < count and attempts < max_attempts:
-        arrays = tuple(a[: count - kept] for a in accept(draw(_BATCH)))
-        attempts += _BATCH
+    size = first
+    while kept < count and attempts < limit:
+        size = min(size, limit - attempts)
+        arrays = tuple(a[: count - kept] for a in accept(draw(size)))
+        attempts += size
         kept += len(arrays[0])
         yield arrays
+        size = min(2 * size, _BATCH)
 
 
 def rejection_sample(draw, accept, count: int, max_attempts: int) -> tuple[np.ndarray, ...]:
@@ -102,14 +113,19 @@ def rejection_sample(draw, accept, count: int, max_attempts: int) -> tuple[np.nd
     )
 
 
-def region_batches(primitive: Primitive, count: int, seed: int):
-    """Yield ``sample_region``'s points one attempt batch at a time."""
+def region_batches(primitive: Primitive, count: int, seed: int, first: int = _BATCH):
+    """Yield ``sample_region``'s points one attempt batch at a time.
+
+    The batches start at ``first`` attempts (``rejection_batches``).  The
+    box draw is prefix-stable, so the points and their order are the same
+    for every ``first``; only how they are split into batches differs.
+    """
     lo, hi = aabb(primitive)
     rng = np.random.default_rng(int(seed))
     for (pts,) in rejection_batches(
         lambda n: rng.uniform(lo, hi, size=(n, 3)),
         lambda pts: (pts[signed_distance(primitive, pts) < 0],),
-        count, _ATTEMPT_FACTOR * count,
+        count, _ATTEMPT_FACTOR * count, first,
     ):
         yield pts
 

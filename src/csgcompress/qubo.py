@@ -35,7 +35,7 @@ from .cover import CoverInstance
 from .graph import IntersectionGraph
 
 EXACT_LIMIT = 30  # exhaustive search refuses models larger than this
-SA_TABLE_LIMIT = 2**30  # bytes of proposal tables an annealing run may allocate
+SA_TABLE_LIMIT = 2**30  # bytes an annealing run may hold (``sa_table_bytes``)
 
 
 def _canonical_terms(n, linear, quadratic, offset):
@@ -286,7 +286,8 @@ def default_schedule(q: Qubo) -> AnnealSchedule:
     least 0.99 on the reference-scene, 6-sphere and 12-sphere chain cover
     QUBOs (19, 25 and 55 variables), and it does on all 8 seeds tried.  On
     the 12-sphere chain one run sits at that line (p = 0.017 per restart
-    at 10 n to 30 n sweeps), so an 8-seed estimate may favour 10 n.  The
+    at 10 n to 30 n sweeps); the tool's rule, which asks a 95% lower bound
+    on that probability to clear 0.99, picks 10 n x 512 instead.  The
     headroom is in size: the 12-sphere chain is twice the largest model
     the ``anneal`` benchmark anneals, where one restart succeeds with
     p = 0.15-0.20 and one run fails with probability below 1e-18.
@@ -382,22 +383,43 @@ def solve_exact(q: Qubo) -> SolveResult:
 
 # Each restart's proposal row is padded by this many proposals that are
 # never accepted, so that a block of the annealing loop, which grows to at
-# most this size, never reads past its row.
-_MAX_BLOCK = 1024
+# most this size, never reads past its row.  The cap only bounds memory:
+# trajectories do not depend on block sizes.  64 was picked from a sweep of
+# caps 16 to 1024 on chain cover QUBOs (``BENCH_sa_working_set.json``):
+# run time is level from 16 to 128, and below 64 the peak falls by under
+# 0.5 MiB on every model.
+_MAX_BLOCK = 64
 # Restarts whose uniforms are drawn in one call: a chunk of rows is all the
 # uniform buffer ever holds.
 _DRAW_ROWS = 8
 
 
 def sa_table_bytes(n: int, sweeps: int, restarts: int) -> int:
-    """Bytes of proposals ``solve_sa`` allocates for a schedule on n variables.
+    """Bytes of arrays an annealing run of ``solve_sa`` holds, as an upper bound.
 
-    Two 8-byte tables of restarts x (sweeps + ``_MAX_BLOCK``) entries, flat
-    flip index and threshold, and one chunk of at most ``_DRAW_ROWS`` rows
-    of n + 2 sweeps uniforms.
+    With R restarts and S sweeps on n variables, ``_anneal`` holds
+
+    * two 8-byte proposal tables of R x (S + ``_MAX_BLOCK``) entries, flat
+      flip index and threshold;
+    * one chunk of at most ``_DRAW_ROWS`` rows of n + 2 S uniforms;
+    * the temperature ladder, three S-vectors while it is built;
+    * one block's gathers, four 8-byte arrays of R x ``_MAX_BLOCK``;
+    * the state: seven R x n float arrays (start bits, fields, spins, flip
+      costs, best spins and the field update's two temporaries) and
+      sixteen R-vectors;
+    * the dense couplings, n x n floats;
+    * 256 KiB for numpy's cast buffers and the run's Python objects.
+
+    Their sum bounds the run's peak, which never holds all of them at once.
     """
-    chunk = min(restarts, _DRAW_ROWS) * (n + 2 * sweeps)
-    return 16 * restarts * (sweeps + _MAX_BLOCK) + 8 * chunk
+    R, S = restarts, sweeps
+    return (16 * R * (S + _MAX_BLOCK)
+            + 8 * min(R, _DRAW_ROWS) * (n + 2 * S)
+            + 24 * S
+            + 32 * R * _MAX_BLOCK
+            + 8 * R * (7 * n + 16)
+            + 8 * n * n
+            + (1 << 18))
 
 
 def solve_sa(
@@ -411,8 +433,8 @@ def solve_sa(
     the first R restarts of any wider run with the same seed.  The
     reduction takes the lowest energy and breaks ties by the lowest
     restart index.  Raises ParameterError, before allocating anything,
-    when the schedule's proposals (``sa_table_bytes``) would exceed
-    ``SA_TABLE_LIMIT`` bytes.
+    when the run's arrays (``sa_table_bytes``: proposal tables, uniforms,
+    block gathers and state) would exceed ``SA_TABLE_LIMIT`` bytes.
     """
     check_seed(seed)
     if schedule is None:
@@ -423,7 +445,7 @@ def solve_sa(
     table_bytes = sa_table_bytes(q.n, S, R)
     if table_bytes > SA_TABLE_LIMIT:
         raise ParameterError(
-            f"the annealing schedule needs {table_bytes} bytes of proposal tables, "
+            f"the annealing schedule needs {table_bytes} bytes of working memory, "
             f"above SA_TABLE_LIMIT = {SA_TABLE_LIMIT}; use fewer sweeps or restarts"
         )
     best_E, best_bits = _anneal(q, schedule, seed)
@@ -453,7 +475,8 @@ def _proposals(u, first, neg_temps, X, flat_flips, thresholds):
     n, S = X.shape[1], len(neg_temps)
     X[:] = u[:, :n] < 0.5
     flips = flat_flips[:, :S]
-    flips[:] = u[:, n:n + S] * n  # the cast truncates: floor of u n < n
+    # The cast to the integer table truncates: floor of u n < n.
+    np.multiply(u[:, n:n + S], n, out=flips, casting="unsafe")
     flips += (first + np.arange(len(u)))[:, None] * n
     t = thresholds[:, :S]
     with np.errstate(divide="ignore"):
@@ -477,9 +500,11 @@ def _anneal(q: Qubo, schedule: AnnealSchedule, seed: int):
     is applied, and that restart resumes right after it.  A restart without
     an acceptance in its block takes a zero step and moves past the block.
     Rejections never change state, so nothing diverges from stepping one
-    proposal at a time.  The proposals take two tables of restarts x
-    (sweeps + _MAX_BLOCK) entries, flat flip index and threshold: 16 bytes
-    per proposal.
+    proposal at a time, and block sizes, ``_MAX_BLOCK`` included, do not
+    change any trajectory.  The proposals take two tables of restarts x
+    (sweeps + ``_MAX_BLOCK``) entries, flat flip index and threshold: 16
+    bytes per proposal.  Each block's gathers take restarts x block
+    entries, at most ``_MAX_BLOCK``; ``sa_table_bytes`` counts all of it.
     """
     lin, W = _dense(q)
     R, S, n = schedule.restarts, schedule.sweeps, q.n

@@ -177,9 +177,9 @@ def _trace_graph_work(monkeypatch):
         tested[drawer[-1], prim.pid] += len(pts)
         return member_test(prim, pts)
 
-    def traced_batches(prim, count, seed):
+    def traced_batches(prim, count, seed, first):
         drawer.append(prim.pid)
-        return region_batches(prim, count, seed)
+        return region_batches(prim, count, seed, first)
 
     monkeypatch.setattr(sampling, "signed_distance", counted_own)
     monkeypatch.setattr(graph_module, "signed_distance", counted_member)
@@ -192,18 +192,19 @@ class TestGraphWork:
 
     def test_chain_draws_one_batch_per_primitive(self, monkeypatch):
         # Spheres 2 apart with radius 1.2: every neighbour lens holds about
-        # 8% of a sphere, so one batch decides each pair.
+        # 8% of a sphere, so the first batch or two of 64 and 128 attempts
+        # decide each pair, far short of one whole batch.
         prims = [sphere(f"P{i:02d}", (2.0 * i, 0, 0), 1.2) for i in range(12)]
         drawn, tested = _trace_graph_work(monkeypatch)
         graph = build_intersection_graph(prims)
         assert len(graph.edges) == 11
         assert set(drawn) <= {p.pid for p in prims}
-        assert max(drawn.values()) <= sampling._BATCH
-        # Each pair is tested from one side only, against one batch.
+        assert max(drawn.values()) <= sampling._BATCH // 16
+        # Each pair is tested from one side only, against those batches.
         assert sorted(tested) == [
             (f"P{i:02d}", f"P{i + 1:02d}") for i in range(11)
         ]
-        assert max(tested.values()) <= sampling._BATCH
+        assert max(tested.values()) <= sampling._BATCH // 16
 
     def test_grid_never_tests_a_diagonal_neighbour(self, monkeypatch):
         # Diagonal neighbours are 2.83 apart: their boxes meet, their balls
@@ -213,6 +214,7 @@ class TestGraphWork:
         drawn, tested = _trace_graph_work(monkeypatch)
         graph = build_intersection_graph(prims)
         assert len(graph.edges) == 24
+        assert max(drawn.values()) <= sampling._BATCH // 8
         for a, b in tested:
             (ai, aj), (bi, bj) = map(int, a[1:]), map(int, b[1:])
             assert abs(ai - bi) + abs(aj - bj) == 1, (a, b)

@@ -702,13 +702,14 @@ class TestCli:
     def test_schedule_above_the_table_limit_is_a_parameter_error(
         self, cover5_file, monkeypatch, capsys
     ):
-        # 4 restarts x (31 744 + 1024) proposals x 16 bytes are 2 MiB, and
-        # their 4 rows of 7 + 2 x 31 744 uniforms x 8 bytes another 1.9 MiB.
+        # 4 restarts x (31 744 + 64) proposals x 16 bytes are 1.9 MiB, and
+        # their 4 rows of 7 + 2 x 31 744 uniforms x 8 bytes another 1.9 MiB
+        # (qubo.sa_table_bytes counts the rest of the run's arrays too).
         monkeypatch.setattr(qubo, "SA_TABLE_LIMIT", 1 << 20)
         code = main(["cover", "--instance", str(cover5_file), "--solver", "qubo_sa",
                      "--schedule", "1,0.01,31744,4"])
         err = capsys.readouterr().err
-        assert "4128992 bytes of proposal tables, above SA_TABLE_LIMIT = 1048576" in err
+        assert "5102216 bytes of working memory, above SA_TABLE_LIMIT = 1048576" in err
         assert code == 4
 
     @pytest.mark.parametrize("command, record, field", [

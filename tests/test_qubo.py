@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csgcompress.errors import FileFormatError, ParameterError
@@ -591,8 +591,8 @@ class TestSolveSa:
         assert (thresholds[:, :S] > 0).all()
 
     def test_memory_is_about_two_proposal_tables(self):
-        # Two 8-byte tables of 256 x (750 + 1024) proposals and one chunk of
-        # 8 x (25 + 1500) uniforms are 7.0 MiB.
+        # Two 8-byte tables of 256 x (750 + 64) proposals are 3.2 MiB; the
+        # uniforms, block gathers and state add under 1 MiB.
         q = random_qubo(np.random.default_rng(25), 25)
         tracemalloc.start()
         try:
@@ -600,25 +600,72 @@ class TestSolveSa:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 6 * 2**20
+
+    def test_counted_bytes_bound_the_traced_peak(self):
+        # The 12-sphere chain's cover QUBO (55 variables) under the default
+        # schedule: every array the run holds is counted.
+        q, _minimum = abstract_cover_qubo(sphere_chain_instance(12))
+        sched = default_schedule(q)
+        tracemalloc.start()
+        try:
+            solve_sa(q, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= qubo.sa_table_bytes(q.n, sched.sweeps, sched.restarts)
 
     def test_proposal_tables_above_the_limit_are_refused(self, monkeypatch):
-        # 4 restarts x (31 744 + 1024) proposals x 16 bytes are 2 MiB, and
-        # their 4 rows of 4 + 2 x 31 744 uniforms x 8 bytes another 1.9 MiB.
+        # 4 restarts x (31 744 + 64) proposals x 16 bytes are 1.9 MiB, their
+        # 4 rows of 4 + 2 x 31 744 uniforms x 8 bytes another 1.9 MiB, the
+        # temperature ladder 0.7 MiB and the fixed allowance 0.25 MiB.
         monkeypatch.setattr(qubo, "SA_TABLE_LIMIT", 1 << 20)
         q = Qubo(4, {0: -1.0, 1: 1.0, 2: 1.0, 3: 1.0}, {(0, 1): 1.0})
         with pytest.raises(ParameterError,
-                           match=r"4128896 bytes .* SA_TABLE_LIMIT = 1048576"):
+                           match=r"5101184 bytes .* SA_TABLE_LIMIT = 1048576"):
             solve_sa(q, AnnealSchedule(1.0, 0.01, 31744, 4))
-        # Tables of exactly the limit are allowed: 4 x 8703 x 16 + 4 x 15362 x 8.
-        assert qubo.sa_table_bytes(4, 7679, 4) == 1 << 20
-        assert solve_sa(q, AnnealSchedule(1.0, 0.01, 7679, 4)).assignment == "1000"
+        # 5082 sweeps are the most that fit: 1 048 560 bytes, and 152 more
+        # per sweep.
+        assert qubo.sa_table_bytes(4, 5082, 4) == 1048560
+        assert qubo.sa_table_bytes(4, 5083, 4) == 1048712
+        assert solve_sa(q, AnnealSchedule(1.0, 0.01, 5082, 4)).assignment == "1000"
+        with pytest.raises(ParameterError, match="1048712 bytes"):
+            solve_sa(q, AnnealSchedule(1.0, 0.01, 5083, 4))
 
     def test_table_bytes_count_one_chunk_of_uniforms(self):
-        # Past _DRAW_ROWS restarts the uniform buffer stops growing.
-        R = 5 * qubo._DRAW_ROWS
-        assert qubo.sa_table_bytes(3, 10, R) == (
-            16 * R * (10 + qubo._MAX_BLOCK) + 8 * qubo._DRAW_ROWS * (3 + 20))
+        # Past _DRAW_ROWS restarts the uniform buffer stops growing: a
+        # restart adds 16 x (10 + 64) table bytes, 32 x 64 gather bytes and
+        # 8 x (7 x 3 + 16) state bytes, plus 8 x (3 + 20) uniform bytes
+        # while its row still joins the chunk.
+        rows = qubo._DRAW_ROWS
+        assert qubo.sa_table_bytes(3, 10, rows + 1) - qubo.sa_table_bytes(
+            3, 10, rows) == 3528
+        assert qubo.sa_table_bytes(3, 10, rows) - qubo.sa_table_bytes(
+            3, 10, rows - 1) == 3528 + 184
+        assert qubo.sa_table_bytes(3, 10, 5 * rows) == 405048
+
+    @settings(max_examples=40)
+    @given(
+        integer_qubos(),
+        st.integers(1, 2100),
+        st.integers(1, 4),
+        st.integers(0, 2**16),
+    )
+    @example(Qubo(3, {0: 1, 2: -2}, {(0, 1): -2, (1, 2): 1}), 16, 1, 0)
+    @example(Qubo(3, {0: 1, 2: -2}, {(0, 1): -2, (1, 2): 1}), 64, 1, 1)
+    @example(Qubo(3, {0: 1, 2: -2}, {(0, 1): -2, (1, 2): 1}), 1024, 2, 2)
+    @example(Qubo(2, {0: -1}, {(0, 1): 2}), 2100, 1, 3)
+    def test_block_cap_does_not_change_trajectories(self, q, sweeps, restarts, seed):
+        # Sweeps below, at and above each cap; a cold end grows the blocks.
+        sched = AnnealSchedule(4.0, 0.001, sweeps, restarts)
+        runs = []
+        for cap in (16, 64, 1024):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(qubo, "_MAX_BLOCK", cap)
+                runs.append(qubo._anneal(q, sched, seed))
+        for best_E, best_bits in runs[1:]:
+            npt.assert_array_equal(best_E, runs[0][0])
+            npt.assert_array_equal(best_bits, runs[0][1])
 
     def test_energy_is_reevaluated(self):
         rng = np.random.default_rng(13)

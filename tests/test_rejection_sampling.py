@@ -42,6 +42,8 @@ from csgcompress.geometry.sampling import (
     _sample_on_primitive,
     _tree_bounded,
     derive_rng,
+    region_batches,
+    rejection_batches,
     union_box,
 )
 from csgcompress.graph import build_intersection_graph
@@ -310,7 +312,29 @@ class TestSampleRegion:
         thin = _tilted_thin_cylinder()
         got = sample_region(thin, 5000, 3)
         assert 0 < len(got) < 5000
-        npt.assert_array_equal(got, reference_sample_region(thin, 5000, 3))
+        want = reference_sample_region(thin, 5000, 3)
+        npt.assert_array_equal(got, want)
+        # The graph's draw starts with small batches and stops at the same
+        # total of attempts, so it keeps the same points.
+        ramp = list(region_batches(thin, 5000, 3, first=64))
+        assert len(ramp[0]) < len(want)
+        npt.assert_array_equal(np.concatenate(ramp), want)
+
+    @pytest.mark.parametrize("first", [1, 64, 3000, 4096])
+    def test_batches_ramp_up_to_the_same_total(self, first):
+        sizes = []
+
+        def draw(n):
+            sizes.append(n)
+            return np.zeros((n, 3))
+
+        batches = rejection_batches(draw, lambda rows: (rows[:0],), 10, 64 * 300,
+                                    first)
+        assert all(len(pts) == 0 for (pts,) in batches)
+        # 64 x 300 attempts round up to 5 whole batches of 4096.
+        assert sum(sizes) == 5 * 4096
+        assert sizes[0] == first
+        assert all(b == min(2 * a, 4096) for a, b in zip(sizes, sizes[1:-1]))
 
 
 class TestSignedDistance:

@@ -64,11 +64,28 @@ class TestPrefixRuns:
             assert sa_tts.seeds_reached(hits, r) == direct
 
 
+class TestWilsonLower:
+    def test_known_values(self):
+        z2 = sa_tts.Z_95 ** 2
+        # All successes: n / (n + z^2).
+        assert sa_tts.wilson_lower(1.0, 8) == pytest.approx(8 / (8 + z2), rel=1e-12)
+        assert sa_tts.wilson_lower(0.5, 10) == pytest.approx(0.26927, abs=1e-5)
+        assert sa_tts.wilson_lower(0.0, 100) == 0.0
+        assert sa_tts.wilson_lower(0.3, 0) == 0.0
+
+    def test_tightens_towards_the_estimate(self):
+        bounds = [sa_tts.wilson_lower(0.02, n) for n in (256, 2048, 16384, 2**20)]
+        assert bounds == sorted(bounds)
+        assert 0.0195 < bounds[-1] < 0.02
+
+
 class TestChoose:
     @staticmethod
-    def record(f, r, t_run, p_run, seeds_reached=8):
+    def record(f, r, t_run, p_restart, seeds_reached=8, sampled=4096):
         return {"sweeps_per_variable": f, "restarts": r, "seeds": 8,
-                "seeds_reached": seeds_reached, "t_run_s": t_run, "p_run": p_run}
+                "seeds_reached": seeds_reached, "t_run_s": t_run,
+                "p_restart": p_restart, "restarts_sampled": sampled,
+                "p_run": sa_tts.run_success(p_restart, r)}
 
     def curves(self, overrides):
         base = {(f, r): self.record(f, r, f * r * 1e-6, 1.0)
@@ -87,14 +104,26 @@ class TestChoose:
     def test_a_missed_seed_or_a_short_run_disqualifies_a_point(self):
         overrides = {"chain12": {
             (10, 32): self.record(10, 32, 0.0, 1.0, seeds_reached=7),
-            (20, 32): self.record(20, 32, 0.0, 0.98),
+            (20, 32): self.record(20, 32, 0.0, 0.1),
             (10, 64): {"sweeps_per_variable": 10, "restarts": 64, "skipped": "x"},
         }}
         chosen = sa_tts.choose(self.curves(overrides))
         assert (chosen["sweeps_per_variable"], chosen["restarts"]) == (30, 32)
 
+    def test_a_point_estimate_on_the_line_does_not_qualify(self):
+        # p = 0.02 over 8 seeds x 256 restarts: p_run reads 0.994 at 256
+        # restarts, but its 95% lower bound is 0.982; at 512 both clear.
+        overrides = {"chain12": {
+            (f, r): self.record(f, r, f * r * 1e-6, 0.02, sampled=2048)
+            for f in sa_tts.SWEEPS_PER_VARIABLE for r in sa_tts.RESTARTS}}
+        rec = overrides["chain12"][(10, 256)]
+        assert rec["p_run"] >= sa_tts.TARGET > sa_tts.p_run_lower(rec)
+        assert sa_tts.p_run_lower(overrides["chain12"][(10, 512)]) >= sa_tts.TARGET
+        chosen = sa_tts.choose(self.curves(overrides))
+        assert (chosen["sweeps_per_variable"], chosen["restarts"]) == (10, 512)
+
     def test_no_point_qualifies(self):
         overrides = {"reference": {
-            (f, r): self.record(f, r, 1.0, 0.5)
+            (f, r): self.record(f, r, 1.0, 0.01)
             for f in sa_tts.SWEEPS_PER_VARIABLE for r in sa_tts.RESTARTS}}
         assert sa_tts.choose(self.curves(overrides)) is None

@@ -23,6 +23,12 @@ tool reports
 * p_run = 1 - (1 - p)^R and TTS99, the expected time to reach the optimum
   with 99% probability by repeating the run (``tts99``).
 
+``choose`` picks a point only where a one-sided 95% lower bound on p_run
+clears ``TARGET`` (``p_run_lower``), so that sampling noise in p does not
+decide the pick.  With ``--from-curves`` the tool anneals nothing: it
+recomputes the pick from the curves already in the output file and
+refreshes the 40-sphere chain's memory record.
+
 A run draws its restarts' proposals as consecutive rows of one random
 stream, so a run of R restarts is the first R restarts of a wider run
 with the same seed.  The tool therefore anneals each (instance, sweeps,
@@ -64,10 +70,11 @@ CHAINS = (12, 16, 20, 24)
 # checks the same three); the larger chains are recorded, not required.
 GUARDED = ("reference", "chain6", "chain12")
 TARGET = 0.99  # the success probability TTS is quoted for
+Z_95 = 1.6448536269514722  # one-sided 95% quantile of the standard normal
 SEEDS = 8
 REPEATS = 3  # timed solve_sa calls per point
-# Largest proposals (``qubo.sa_table_bytes``) one measuring run may
-# allocate: 1000 n x 512 restarts would take 0.9 GiB on chain24.
+# Largest working set (``qubo.sa_table_bytes``) one measuring run may
+# hold: 1000 n x 512 restarts would take 0.9 GiB on chain24.
 TABLE_BUDGET = 256 * 2**20
 MEMORY_CHAIN = 40  # chain whose default run's memory is recorded (195 variables)
 
@@ -89,6 +96,27 @@ def tts99(t_run: float, p_run: float) -> float:
 def run_success(p: float, restarts: int) -> float:
     """Probability that at least one of ``restarts`` independent restarts succeeds."""
     return 1.0 - (1.0 - p) ** restarts
+
+
+def wilson_lower(p: float, trials: int) -> float:
+    """One-sided 95% Wilson score lower bound on a success rate p observed
+    over ``trials``; 0 when nothing was tried."""
+    if trials <= 0:
+        return 0.0
+    z2 = Z_95 * Z_95 / trials
+    centre = p + z2 / 2.0
+    margin = Z_95 * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials))
+    return max(0.0, (centre - margin) / (1.0 + z2))
+
+
+def p_run_lower(record: dict) -> float:
+    """One-sided 95% lower bound on a curve record's p_run.
+
+    The Wilson bound on ``p_restart`` over ``restarts_sampled`` restarts,
+    carried through ``run_success`` at the record's restarts.
+    """
+    p_low = wilson_lower(record["p_restart"], record["restarts_sampled"])
+    return run_success(p_low, record["restarts"])
 
 
 def cover_qubo(scene: scenes.Scene):
@@ -176,8 +204,9 @@ def curve(q, optimum: float, points) -> list:
 def choose(curves: dict) -> dict | None:
     """The grid point of least summed t_run over the ``GUARDED`` instances,
     among those where each guarded instance reached the optimum on every
-    seed and one run reaches it with probability at least ``TARGET``, so
-    that a single run is its own TTS99.  None if no point qualifies."""
+    seed and a one-sided 95% lower bound on the probability that one run
+    reaches it (``p_run_lower``) is at least ``TARGET``, so that a single
+    run is its own TTS99.  None if no point qualifies."""
     best = None
     for f in SWEEPS_PER_VARIABLE:
         for r in RESTARTS:
@@ -185,7 +214,7 @@ def choose(curves: dict) -> dict | None:
                          if (x["sweeps_per_variable"], x["restarts"]) == (f, r))
                     for name in GUARDED]
             if any("skipped" in x or x["seeds_reached"] < x["seeds"]
-                   or x["p_run"] < TARGET for x in recs):
+                   or p_run_lower(x) < TARGET for x in recs):
                 continue
             cost = sum(x["t_run_s"] for x in recs)
             if best is None or cost < best[0]:
@@ -211,10 +240,29 @@ def default_memory(q) -> dict:
             "tracemalloc_peak_mib": round(peak / 2**20, 2)}
 
 
+def chain40_qubo():
+    return cover_qubo(scenes.chain_scene(np.random.default_rng(0), MEMORY_CHAIN,
+                                         "tree", "qubo_sa"))[0]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_sa_schedule.json")
+    ap.add_argument("--from-curves", action="store_true",
+                    help="anneal nothing: recompute the pick from the curves in "
+                         "--out and refresh the memory record")
     args = ap.parse_args(argv)
+
+    out = json.loads(args.out.read_text()) if args.out.exists() else {}
+    if args.from_curves:
+        curves = {name: rec["curve"] for name, rec in out["instances"].items()}
+        out.update({
+            "chosen": choose(curves),
+            f"chain{MEMORY_CHAIN}_default_memory": default_memory(chain40_qubo()),
+        })
+        args.out.write_text(json.dumps(out, indent=2) + "\n")
+        print(json.dumps(out["chosen"]))
+        return 0
 
     result = {}
     curves = {}
@@ -234,9 +282,6 @@ def main(argv=None) -> int:
                             if (x["sweeps_per_variable"], x["restarts"]) == default),
             "curve": curves[name],
         }
-    q40, _ = cover_qubo(scenes.chain_scene(np.random.default_rng(0), MEMORY_CHAIN,
-                                           "tree", "qubo_sa"))
-    out = json.loads(args.out.read_text()) if args.out.exists() else {}
     out.update({
         "tool": "python3 tools/sa_tts.py " + " ".join(argv or sys.argv[1:]),
         "hardware": f"{len(os.sched_getaffinity(0))} CPUs, "
@@ -249,7 +294,7 @@ def main(argv=None) -> int:
             "sweeps_per_variable": default[0], "restarts": default[1]},
         "chosen": choose(curves),
         "instances": result,
-        f"chain{MEMORY_CHAIN}_default_memory": default_memory(q40),
+        f"chain{MEMORY_CHAIN}_default_memory": default_memory(chain40_qubo()),
     })
     args.out.write_text(json.dumps(out, indent=2) + "\n")
     print(json.dumps(out["chosen"]))
