@@ -5,14 +5,15 @@ All randomness flows from explicit integer seeds through
 parallel callers can derive independent per-task streams from one master
 seed.  ``rejection_batches`` is the one rejection loop: it yields the kept
 rows of attempt batches of ``_BATCH`` rows, or of a ramp that starts
-smaller and doubles up to ``_BATCH`` and stops at the same total, and
-``rejection_sample`` (which the surface sampler and the pipeline's
-agreement check use), ``region_batches`` and ``sample_region`` all consume
-it.  With the same seed, runs that ask for more points extend the accepted
-sequence of runs that asked for fewer, and an interior draw keeps the
-same points in the same order whatever its first batch (prefix properties
-the intersection-graph builder relies on when it starts a primitive's
-draw small and stops it early).
+smaller and doubles up to ``_BATCH`` and stops at the same total.
+``rejection_sample`` draws whole batches for the surface sampler, the
+pipeline's agreement check and ``sample_region``; ``region_batches``, the
+intersection graph's draw, ramps up from ``_FIRST_BATCH``.  With the same
+seed, runs that ask for more points extend the accepted sequence of runs
+that asked for fewer, and an interior draw keeps the same points in the
+same order whatever its first batch (prefix properties the
+intersection-graph builder relies on when it walks a primitive's draw and
+stops it early).
 
 ``near_pairs`` is the one pair filter of the graph and product stages:
 two primitives can share an interior point only when their bounding boxes
@@ -43,6 +44,10 @@ from .primitives import (
 )
 
 _BATCH = 4096
+# Attempts in the first batch of an interior draw.  The intersection graph
+# decides a near pair by its first hit, mostly within a few dozen points,
+# so a small first batch spares drawing points it would throw away.
+_FIRST_BATCH = 64
 _ATTEMPT_FACTOR = 64  # rejection cap: ~64 attempts per requested point
 _SURFACE_ATTEMPT_FACTOR = 512
 # Relative slack of the bounding-ball test.  A rotation from a quaternion
@@ -113,32 +118,40 @@ def rejection_sample(draw, accept, count: int, max_attempts: int) -> tuple[np.nd
     )
 
 
-def region_batches(primitive: Primitive, count: int, seed: int, first: int = _BATCH):
-    """Yield ``sample_region``'s points one attempt batch at a time.
-
-    The batches start at ``first`` attempts (``rejection_batches``).  The
-    box draw is prefix-stable, so the points and their order are the same
-    for every ``first``; only how they are split into batches differs.
-    """
+def _region_draw(primitive: Primitive, seed: int):
+    """The (draw, accept) pair of ``rejection_batches`` for a box draw
+    rejected to the primitive's interior."""
     lo, hi = aabb(primitive)
     rng = np.random.default_rng(int(seed))
-    for (pts,) in rejection_batches(
-        lambda n: rng.uniform(lo, hi, size=(n, 3)),
-        lambda pts: (pts[signed_distance(primitive, pts) < 0],),
-        count, _ATTEMPT_FACTOR * count, first,
-    ):
+    return (lambda n: rng.uniform(lo, hi, size=(n, 3)),
+            lambda pts: (pts[signed_distance(primitive, pts) < 0],))
+
+
+def region_batches(primitive: Primitive, count: int, seed: int):
+    """Yield ``sample_region``'s points one attempt batch at a time.
+
+    The batches start at ``_FIRST_BATCH`` attempts and double
+    (``rejection_batches``), for a caller that may stop early.  The box
+    draw is prefix-stable, so the points and their order are those of
+    ``sample_region``; only how they are split into batches differs.
+    """
+    for (pts,) in rejection_batches(*_region_draw(primitive, seed), count,
+                                    _ATTEMPT_FACTOR * count, _FIRST_BATCH):
         yield pts
 
 
 def sample_region(primitive: Primitive, count: int, seed: int) -> np.ndarray:
     """Up to ``count`` uniform points inside ``primitive``.
 
-    Rejection-samples the primitive's AABB.  Returns a (k, 3) array with
-    k <= count; k < count only when the attempt cap runs out first.
+    Rejection-samples the primitive's AABB in whole batches.  Returns a
+    (k, 3) array with k <= count; k < count only when the attempt cap runs
+    out first.
     """
     if count <= 0:
         return np.empty((0, 3))
-    return np.concatenate(list(region_batches(primitive, count, seed)))
+    (pts,) = rejection_sample(*_region_draw(primitive, seed), count,
+                              _ATTEMPT_FACTOR * count)
+    return pts
 
 
 def check_sample_count(count: int) -> None:

@@ -5,13 +5,13 @@ Overlap is detected by sampling: each primitive gets a deterministic draw
 of interior points (its own seed derived from the master seed), and a pair
 is connected when either draw hits the other solid.  Only the pairs
 ``near_pairs`` keeps (bounding boxes and bounding balls meet) are tested,
-and a pair is decided by its first hit: each primitive's draw is walked in
-attempt batches that start at ``_FIRST_BATCH`` and double up to 4096,
-against the near pairs not yet joined, and stops once none is left open.
-The edges are those of testing every kept point against every primitive.
-An exact convex overlap test is the planned replacement for this sampled
-pass.  Maximal cliques come from Bron-Kerbosch with pivoting; all outputs
-are canonically ordered so downstream candidate generation is
+and a pair is decided by its first hit: each primitive's draw is walked
+one ``region_batches`` batch at a time (64 attempts first, doubling up to
+4096) against the near pairs not yet joined, and stops once none is left
+open.  The edges are those of testing every kept point against every
+primitive.  An exact convex overlap test is the planned replacement for
+this sampled pass.  Maximal cliques come from Bron-Kerbosch with pivoting;
+all outputs are canonically ordered so downstream candidate generation is
 deterministic.
 """
 
@@ -28,10 +28,6 @@ from .geometry.sampling import check_sample_count, derive_seed, near_pairs, regi
 DEFAULT_GRAPH_SAMPLES = 4096
 
 _SEED_NAMESPACE = 0x47  # keeps graph sub-streams apart from other modules'
-# Attempts in the first batch of a primitive's draw.  A near pair is mostly
-# decided by a few dozen points, so a small first batch spares drawing and
-# testing points that would be thrown away.
-_FIRST_BATCH = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +107,7 @@ def build_intersection_graph(primitives, count: int = DEFAULT_GRAPH_SAMPLES,
         targets = np.flatnonzero(open_pairs[i]).tolist()
         if not targets:
             continue
-        for pts in region_batches(prim, count, seeds[i], first=_FIRST_BATCH):
+        for pts in region_batches(prim, count, seeds[i]):
             hits = [j for j in targets if np.any(signed_distance(prims[j], pts) < 0)]
             for j in hits:
                 open_pairs[j, i] = False  # j's own draw need not test i

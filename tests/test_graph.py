@@ -177,9 +177,9 @@ def _trace_graph_work(monkeypatch):
         tested[drawer[-1], prim.pid] += len(pts)
         return member_test(prim, pts)
 
-    def traced_batches(prim, count, seed, first):
+    def traced_batches(prim, count, seed):
         drawer.append(prim.pid)
-        return region_batches(prim, count, seed, first)
+        return region_batches(prim, count, seed)
 
     monkeypatch.setattr(sampling, "signed_distance", counted_own)
     monkeypatch.setattr(graph_module, "signed_distance", counted_member)

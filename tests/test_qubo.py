@@ -624,10 +624,12 @@ class TestSolveSa:
         with pytest.raises(ParameterError,
                            match=r"5101184 bytes .* SA_TABLE_LIMIT = 1048576"):
             solve_sa(q, AnnealSchedule(1.0, 0.01, 31744, 4))
-        # 5082 sweeps are the most that fit: 1 048 560 bytes, and 152 more
-        # per sweep.
+        # No sweep count lands on 2^20 bytes (each adds 152), so the limit is
+        # moved onto 5082 sweeps' count: a run of exactly the limit runs and
+        # one sweep more is refused.
         assert qubo.sa_table_bytes(4, 5082, 4) == 1048560
         assert qubo.sa_table_bytes(4, 5083, 4) == 1048712
+        monkeypatch.setattr(qubo, "SA_TABLE_LIMIT", 1048560)
         assert solve_sa(q, AnnealSchedule(1.0, 0.01, 5082, 4)).assignment == "1000"
         with pytest.raises(ParameterError, match="1048712 bytes"):
             solve_sa(q, AnnealSchedule(1.0, 0.01, 5083, 4))

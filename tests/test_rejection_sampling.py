@@ -314,9 +314,9 @@ class TestSampleRegion:
         assert 0 < len(got) < 5000
         want = reference_sample_region(thin, 5000, 3)
         npt.assert_array_equal(got, want)
-        # The graph's draw starts with small batches and stops at the same
-        # total of attempts, so it keeps the same points.
-        ramp = list(region_batches(thin, 5000, 3, first=64))
+        # The draw starts with small batches and stops at the same total of
+        # attempts as whole batches, so it keeps the same points.
+        ramp = list(region_batches(thin, 5000, 3))
         assert len(ramp[0]) < len(want)
         npt.assert_array_equal(np.concatenate(ramp), want)
 

@@ -25,9 +25,7 @@ tool reports
 
 ``choose`` picks a point only where a one-sided 95% lower bound on p_run
 clears ``TARGET`` (``p_run_lower``), so that sampling noise in p does not
-decide the pick.  With ``--from-curves`` the tool anneals nothing: it
-recomputes the pick from the curves already in the output file and
-refreshes the 40-sphere chain's memory record.
+decide the pick.
 
 A run draws its restarts' proposals as consecutive rows of one random
 stream, so a run of R restarts is the first R restarts of a wider run
@@ -182,7 +180,7 @@ def curve(q, optimum: float, points) -> list:
             rec = {"sweeps_per_variable": f, "restarts": r,
                    "table_mib": round(qubo.sa_table_bytes(q.n, sweeps, r) / 2**20, 2)}
             if r not in fit:
-                rec["skipped"] = "proposal tables above TABLE_BUDGET"
+                rec["skipped"] = "working set above TABLE_BUDGET"
                 records.append(rec)
                 continue
             t_run = median_time(q, qubo.AnnealSchedule(t_start, 0.01, sweeps, r))
@@ -240,29 +238,10 @@ def default_memory(q) -> dict:
             "tracemalloc_peak_mib": round(peak / 2**20, 2)}
 
 
-def chain40_qubo():
-    return cover_qubo(scenes.chain_scene(np.random.default_rng(0), MEMORY_CHAIN,
-                                         "tree", "qubo_sa"))[0]
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_sa_schedule.json")
-    ap.add_argument("--from-curves", action="store_true",
-                    help="anneal nothing: recompute the pick from the curves in "
-                         "--out and refresh the memory record")
     args = ap.parse_args(argv)
-
-    out = json.loads(args.out.read_text()) if args.out.exists() else {}
-    if args.from_curves:
-        curves = {name: rec["curve"] for name, rec in out["instances"].items()}
-        out.update({
-            "chosen": choose(curves),
-            f"chain{MEMORY_CHAIN}_default_memory": default_memory(chain40_qubo()),
-        })
-        args.out.write_text(json.dumps(out, indent=2) + "\n")
-        print(json.dumps(out["chosen"]))
-        return 0
 
     result = {}
     curves = {}
@@ -282,6 +261,9 @@ def main(argv=None) -> int:
                             if (x["sweeps_per_variable"], x["restarts"]) == default),
             "curve": curves[name],
         }
+    q40, _ = cover_qubo(scenes.chain_scene(np.random.default_rng(0), MEMORY_CHAIN,
+                                           "tree", "qubo_sa"))
+    out = json.loads(args.out.read_text()) if args.out.exists() else {}
     out.update({
         "tool": "python3 tools/sa_tts.py " + " ".join(argv or sys.argv[1:]),
         "hardware": f"{len(os.sched_getaffinity(0))} CPUs, "
@@ -294,7 +276,7 @@ def main(argv=None) -> int:
             "sweeps_per_variable": default[0], "restarts": default[1]},
         "chosen": choose(curves),
         "instances": result,
-        f"chain{MEMORY_CHAIN}_default_memory": default_memory(chain40_qubo()),
+        f"chain{MEMORY_CHAIN}_default_memory": default_memory(q40),
     })
     args.out.write_text(json.dumps(out, indent=2) + "\n")
     print(json.dumps(out["chosen"]))
