@@ -83,7 +83,7 @@ def _sample_counts(samples: int | None) -> dict:
                                        "product_samples": samples}
 
 
-def _parse_schedule(text: str | None) -> AnnealSchedule | None:
+def _parse_schedule(_ctx, _param, text: str | None) -> AnnealSchedule | None:
     if text is None:
         return None
     parts = text.split(",")
@@ -95,6 +95,15 @@ def _parse_schedule(text: str | None) -> AnnealSchedule | None:
         )
     except ValueError as exc:
         raise ParameterError(f"bad --schedule value: {exc}") from exc
+
+
+# Every --schedule is parsed with the options, also where it goes unused.
+_schedule_option = click.option(
+    "--schedule", type=str, default=None, callback=_parse_schedule,
+    help="SA schedule t_start,t_end,sweeps,restarts.")
+_out_option = click.option(
+    "--out", type=click.Path(dir_okay=False), default=None,
+    help="Write the output here instead of stdout.")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -138,10 +147,8 @@ def cli():
 @_seed_option
 @click.option("--penalty-a", type=float, default=None, help=_COVER_A_HELP)
 @click.option("--penalty-b", type=float, default=None, help=_COVER_B_HELP)
-@click.option("--schedule", "schedule_text", type=str, default=None,
-              help="SA schedule t_start,t_end,sweeps,restarts.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Write the report here instead of stdout.")
+@_schedule_option
+@_out_option
 @click.option("--tree-out", type=click.Path(dir_okay=False), default=None,
               help="Also write the output tree JSON here.")
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]),
@@ -150,7 +157,7 @@ def cli():
               help="Omit the timestamp for byte-identical reports.")
 def compress_cmd(primitives_path, cloud_path, tree_path, abstract_path, mode,
                  solver, clique_method, samples, seed, penalty_a, penalty_b,
-                 schedule_text, out, tree_out, fmt, no_timestamp):
+                 schedule, out, tree_out, fmt, no_timestamp):
     """Compress a target solid into a small CSG tree."""
     cfg = PipelineConfig(
         mode=mode,
@@ -159,7 +166,7 @@ def compress_cmd(primitives_path, cloud_path, tree_path, abstract_path, mode,
         seed=seed,
         penalty_a=penalty_a,
         penalty_b=penalty_b,
-        schedule=_parse_schedule(schedule_text),
+        schedule=schedule,
         **_sample_counts(samples),
     )
     if abstract_path is not None:
@@ -195,13 +202,13 @@ def _now() -> str:
               help="Reward per clique vertex [default: 1].")
 @click.option("--penalty-b", type=float, default=None,
               help="Penalty per non-edge, above A [default: 2].")
-@click.option("--schedule", "schedule_text", type=str, default=None)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-def cliques_cmd(graph_path, method, seed, penalty_a, penalty_b, schedule_text, out):
+@_schedule_option
+@_out_option
+def cliques_cmd(graph_path, method, seed, penalty_a, penalty_b, schedule, out):
     """Enumerate maximal cliques (bk) or peel SA-found cliques (experimental)."""
     cliques = find_cliques(
         load_graph(graph_path), method, penalty_a=penalty_a, penalty_b=penalty_b,
-        schedule=_parse_schedule(schedule_text), seed=seed,
+        schedule=schedule, seed=seed,
     )
     payload = {"method": method, "cliques": [sorted(c) for c in cliques]}
     _emit(json.dumps(payload, indent=2) + "\n", out)
@@ -213,7 +220,7 @@ def cliques_cmd(graph_path, method, seed, penalty_a, penalty_b, schedule_text, o
 @click.option("--tree", "tree_path", type=_in_file, default=None)
 @_samples_option
 @_seed_option
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_out_option
 def products_cmd(primitives_path, cloud_path, tree_path, samples, seed, out):
     """Enumerate and classify the non-empty fundamental products.
 
@@ -233,15 +240,15 @@ def products_cmd(primitives_path, cloud_path, tree_path, samples, seed, out):
               default=PipelineConfig.cover_solver, show_default=True)
 @click.option("--penalty-a", type=float, default=None, help=_COVER_A_HELP)
 @click.option("--penalty-b", type=float, default=None, help=_COVER_B_HELP)
-@click.option("--schedule", "schedule_text", type=str, default=None)
+@_schedule_option
 @_seed_option
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-def cover_cmd(instance_path, solver, penalty_a, penalty_b, schedule_text, seed, out):
+@_out_option
+def cover_cmd(instance_path, solver, penalty_a, penalty_b, schedule, seed, out):
     """Solve a smallest-exact-cover instance."""
     instance = load_cover_instance(instance_path)
     solution, meta = solve_cover(
         instance, solver, penalty_a=penalty_a, penalty_b=penalty_b,
-        schedule=_parse_schedule(schedule_text), seed=seed,
+        schedule=schedule, seed=seed,
     )
     payload = {**solution_to_dict(solution, instance), "solver": meta}
     _emit(json.dumps(payload, indent=2) + "\n", out)
@@ -256,16 +263,16 @@ def qubo_group():
 @click.option("--model", "model_path", type=_in_file, required=True)
 @click.option("--solver", type=click.Choice(["exact", "sa"]), default="sa",
               show_default=True)
-@click.option("--schedule", "schedule_text", type=str, default=None)
+@_schedule_option
 @_seed_option
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-def qubo_solve_cmd(model_path, solver, schedule_text, seed, out):
+@_out_option
+def qubo_solve_cmd(model_path, solver, schedule, seed, out):
     """Minimise a QUBO model file."""
     q = import_qubo(model_path)
     if solver == "exact":
         result = solve_exact(q)
     else:
-        result = solve_sa(q, _parse_schedule(schedule_text), seed=seed)
+        result = solve_sa(q, schedule, seed=seed)
     _emit(json.dumps(asdict(result), indent=2) + "\n", out)
 
 
@@ -304,7 +311,7 @@ def qubo_export_cmd(instance_path, graph_path, penalty_a, penalty_b, out):
 @click.option("--samples", type=int, default=DEFAULT_AGREEMENT_POINTS,
               show_default=True, help="Number of off-surface query points.")
 @_seed_option
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_out_option
 def eval_cmd(tree_path, primitives_path, cloud_path, samples, seed, out):
     """Agreement between a tree and a point-cloud oracle."""
     prims = load_primitives(primitives_path)

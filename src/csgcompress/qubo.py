@@ -280,17 +280,16 @@ def default_schedule(q: Qubo) -> AnnealSchedule:
     coefficients are all below the 0.01 floor, t_start falls back to 1.
 
     The restarts run in lockstep, so a run's time grows with sweeps x
-    restarts.  The point was chosen from the time-to-solution curve of
-    ``tools/sa_tts.py`` (``BENCH_sa_schedule.json``): it was the fastest on
-    that grid whose single run reaches the optimum with probability at
-    least 0.99 on the reference-scene, 6-sphere and 12-sphere chain cover
-    QUBOs (19, 25 and 55 variables), and it does on all 8 seeds tried.  On
-    the 12-sphere chain one run sits at that line (p = 0.017 per restart
-    at 10 n to 30 n sweeps); the tool's rule, which asks a 95% lower bound
-    on that probability to clear 0.99, picks 10 n x 512 instead.  The
-    headroom is in size: the 12-sphere chain is twice the largest model
-    the ``anneal`` benchmark anneals, where one restart succeeds with
-    p = 0.15-0.20 and one run fails with probability below 1e-18.
+    restarts.  It is the fastest point of the ``tools/sa_tts.py`` grid
+    (``BENCH_sa_schedule.json``) whose single run reaches the optimum with
+    estimated probability at least 0.99 on the reference-scene, 6-sphere
+    and 12-sphere chain cover QUBOs (19, 25 and 55 variables).  On the
+    12-sphere chain one run sits at that line (p = 0.017 per restart at
+    10 n to 30 n sweeps); the tool's rule, which asks a 95% lower bound on
+    that probability to clear 0.99, picks 10 n x 512 instead.  The largest
+    model the ``anneal`` benchmark anneals has 25 variables, where one
+    restart succeeds with p = 0.15-0.20 and one run fails with probability
+    below 1e-18.
     """
     t_start = q.max_abs_coefficient()
     if t_start <= 0.01:
@@ -381,14 +380,11 @@ def solve_exact(q: Qubo) -> SolveResult:
     return SolveResult(assignment, qubo_energy(q, assignment), "exact")
 
 
-# Each restart's proposal row is padded by this many proposals that are
-# never accepted, so that a block of the annealing loop, which grows to at
-# most this size, never reads past its row.  The cap only bounds memory:
-# trajectories do not depend on block sizes.  64 was picked from a sweep of
-# caps 16 to 1024 on chain cover QUBOs (``BENCH_sa_working_set.json``):
-# run time is level from 16 to 128, and below 64 the peak falls by under
-# 0.5 MiB on every model.
-_MAX_BLOCK = 64
+# Proposals each restart scores per round of ``_anneal``, and the padding,
+# never accepted, that keeps a round inside its proposal row.  It changes no
+# trajectory; on chain cover QUBOs run time is level from 16 to 128
+# (``BENCH_sa_working_set.json``), while the working set grows with it.
+_BLOCK = 16
 # Restarts whose uniforms are drawn in one call: a chunk of rows is all the
 # uniform buffer ever holds.
 _DRAW_ROWS = 8
@@ -399,11 +395,11 @@ def sa_table_bytes(n: int, sweeps: int, restarts: int) -> int:
 
     With R restarts and S sweeps on n variables, ``_anneal`` holds
 
-    * two 8-byte proposal tables of R x (S + ``_MAX_BLOCK``) entries, flat
+    * two 8-byte proposal tables of R x (S + ``_BLOCK``) entries, flat
       flip index and threshold;
     * one chunk of at most ``_DRAW_ROWS`` rows of n + 2 S uniforms;
     * the temperature ladder, three S-vectors while it is built;
-    * one block's gathers, four 8-byte arrays of R x ``_MAX_BLOCK``;
+    * one round's gathers, four 8-byte arrays of R x ``_BLOCK``;
     * the state: seven R x n float arrays (start bits, fields, spins, flip
       costs, best spins and the field update's two temporaries) and
       sixteen R-vectors;
@@ -413,10 +409,10 @@ def sa_table_bytes(n: int, sweeps: int, restarts: int) -> int:
     Their sum bounds the run's peak, which never holds all of them at once.
     """
     R, S = restarts, sweeps
-    return (16 * R * (S + _MAX_BLOCK)
+    return (16 * R * (S + _BLOCK)
             + 8 * min(R, _DRAW_ROWS) * (n + 2 * S)
             + 24 * S
-            + 32 * R * _MAX_BLOCK
+            + 32 * R * _BLOCK
             + 8 * R * (7 * n + 16)
             + 8 * n * n
             + (1 << 18))
@@ -494,23 +490,21 @@ def _anneal(q: Qubo, schedule: AnnealSchedule, seed: int):
 
     Each restart keeps its local fields G = X W and its flip costs
     D = spins * (lin + G), the expression a step-by-step walk evaluates,
-    and refreshes both after every round that accepts.  The schedule is
-    consumed in ragged blocks: each restart scores its next proposals with
-    one gather from D against its frozen state, only the first accepted one
-    is applied, and that restart resumes right after it.  A restart without
-    an acceptance in its block takes a zero step and moves past the block.
-    Rejections never change state, so nothing diverges from stepping one
-    proposal at a time, and block sizes, ``_MAX_BLOCK`` included, do not
-    change any trajectory.  The proposals take two tables of restarts x
-    (sweeps + ``_MAX_BLOCK``) entries, flat flip index and threshold: 16
-    bytes per proposal.  Each block's gathers take restarts x block
-    entries, at most ``_MAX_BLOCK``; ``sa_table_bytes`` counts all of it.
+    and refreshes both after every round that accepts.  Each round, every
+    restart scores its next ``_BLOCK`` proposals with one gather from D
+    against its frozen state, only the first accepted one is applied, and
+    that restart resumes right after it.  A restart without an acceptance
+    takes a zero step and moves past the block.  Rejections never change
+    state, so nothing diverges from stepping one proposal at a time, and
+    ``_BLOCK`` does not change any trajectory.  The proposals take two
+    tables of restarts x (sweeps + ``_BLOCK``) entries, flat flip index and
+    threshold; ``sa_table_bytes`` counts them and the rest of the run.
     """
     lin, W = _dense(q)
     R, S, n = schedule.restarts, schedule.sweeps, q.n
     # The padding, -inf thresholds on each restart's own first variable, is
     # never accepted.
-    width = S + _MAX_BLOCK
+    width = S + _BLOCK
     rows = np.arange(R)
     X = np.empty((R, n))
     flat_flips = np.empty((R, width), dtype=np.int64)
@@ -535,16 +529,15 @@ def _anneal(q: Qubo, schedule: AnnealSchedule, seed: int):
     Sf, Df = spins.ravel(), D.ravel()
     best_E = E.copy()
     best_spins = spins.copy()
-    offsets = np.arange(_MAX_BLOCK)
+    offsets = np.arange(_BLOCK)
     pos = rows * width  # flat index of each restart's next proposal
     end = pos + S
-    block = 16  # doubles whenever no restart accepts
     while True:
-        idx = pos[:, None] + offsets[:block]
+        idx = pos[:, None] + offsets
         delta = Df[flat_flips[idx]]
         acc = delta <= thresholds[idx]
         first = acc.argmax(axis=1)
-        pick = rows * block + first
+        pick = rows * _BLOCK + first
         hit = acc.ravel()[pick]
         if np.count_nonzero(hit):
             at = flat_flips[pos + first]
@@ -558,14 +551,13 @@ def _anneal(q: Qubo, schedule: AnnealSchedule, seed: int):
             if np.count_nonzero(better):
                 best_E[better] = E[better]
                 best_spins[better] = spins[better]
-            pos += np.where(hit, first + 1, block)
+            pos += np.where(hit, first + 1, _BLOCK)
         else:
-            pos += block
+            pos += _BLOCK
             # A finished restart sits at its end, in the padding, so only
-            # a block without acceptances can be the last.
+            # a round without acceptances can be the last.
             if not np.count_nonzero(pos < end):
                 break
-            block = min(2 * block, _MAX_BLOCK)
         np.minimum(pos, end, out=pos)
     return best_E, (best_spins < 0).astype(int)
 

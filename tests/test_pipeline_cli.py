@@ -1,6 +1,9 @@
 """Tests for the end-to-end pipeline and the csgc command line."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,6 +56,13 @@ from tests.conftest import sphere_chain_instance
 
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
+COMPRESS_RUNS = """
+import json, sys
+from csgcompress.cli import main
+for args in json.loads(sys.argv[1]):
+    assert main(args) == 0, args
+"""
 
 
 @pytest.fixture(scope="module")
@@ -488,6 +498,32 @@ class TestCli:
         golden = GOLDEN / f"compress_reference_{source}.json"
         assert out.read_bytes() == golden.read_bytes()
 
+    def test_reports_do_not_depend_on_the_hash_seed(self, scene_files, cloud_file,
+                                                    tmp_path):
+        # Set iteration order follows PYTHONHASHSEED, which one interpreter
+        # cannot vary, so each hash seed runs in its own process.
+        prim_path, tree_path = scene_files
+        configs = {
+            "tree-dlx": ["--tree", str(tree_path)],
+            "tree-qubo_sa": ["--tree", str(tree_path), "--solver", "qubo_sa"],
+            "cloud-dlx": ["--cloud", str(cloud_file)],
+        }
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+        for hash_seed in ("0", "1"):
+            runs = [["compress", "--primitives", str(prim_path), *extra,
+                     "--no-timestamp", "--out", str(tmp_path / f"{name}-{hash_seed}")]
+                    for name, extra in configs.items()]
+            run = subprocess.run(
+                [sys.executable, "-c", COMPRESS_RUNS, json.dumps(runs)],
+                env={**env, "PYTHONHASHSEED": hash_seed},
+                capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+        for name in configs:
+            first = (tmp_path / f"{name}-0").read_bytes()
+            assert first and first == (tmp_path / f"{name}-1").read_bytes(), name
+
     @pytest.mark.parametrize("solver", ["dlx", "qubo_exact", "qubo_sa"])
     def test_compress_abstract_matches_golden_report(self, solver, abstract_file,
                                                      tmp_path):
@@ -605,6 +641,26 @@ class TestCli:
         assert "seed must be non-negative" in capsys.readouterr().err
         assert code == 4
 
+    @pytest.mark.parametrize("solver", ["exact", "sa"])
+    def test_malformed_schedule_is_a_parameter_error(self, solver, cover5_file,
+                                                     tmp_path, capsys):
+        # Refused also where the exact solver never reads it.
+        model = tmp_path / "cover.qubo"
+        assert main(["qubo", "export", "--instance", str(cover5_file),
+                     "--out", str(model)]) == 0
+        code = main(["qubo", "solve", "--model", str(model), "--solver", solver,
+                     "--schedule", "garbage"])
+        assert "--schedule expects t_start,t_end,sweeps,restarts" in (
+            capsys.readouterr().err)
+        assert code == 4
+
+    def test_schedule_is_checked_before_the_input_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        code = main(["cover", "--instance", str(bad), "--schedule", "1,2,3"])
+        assert "--schedule expects" in capsys.readouterr().err
+        assert code == 4
+
     @pytest.mark.parametrize("penalty_b", ["0", "-1"])
     @pytest.mark.parametrize("command", ["cover", "qubo export"])
     def test_non_positive_subset_cost_is_a_parameter_error(
@@ -702,14 +758,14 @@ class TestCli:
     def test_schedule_above_the_table_limit_is_a_parameter_error(
         self, cover5_file, monkeypatch, capsys
     ):
-        # 4 restarts x (31 744 + 64) proposals x 16 bytes are 1.9 MiB, and
+        # 4 restarts x (31 744 + 16) proposals x 16 bytes are 1.9 MiB, and
         # their 4 rows of 7 + 2 x 31 744 uniforms x 8 bytes another 1.9 MiB
         # (qubo.sa_table_bytes counts the rest of the run's arrays too).
         monkeypatch.setattr(qubo, "SA_TABLE_LIMIT", 1 << 20)
         code = main(["cover", "--instance", str(cover5_file), "--solver", "qubo_sa",
                      "--schedule", "1,0.01,31744,4"])
         err = capsys.readouterr().err
-        assert "5102216 bytes of working memory, above SA_TABLE_LIMIT = 1048576" in err
+        assert "5093000 bytes of working memory, above SA_TABLE_LIMIT = 1048576" in err
         assert code == 4
 
     @pytest.mark.parametrize("command, record, field", [

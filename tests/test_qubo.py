@@ -591,7 +591,7 @@ class TestSolveSa:
         assert (thresholds[:, :S] > 0).all()
 
     def test_memory_is_about_two_proposal_tables(self):
-        # Two 8-byte tables of 256 x (750 + 64) proposals are 3.2 MiB; the
+        # Two 8-byte tables of 256 x (750 + 16) proposals are 3.0 MiB; the
         # uniforms, block gathers and state add under 1 MiB.
         q = random_qubo(np.random.default_rng(25), 25)
         tracemalloc.start()
@@ -616,35 +616,35 @@ class TestSolveSa:
         assert peak <= qubo.sa_table_bytes(q.n, sched.sweeps, sched.restarts)
 
     def test_proposal_tables_above_the_limit_are_refused(self, monkeypatch):
-        # 4 restarts x (31 744 + 64) proposals x 16 bytes are 1.9 MiB, their
+        # 4 restarts x (31 744 + 16) proposals x 16 bytes are 1.9 MiB, their
         # 4 rows of 4 + 2 x 31 744 uniforms x 8 bytes another 1.9 MiB, the
         # temperature ladder 0.7 MiB and the fixed allowance 0.25 MiB.
         monkeypatch.setattr(qubo, "SA_TABLE_LIMIT", 1 << 20)
         q = Qubo(4, {0: -1.0, 1: 1.0, 2: 1.0, 3: 1.0}, {(0, 1): 1.0})
         with pytest.raises(ParameterError,
-                           match=r"5101184 bytes .* SA_TABLE_LIMIT = 1048576"):
+                           match=r"5091968 bytes .* SA_TABLE_LIMIT = 1048576"):
             solve_sa(q, AnnealSchedule(1.0, 0.01, 31744, 4))
         # No sweep count lands on 2^20 bytes (each adds 152), so the limit is
-        # moved onto 5082 sweeps' count: a run of exactly the limit runs and
+        # moved onto 5142 sweeps' count: a run of exactly the limit runs and
         # one sweep more is refused.
-        assert qubo.sa_table_bytes(4, 5082, 4) == 1048560
-        assert qubo.sa_table_bytes(4, 5083, 4) == 1048712
-        monkeypatch.setattr(qubo, "SA_TABLE_LIMIT", 1048560)
-        assert solve_sa(q, AnnealSchedule(1.0, 0.01, 5082, 4)).assignment == "1000"
-        with pytest.raises(ParameterError, match="1048712 bytes"):
-            solve_sa(q, AnnealSchedule(1.0, 0.01, 5083, 4))
+        assert qubo.sa_table_bytes(4, 5142, 4) == 1048464
+        assert qubo.sa_table_bytes(4, 5143, 4) == 1048616
+        monkeypatch.setattr(qubo, "SA_TABLE_LIMIT", 1048464)
+        assert solve_sa(q, AnnealSchedule(1.0, 0.01, 5142, 4)).assignment == "1000"
+        with pytest.raises(ParameterError, match="1048616 bytes"):
+            solve_sa(q, AnnealSchedule(1.0, 0.01, 5143, 4))
 
     def test_table_bytes_count_one_chunk_of_uniforms(self):
         # Past _DRAW_ROWS restarts the uniform buffer stops growing: a
-        # restart adds 16 x (10 + 64) table bytes, 32 x 64 gather bytes and
+        # restart adds 16 x (10 + 16) table bytes, 32 x 16 gather bytes and
         # 8 x (7 x 3 + 16) state bytes, plus 8 x (3 + 20) uniform bytes
         # while its row still joins the chunk.
         rows = qubo._DRAW_ROWS
         assert qubo.sa_table_bytes(3, 10, rows + 1) - qubo.sa_table_bytes(
-            3, 10, rows) == 3528
+            3, 10, rows) == 1224
         assert qubo.sa_table_bytes(3, 10, rows) - qubo.sa_table_bytes(
-            3, 10, rows - 1) == 3528 + 184
-        assert qubo.sa_table_bytes(3, 10, 5 * rows) == 405048
+            3, 10, rows - 1) == 1224 + 184
+        assert qubo.sa_table_bytes(3, 10, 5 * rows) == 312888
 
     @settings(max_examples=40)
     @given(
@@ -657,13 +657,15 @@ class TestSolveSa:
     @example(Qubo(3, {0: 1, 2: -2}, {(0, 1): -2, (1, 2): 1}), 64, 1, 1)
     @example(Qubo(3, {0: 1, 2: -2}, {(0, 1): -2, (1, 2): 1}), 1024, 2, 2)
     @example(Qubo(2, {0: -1}, {(0, 1): 2}), 2100, 1, 3)
-    def test_block_cap_does_not_change_trajectories(self, q, sweeps, restarts, seed):
-        # Sweeps below, at and above each cap; a cold end grows the blocks.
+    def test_block_size_does_not_change_trajectories(self, q, sweeps, restarts, seed):
+        # Sweeps below, at and above each block; a block of 1 is the
+        # one-proposal-per-round walk, and a cold end gives rounds without
+        # acceptances.
         sched = AnnealSchedule(4.0, 0.001, sweeps, restarts)
         runs = []
-        for cap in (16, 64, 1024):
+        for block in (1, 16, 64):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(qubo, "_MAX_BLOCK", cap)
+                mp.setattr(qubo, "_BLOCK", block)
                 runs.append(qubo._anneal(q, sched, seed))
         for best_E, best_bits in runs[1:]:
             npt.assert_array_equal(best_E, runs[0][0])
