@@ -41,6 +41,7 @@ from .pipeline import (
     PipelineConfig,
     compress as run_compress,
     compress_abstract,
+    cover_warnings,
     find_cliques,
     oracle_agreement,
     product_table,
@@ -244,7 +245,11 @@ def products_cmd(primitives_path, cloud_path, tree_path, samples, seed, out):
 @_seed_option
 @_out_option
 def cover_cmd(instance_path, solver, penalty_a, penalty_b, schedule, seed, out):
-    """Solve a smallest-exact-cover instance."""
+    """Solve a smallest-exact-cover instance.
+
+    A qubo_sa cover that may not be the smallest is flagged on stderr with
+    the warning a compress report carries.
+    """
     instance = load_cover_instance(instance_path)
     solution, meta = solve_cover(
         instance, solver, penalty_a=penalty_a, penalty_b=penalty_b,
@@ -252,6 +257,8 @@ def cover_cmd(instance_path, solver, penalty_a, penalty_b, schedule, seed, out):
     )
     payload = {**solution_to_dict(solution, instance), "solver": meta}
     _emit(json.dumps(payload, indent=2) + "\n", out)
+    for warning in cover_warnings(instance, solution, solver):
+        click.echo(f"warning: {warning}", err=True)
 
 
 @cli.group(name="qubo")

@@ -338,6 +338,29 @@ def solve_cover_dlx(instance: CoverInstance) -> CoverSolution:
     return CoverSolution(selected, subsets, literals)
 
 
+def subset_lower_bound(instance: CoverInstance) -> int:
+    """Fewest subsets any exact cover of ``instance`` can use.
+
+    Universe elements are taken in order of fewest covering candidates,
+    ties in universe order, and an element is kept when no candidate
+    covering it covers an element already kept.  No candidate covers two
+    kept elements, and every exact cover spends a subset on each, so the
+    count of kept elements is a lower bound.  Integer-only, linear in the
+    summed candidate sizes apart from one sort of the universe.
+    """
+    holders: dict = {u: [] for u in instance.universe}
+    for i, cand in enumerate(instance.candidates):
+        for e in cand.covered:
+            holders[e].append(i)
+    blocked: set[int] = set()
+    kept = 0
+    for u in sorted(instance.universe, key=lambda u: len(holders[u])):
+        if blocked.isdisjoint(holders[u]):
+            blocked.update(holders[u])
+            kept += 1
+    return kept
+
+
 def verify_cover(instance: CoverInstance, selected) -> CoverCheck:
     """Report uncovered and doubly covered universe elements."""
     counts = {u: 0 for u in instance.universe}

@@ -29,6 +29,7 @@ from .cover import (
     generate_candidates,
     require_coverable,
     solve_cover_dlx,
+    subset_lower_bound,
     union_of_conjunctions,
     verify_cover,
 )
@@ -61,7 +62,7 @@ from .qubo import (
 )
 
 CONFIG_VERSION = 1
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 COVER_SOLVERS = ("dlx", "qubo_exact", "qubo_sa")
 CLIQUE_METHODS = ("bk", "qubo_sa_experimental")
@@ -72,10 +73,6 @@ DEFAULT_AGREEMENT_POINTS = 10_000
 #: agreement points closer than this fraction of the scene diameter to the
 #: tree's surface are too close to call and are skipped
 SURFACE_MARGIN_FRAC = 0.01
-
-#: variable-count ceiling below which a qubo_sa run is cross-checked
-#: against the exhaustive solver to report the energy gap
-_SA_GAP_CHECK_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -130,7 +127,7 @@ class CompressionReport:
     tree: CsgNode
     leaf_count: int
     two_level_leaf_count: int
-    reduction_pct: float
+    reduction: float
     oracle_agreement: float | None
     warnings: tuple
 
@@ -153,7 +150,7 @@ class CompressionReport:
             "tree": tree_to_dict(self.tree),
             "leaf_count": self.leaf_count,
             "two_level_leaf_count": self.two_level_leaf_count,
-            "reduction_pct": self.reduction_pct,
+            "reduction": self.reduction,
             "oracle_agreement": self.oracle_agreement,
             "warnings": list(self.warnings),
         }
@@ -303,12 +300,11 @@ def solve_cover(
 
     ``dlx`` searches exact covers directly; ``qubo_exact`` and ``qubo_sa``
     minimise the cover QUBO (penalties left as None take ``cover_penalties``'
-    defaults).  ``qubo_sa`` runs ``schedule`` (None picks the default) and,
-    on models of at most 20 variables, also records its energy gap to the
-    exhaustive minimum; ``compress`` warns when that gap is positive or
-    was not checked.  An instance with an element no candidate covers is
-    refused before any solver runs.  Every selection is verified to be an
-    exact cover.
+    defaults).  ``qubo_sa`` runs ``schedule`` (None picks the default);
+    nothing re-solves its model, and ``cover_warnings`` checks its cover
+    against ``subset_lower_bound`` instead.  An instance with an element no
+    candidate covers is refused before any solver runs.  Every selection
+    is verified to be an exact cover.
     """
     if solver not in COVER_SOLVERS:
         raise ParameterError(f"unknown cover solver {solver!r}")
@@ -316,10 +312,10 @@ def solve_cover(
     if solver == "dlx":
         solution, meta = solve_cover_dlx(instance), {"name": "dlx"}
     else:
-        n = len(instance.candidates)
         a, b = cover_penalties(instance, penalty_a, penalty_b)
         q, _names = build_cover_qubo(instance, A=a, B=b)
-        meta: dict = {"name": solver, "variables": n, "penalty_a": a, "penalty_b": b}
+        meta: dict = {"name": solver, "variables": len(instance.candidates),
+                      "penalty_a": a, "penalty_b": b}
         if solver == "qubo_exact":
             result = solve_exact(q)
         else:
@@ -328,8 +324,6 @@ def solve_cover(
                 {"seed": result.seed, "sweeps": result.sweeps,
                  "restarts": result.restarts}
             )
-            if n <= _SA_GAP_CHECK_LIMIT:
-                meta["sa_exact_gap"] = result.energy - solve_exact(q).energy
         meta["energy"] = result.energy
         selected = selection_from_result(result)
         literals = sum(instance.candidates[i].literal_count for i in selected)
@@ -346,20 +340,24 @@ def solve_cover(
     return solution, meta
 
 
-def _sa_warnings(meta: dict) -> list[str]:
-    """What a ``qubo_sa`` cover's metadata says against trusting it as smallest."""
-    gap = meta.get("sa_exact_gap")
-    if gap is None:
-        return [
-            f"qubo_sa result over {meta['variables']} variables was not checked "
-            f"against the exact minimum (limit {_SA_GAP_CHECK_LIMIT})"
-        ]
-    if gap > 0:
-        return [
-            f"qubo_sa cover is not the smallest: its energy is {gap:g} above "
-            "the exact minimum"
-        ]
-    return []
+def cover_warnings(instance: CoverInstance, solution: CoverSolution,
+                   solver: str) -> list[str]:
+    """Why a ``solver`` cover of ``instance`` may not be the smallest.
+
+    Only ``qubo_sa`` can return a larger exact cover than the minimum.  It
+    is flagged when it uses more subsets than ``subset_lower_bound`` proves
+    necessary; where that bound is below the minimum, a smallest cover is
+    flagged too.
+    """
+    if solver != "qubo_sa":
+        return []
+    bound = subset_lower_bound(instance)
+    if solution.subsets_used <= bound:
+        return []
+    return [
+        f"qubo_sa cover uses {solution.subsets_used} subsets, above the lower "
+        f"bound of {bound}; it may not be the smallest"
+    ]
 
 
 def _require_inside_products(table: ProductTable) -> None:
@@ -402,8 +400,7 @@ def _compress_from_table(
         schedule=cfg.schedule,
         seed=derive_seed(cfg.seed, 4),
     )
-    if cfg.cover_solver == "qubo_sa":
-        warnings.extend(_sa_warnings(solver_meta))
+    warnings.extend(cover_warnings(instance, solution, cfg.cover_solver))
     tree = _staged("assemble", assemble_tree, solution, instance)
     agreement = None
     if oracle is not None:
@@ -450,7 +447,7 @@ def _compress_from_table(
         tree=tree,
         leaf_count=leaves,
         two_level_leaf_count=two_level,
-        reduction_pct=1.0 - leaves / two_level,
+        reduction=1.0 - leaves / two_level,
         oracle_agreement=agreement,
         warnings=tuple(warnings),
     )
@@ -522,7 +519,7 @@ def report_stats(
         f"{report.total_literals} literals -> {list(report.cover_selected)}",
         f"leaf count        : {report.leaf_count}",
         f"two-level leaves  : {report.two_level_leaf_count}",
-        f"reduction         : {report.reduction_pct:.1%}",
+        f"reduction         : {report.reduction:.1%}",
         f"oracle agreement  : "
         + ("n/a" if report.oracle_agreement is None else f"{report.oracle_agreement:.4f}"),
         f"warnings          : {list(report.warnings)}",

@@ -164,7 +164,7 @@ def test_criterion_4_size_reduction(fig_minimal_tree, fig_geometric_report,
     assert minimal_reduction == pytest.approx(0.68, abs=1e-12)
     assert abs(minimal_reduction - 0.70) <= 0.03
 
-    method_reduction = fig_geometric_report.reduction_pct
+    method_reduction = fig_geometric_report.reduction
     assert method_reduction == pytest.approx(0.60, abs=1e-12)
     announce(4, f"reductions: minimal-tree {minimal_reduction:.0%} "
                 f"(within 70%+-3pp), method {method_reduction:.0%}")

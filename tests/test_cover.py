@@ -29,11 +29,13 @@ from csgcompress.cover import (
     literal_name,
     literal_sort_key,
     solve_cover_dlx,
+    subset_lower_bound,
     verify_cover,
 )
 from csgcompress.geometry import Complement, Intersection, Leaf, leaf_count
 from csgcompress.graph import IntersectionGraph, maximal_cliques_bk
 from csgcompress.products import abstract_instance_from_dict, enumerate_cliques
+from tests.conftest import sphere_chain_instance
 
 
 def brute_force_best_key(instance):
@@ -99,6 +101,27 @@ def cover_instances(draw):
         "universe": list(range(1, n + 1)),
         "subsets": [{"name": f"S{i}", "covers": sorted(c), "literals": lits}
                     for i, (c, lits) in enumerate(subsets)],
+    })
+
+
+@st.composite
+def coverable_instances(draw):
+    """Random cover instance on up to 12 elements and 20 subsets with
+    literal counts, holding at least one exact cover: a random partition of
+    the universe, plus random subsets, in random order."""
+    n = draw(st.integers(1, 12))
+    blocks = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    planted = [{e for e in range(1, n + 1) if blocks[e - 1] == b}
+               for b in sorted(set(blocks))]
+    extra = draw(st.lists(st.sets(st.integers(1, n), min_size=1),
+                          max_size=20 - len(planted)))
+    subsets = draw(st.permutations(planted + extra))
+    literals = draw(st.lists(st.integers(0, 3), min_size=len(subsets),
+                             max_size=len(subsets)))
+    return cover_instance_from_dict({
+        "universe": list(range(1, n + 1)),
+        "subsets": [{"name": f"S{i}", "covers": sorted(c), "literals": lits}
+                    for i, (c, lits) in enumerate(zip(subsets, literals))],
     })
 
 
@@ -497,6 +520,31 @@ class TestSolveCoverDlx:
         for inst in (fig_partitioned, cover5):
             sol = solve_cover_dlx(inst)
             assert verify_cover(inst, sol.selected).valid
+
+
+class TestSubsetLowerBound:
+    @given(coverable_instances())
+    def test_never_above_the_smallest_cover(self, inst):
+        assert subset_lower_bound(inst) <= solve_cover_dlx(inst).subsets_used
+
+    def test_equals_dlx_on_the_reference_scene(self, fig_partitioned):
+        assert subset_lower_bound(fig_partitioned) == 4
+        assert solve_cover_dlx(fig_partitioned).subsets_used == 4
+
+    @pytest.mark.parametrize("k", [6, 12])
+    def test_equals_dlx_on_sphere_chains(self, k):
+        graph, table = abstract_instance_from_dict(sphere_chain_instance(k))
+        inst = generate_candidates(table, maximal_cliques_bk(graph), graph)
+        assert subset_lower_bound(inst) == solve_cover_dlx(inst).subsets_used == k
+
+    def test_keeps_the_scarcest_elements_first(self):
+        # 1 lies in three subsets, 2 and 3 in two each.  Kept first in
+        # universe order, 1 would block both others and prove only 1.
+        inst = cover_instance_from_dict({
+            "universe": [1, 2, 3],
+            "subsets": [{"covers": c} for c in ([1, 2], [1, 3], [1], [2], [3])],
+        })
+        assert subset_lower_bound(inst) == solve_cover_dlx(inst).subsets_used == 2
 
 
 class TestVerifyCover:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from csgcompress import qubo
+from csgcompress import pipeline, qubo
 from csgcompress.cli import main
 from csgcompress.cover import (
     MODE_GLOBAL,
@@ -40,6 +40,7 @@ from csgcompress.pipeline import (
     cliques_via_qubo_sa,
     compress,
     compress_abstract,
+    cover_warnings,
     find_cliques,
     oracle_agreement,
     report_stats,
@@ -90,7 +91,7 @@ class TestCompress:
     def test_reference_scene_partitioned_dlx(self, fig_report):
         assert fig_report.leaf_count == 10
         assert fig_report.two_level_leaf_count == 25
-        assert fig_report.reduction_pct == pytest.approx(0.60)
+        assert fig_report.reduction == pytest.approx(0.60)
         assert fig_report.n_f == 15
         assert len(fig_report.universe) == 8
         assert len(fig_report.cliques) == 4
@@ -111,7 +112,7 @@ class TestCompress:
                           PipelineConfig(graph_samples=512, product_samples=512))
         assert report.tree == Leaf("A")
         assert report.leaf_count == report.two_level_leaf_count == 1
-        assert report.reduction_pct == 0.0
+        assert report.reduction == 0.0
 
     def test_qubo_sa_matches_dlx_key(self, fig_primitives, fig_oracle):
         sa = compress(fig_primitives, fig_oracle,
@@ -187,7 +188,7 @@ class TestCompressAbstract:
         assert (report.subsets_used, report.total_literals) == (4, 10)
         assert report.two_level_leaf_count == 25
         assert report.oracle_agreement is None
-        assert report.reduction_pct == pytest.approx(0.60)
+        assert report.reduction == pytest.approx(0.60)
 
     def test_qubo_exact_solver(self, fig_abstract_instance):
         graph, table = abstract_instance_from_dict(fig_abstract_instance)
@@ -206,21 +207,25 @@ class TestCompressAbstract:
         assert report.candidate_count <= report.bounds["partitioned"]
         assert report.oracle_agreement >= 0.999
 
-    def test_unchecked_sa_cover_is_flagged(self):
-        # A 6-sphere chain's cover QUBO has 25 variables, past the limit of
-        # the exhaustive gap check; 5 spheres give 20 and are checked.
+    def test_sa_cover_is_checked_at_any_size(self):
+        # The bound proves the 6-sphere chain's 6 subsets over 25 variables.
+        # On the 16-sphere chain a short schedule (10 n sweeps, 8 restarts)
+        # stops at 18 subsets.
         graph, table = abstract_instance_from_dict(sphere_chain_instance(6))
         report = compress_abstract(graph, table, PipelineConfig(cover_solver="qubo_sa"))
+        assert (report.solver["variables"], report.subsets_used) == (25, 6)
         assert "sa_exact_gap" not in report.solver
-        assert report.warnings == (
-            "qubo_sa result over 25 variables was not checked against the "
-            "exact minimum (limit 20)",
-        )
-        graph, table = abstract_instance_from_dict(sphere_chain_instance(5))
-        report = compress_abstract(graph, table, PipelineConfig(cover_solver="qubo_sa"))
-        assert report.solver["variables"] == 20
-        assert report.solver["sa_exact_gap"] == 0
         assert report.warnings == ()
+        graph, table = abstract_instance_from_dict(sphere_chain_instance(16))
+        cfg = PipelineConfig(cover_solver="qubo_sa", seed=0,
+                             schedule=AnnealSchedule(2.0, 0.01, 750, 8))
+        report = compress_abstract(graph, table, cfg)
+        assert report.solver["variables"] == 75
+        assert report.subsets_used == 18
+        assert report.warnings == (
+            "qubo_sa cover uses 18 subsets, above the lower bound of 16; it may "
+            "not be the smallest",
+        )
 
     def test_sa_cover_above_the_minimum_is_flagged(self):
         # Ten sweeps cooling only to 0.5 leave this seed in a larger cover.
@@ -228,11 +233,10 @@ class TestCompressAbstract:
         cfg = PipelineConfig(cover_solver="qubo_sa", seed=20,
                              schedule=AnnealSchedule(2.0, 0.5, 10, 1))
         report = compress_abstract(graph, table, cfg)
-        assert report.solver["sa_exact_gap"] == 1.0
-        assert (report.subsets_used, report.total_literals) != (3, 5)
+        assert (report.subsets_used, report.total_literals) == (4, 8)
         assert report.warnings == (
-            "qubo_sa cover is not the smallest: its energy is 1 above the exact "
-            "minimum",
+            "qubo_sa cover uses 4 subsets, above the lower bound of 3; it may "
+            "not be the smallest",
         )
 
 
@@ -250,15 +254,38 @@ class TestSolveCover:
             "V1", "V5", "V7",
         ]
 
+    def test_only_qubo_sa_covers_are_checked(self):
+        # Every pair of the three elements shares a subset, so the bound is
+        # 1 while the smallest cover takes 2: an annealed cover is flagged
+        # although it is the smallest, an exact solver's is not.
+        instance = cover_instance_from_dict({
+            "universe": [1, 2, 3],
+            "subsets": [{"covers": c} for c in ([1, 2], [2, 3], [1, 3], [1], [2], [3])],
+        })
+        for solver in ("dlx", "qubo_exact", "qubo_sa"):
+            solution, _meta = solve_cover(instance, solver)
+            assert solution.subsets_used == 2
+            assert cover_warnings(instance, solution, solver) == (
+                ["qubo_sa cover uses 2 subsets, above the lower bound of 1; it "
+                 "may not be the smallest"] if solver == "qubo_sa" else [])
 
-    def test_sa_exact_gap_is_zero_with_fractional_penalties(
-        self, cover5_instance_dict
+    def test_sa_path_never_calls_solve_exact(
+        self, cover5_instance_dict, fig_abstract_instance, monkeypatch
     ):
-        # Both energies come from qubo_energy on the same assignment; summed
-        # in two orders they differed by -1.78e-15 here.
+        def refuse(_q):
+            raise AssertionError("solve_exact called on the qubo_sa path")
+
+        monkeypatch.setattr(qubo, "solve_exact", refuse)
+        monkeypatch.setattr(pipeline, "solve_exact", refuse)
         instance = cover_instance_from_dict(cover5_instance_dict)
-        _, meta = solve_cover(instance, "qubo_sa", penalty_a=6.1, penalty_b=0.3)
-        assert meta["sa_exact_gap"] == 0.0
+        solution, meta = solve_cover(instance, "qubo_sa", penalty_a=6.1,
+                                     penalty_b=0.3)
+        assert sorted(meta) == ["energy", "name", "penalty_a", "penalty_b",
+                                "restarts", "seed", "sweeps", "variables"]
+        assert solution.subsets_used == 3
+        graph, table = abstract_instance_from_dict(fig_abstract_instance)
+        report = compress_abstract(graph, table, PipelineConfig(cover_solver="qubo_sa"))
+        assert (report.subsets_used, report.warnings) == (4, ())
 
 
 class TestExperimentalCliques:
@@ -301,7 +328,7 @@ class TestFindCliques:
 class TestReportStats:
     def test_json_fields(self, fig_report):
         data = json.loads(report_stats(fig_report))
-        assert data["schema_version"] == 1
+        assert data["schema_version"] == 2
         assert data["n_f"] == 15
         assert len(data["universe"]) == 8
         assert len(data["cliques"]) == 4
@@ -400,7 +427,7 @@ class TestCli:
         ])
         assert code == 0
         data = json.loads(out.read_text())
-        assert data["reduction_pct"] == pytest.approx(0.60)
+        assert data["reduction"] == pytest.approx(0.60)
         tree = tree_from_dict(json.loads(tree_out.read_text()))
         assert leaf_count(tree) == 10
 
@@ -548,13 +575,30 @@ class TestCli:
         path.write_text(json.dumps(cover_instance_to_dict(instance)) + "\n")
         args = ["cover", "--instance", str(path), "--solver", solver]
         if solver == "qubo_sa":
-            assert "sa_exact_gap" in report.solver
             args += ["--seed", str(report.solver["seed"])]
         assert main(args) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["solver"] == report.solver
         assert data["selected"] == list(report.cover_selected)
         assert data["total_literals"] == report.total_literals
+
+    def test_cover_command_warns_as_compress_does(self, tmp_path, capsys):
+        graph, table = abstract_instance_from_dict(sphere_chain_instance(3))
+        cfg = PipelineConfig(cover_solver="qubo_sa", seed=20,
+                             schedule=AnnealSchedule(2.0, 0.5, 10, 1))
+        report = compress_abstract(graph, table, cfg)
+        instance = generate_candidates(table, maximal_cliques_bk(graph), graph)
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(cover_instance_to_dict(instance)) + "\n")
+        args = ["cover", "--instance", str(path), "--solver", "qubo_sa",
+                "--schedule", "2.0,0.5,10,1", "--seed", str(report.solver["seed"])]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["subsets_used"] == report.subsets_used == 4
+        assert captured.err == "".join(f"warning: {w}\n" for w in report.warnings)
+        assert len(report.warnings) == 1
+        assert main(["cover", "--instance", str(path), "--solver", "qubo_sa"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_cover_command_all_solvers(self, cover5_file, capsys):
         for extra in ([], ["--solver", "qubo_exact"],

@@ -64,6 +64,27 @@ class TestPrefixRuns:
             assert sa_tts.seeds_reached(hits, r) == direct
 
 
+class TestCurve:
+    def test_each_round_times_every_point_once(self, fig_abstract_instance,
+                                               monkeypatch):
+        q, optimum = abstract_cover_qubo(fig_abstract_instance)
+        points = {(1, 4), (1, 2), (2, 2)}
+        calls = []
+        solve = sa_tts.qubo.solve_sa
+
+        def counted(q, schedule, seed):
+            calls.append((schedule.sweeps // q.n, schedule.restarts))
+            return solve(q, schedule, seed=seed)
+
+        monkeypatch.setattr(sa_tts.qubo, "solve_sa", counted)
+        records = sa_tts.curve(q, optimum, points, (1, 2))
+        assert calls == sorted(points) * sa_tts.REPEATS
+        rel = {(x["sweeps_per_variable"], x["restarts"]): x["t_run_rel"]
+               for x in records}
+        assert rel[1, 2] == 1.0
+        assert len(rel) == 3 and all(v > 0 for v in rel.values())
+
+
 class TestWilsonLower:
     def test_known_values(self):
         z2 = sa_tts.Z_95 ** 2

@@ -19,7 +19,11 @@ tool reports
 * per-restart success p: the share of restarts, over ``SEEDS`` seeds,
   whose best energy is the optimum;
 * how many seeds' runs reach the optimum;
-* t_run, the median wall time of ``REPEATS`` ``solve_sa`` calls;
+* t_run, the median wall time of ``REPEATS`` ``solve_sa`` calls, and
+  t_run_rel, its ratio to the default point's t_run.  Each of the
+  ``REPEATS`` rounds times every point of the instance once, so machine
+  drift between rounds moves every point alike and the ratios compare
+  points under the same conditions;
 * p_run = 1 - (1 - p)^R and TTS99, the expected time to reach the optimum
   with 99% probability by repeating the run (``tts99``).
 
@@ -154,48 +158,52 @@ def seeds_reached(hits: np.ndarray, restarts: int) -> int:
     return int(np.count_nonzero(hits[:, :restarts].any(axis=1)))
 
 
-def median_time(q, schedule) -> float:
-    times = []
+def median_times(q, schedules: dict) -> dict:
+    """Median wall time of one ``solve_sa`` call per schedule, over
+    ``REPEATS`` rounds that each time every schedule once."""
+    times = {key: [] for key in schedules}
     for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        qubo.solve_sa(q, schedule, seed=0)
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+        for key, schedule in schedules.items():
+            t0 = time.perf_counter()
+            qubo.solve_sa(q, schedule, seed=0)
+            times[key].append(time.perf_counter() - t0)
+    return {key: statistics.median(t) for key, t in times.items()}
 
 
-def curve(q, optimum: float, points) -> list:
-    """One record per (sweeps per variable, restarts) point."""
+def curve(q, optimum: float, points, default) -> list:
+    """One record per (sweeps per variable, restarts) point; ``default``
+    is the point every t_run_rel is relative to."""
     t_start = qubo.default_schedule(q).t_start
+    fit = {(f, r): qubo.AnnealSchedule(t_start, 0.01, f * q.n, r)
+           for f, r in sorted(points)
+           if qubo.sa_table_bytes(q.n, f * q.n, r) <= TABLE_BUDGET}
+    hits = {}
+    for f in sorted({f for f, _ in fit}):
+        wide = fit[f, max(r for g, r in fit if g == f)]
+        hits[f] = np.array([reached(q, wide, s, optimum) for s in range(SEEDS)])
+    t_run = median_times(q, fit)
     records = []
-    for f in sorted({f for f, _ in points}):
-        sweeps = f * q.n
-        widths = sorted(r for g, r in points if g == f)
-        fit = [r for r in widths
-               if qubo.sa_table_bytes(q.n, sweeps, r) <= TABLE_BUDGET]
-        if fit:
-            wide = qubo.AnnealSchedule(t_start, 0.01, sweeps, fit[-1])
-            hits = np.array([reached(q, wide, s, optimum) for s in range(SEEDS)])
-            p = float(hits.mean())
-        for r in widths:
-            rec = {"sweeps_per_variable": f, "restarts": r,
-                   "table_mib": round(qubo.sa_table_bytes(q.n, sweeps, r) / 2**20, 2)}
-            if r not in fit:
-                rec["skipped"] = "working set above TABLE_BUDGET"
-                records.append(rec)
-                continue
-            t_run = median_time(q, qubo.AnnealSchedule(t_start, 0.01, sweeps, r))
-            p_run = run_success(p, r)
-            tts = tts99(t_run, p_run)
-            rec.update({
-                "p_restart": round(p, 5),
-                "restarts_sampled": int(hits.size),
-                "seeds_reached": seeds_reached(hits, r),
-                "seeds": SEEDS,
-                "t_run_s": round(t_run, 5),
-                "p_run": round(p_run, 6),
-                "tts99_s": round(tts, 5) if math.isfinite(tts) else "not reached",
-            })
+    for f, r in sorted(points):
+        rec = {"sweeps_per_variable": f, "restarts": r,
+               "table_mib": round(qubo.sa_table_bytes(q.n, f * q.n, r) / 2**20, 2)}
+        if (f, r) not in fit:
+            rec["skipped"] = "working set above TABLE_BUDGET"
             records.append(rec)
+            continue
+        p = float(hits[f].mean())
+        p_run = run_success(p, r)
+        tts = tts99(t_run[f, r], p_run)
+        rec.update({
+            "p_restart": round(p, 5),
+            "restarts_sampled": int(hits[f].size),
+            "seeds_reached": seeds_reached(hits[f], r),
+            "seeds": SEEDS,
+            "t_run_s": round(t_run[f, r], 5),
+            "t_run_rel": round(t_run[f, r] / t_run[default], 4),
+            "p_run": round(p_run, 6),
+            "tts99_s": round(tts, 5) if math.isfinite(tts) else "not reached",
+        })
+        records.append(rec)
     return records
 
 
@@ -251,7 +259,7 @@ def main(argv=None) -> int:
         default = (d.sweeps // q.n, d.restarts)
         points = {(f, r) for f in SWEEPS_PER_VARIABLE for r in RESTARTS} | {default}
         t0 = time.perf_counter()
-        curves[name] = curve(q, optimum, points)
+        curves[name] = curve(q, optimum, points, default)
         print(f"{name}: {q.n} variables, {time.perf_counter() - t0:.1f} s",
               file=sys.stderr, flush=True)
         result[name] = {
