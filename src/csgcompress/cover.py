@@ -92,6 +92,8 @@ class Candidate:
 class CoverInstance:
     """Universe plus an ordered candidate list.
 
+    ``holders`` maps each universe element to the indices of the candidates
+    covering it, in candidate order: the cover stage's one incidence table.
     ``uncoverable`` lists universe elements no candidate covers; a
     non-empty value marks the instance infeasible.
     """
@@ -100,20 +102,19 @@ class CoverInstance:
     candidates: tuple[Candidate, ...]
 
     def __post_init__(self):
-        if len(set(self.universe)) != len(self.universe):
+        holders: dict = {u: [] for u in self.universe}
+        if len(holders) != len(self.universe):
             raise ValueError("universe elements must be unique")
-        universe = set(self.universe)
-        for c in self.candidates:
-            if not c.covered <= universe:
+        for i, c in enumerate(self.candidates):
+            if not c.covered <= holders.keys():
                 raise ValueError(
                     f"candidate {c.name!r} covers elements outside the universe"
                 )
-        coverable = set().union(*(c.covered for c in self.candidates)) \
-            if self.candidates else set()
+            for e in c.covered:
+                holders[e].append(i)
+        object.__setattr__(self, "holders", holders)
         object.__setattr__(
-            self,
-            "uncoverable",
-            tuple(u for u in self.universe if u not in coverable),
+            self, "uncoverable", tuple(u for u, held in holders.items() if not held)
         )
 
     @property
@@ -248,15 +249,10 @@ def _element_order(instance: CoverInstance) -> list:
     and the ones above it.
     """
     position = {u: i for i, u in enumerate(instance.universe)}
-    degree = dict.fromkeys(instance.universe, 0)
-    neighbours: dict = {u: set() for u in instance.universe}
-    for cand in instance.candidates:
-        for e in cand.covered:
-            degree[e] += 1
-            neighbours[e] |= cand.covered
+    holders = instance.holders
 
     def rank(u):
-        return degree[u], position[u]
+        return len(holders[u]), position[u]
 
     order: list = []
     seen: set = set()
@@ -266,7 +262,8 @@ def _element_order(instance: CoverInstance) -> list:
         seen.add(root)
         queue = [root]
         for u in queue:
-            fresh = sorted(neighbours[u] - seen, key=rank)
+            near = set().union(*(instance.candidates[i].covered for i in holders[u]))
+            fresh = sorted(near - seen, key=rank)
             seen.update(fresh)
             queue += fresh
         order += queue
@@ -348,10 +345,7 @@ def subset_lower_bound(instance: CoverInstance) -> int:
     count of kept elements is a lower bound.  Integer-only, linear in the
     summed candidate sizes apart from one sort of the universe.
     """
-    holders: dict = {u: [] for u in instance.universe}
-    for i, cand in enumerate(instance.candidates):
-        for e in cand.covered:
-            holders[e].append(i)
+    holders = instance.holders
     blocked: set[int] = set()
     kept = 0
     for u in sorted(instance.universe, key=lambda u: len(holders[u])):

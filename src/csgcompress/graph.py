@@ -9,9 +9,8 @@ and a pair is decided by its first hit: each primitive's draw is walked
 one ``region_batches`` batch at a time (64 attempts first, doubling up to
 4096) against the near pairs not yet joined, and stops once none is left
 open.  The edges are those of testing every kept point against every
-primitive.  An exact convex overlap test is the planned replacement for
-this sampled pass.  Maximal cliques come from Bron-Kerbosch with pivoting;
-all outputs are canonically ordered so downstream candidate generation is
+primitive.  Maximal cliques come from Bron-Kerbosch with pivoting; all
+outputs are canonically ordered so downstream candidate generation is
 deterministic.
 """
 

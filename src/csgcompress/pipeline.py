@@ -55,6 +55,8 @@ from .qubo import (
     AnnealSchedule,
     build_cover_qubo,
     build_max_clique_qubo,
+    check_exact_size,
+    check_sa_memory,
     cover_penalties,
     selection_from_result,
     solve_exact,
@@ -303,8 +305,9 @@ def solve_cover(
     defaults).  ``qubo_sa`` runs ``schedule`` (None picks the default);
     nothing re-solves its model, and ``cover_warnings`` checks its cover
     against ``subset_lower_bound`` instead.  An instance with an element no
-    candidate covers is refused before any solver runs.  Every selection
-    is verified to be an exact cover.
+    candidate covers is refused before any solver runs, and one with more
+    candidates than the QUBO solver takes is refused before its model is
+    built.  Every selection is verified to be an exact cover.
     """
     if solver not in COVER_SOLVERS:
         raise ParameterError(f"unknown cover solver {solver!r}")
@@ -313,6 +316,10 @@ def solve_cover(
         solution, meta = solve_cover_dlx(instance), {"name": "dlx"}
     else:
         a, b = cover_penalties(instance, penalty_a, penalty_b)
+        if solver == "qubo_exact":
+            check_exact_size(len(instance.candidates))
+        else:
+            check_sa_memory(len(instance.candidates), schedule)
         q, _names = build_cover_qubo(instance, A=a, B=b)
         meta: dict = {"name": solver, "variables": len(instance.candidates),
                       "penalty_a": a, "penalty_b": b}

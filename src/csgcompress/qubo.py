@@ -2,8 +2,9 @@
 
 Minimisation convention throughout: the ground state is the assignment of
 lowest energy.  The smallest-exact-cover encoding puts one binary variable
-on each candidate subset; expanding the squared constraint term with
-x_i^2 = x_i gives
+on each candidate subset; expanding Lucas's per-element constraint
+A * sum_u (1 - sum_{i covers u} x_i)^2 (arXiv:1302.5843, section 4.1)
+with x_i^2 = x_i, plus B per subset, gives
 
     offset     = A * n                 (n universe elements)
     linear_i   = -A * d_i + B          (d_i = |covered(i)|)
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,7 +189,10 @@ def build_cover_qubo(
     """Smallest-exact-cover QUBO; variable i selects candidate i.
 
     Penalties left as None take ``cover_penalties``' defaults; the A > n*B
-    encoding condition (n = universe size) is enforced.
+    encoding condition (n = universe size) is enforced.  Any number of
+    candidates is encoded, since ``csgc qubo export`` hands off models of
+    any size; a solver's limits are checked by ``check_exact_size`` and
+    ``check_sa_memory``, which take the variable count alone.
     """
     n = len(instance.universe)
     A, B = cover_penalties(instance, A, B)
@@ -195,20 +200,15 @@ def build_cover_qubo(
         raise ParameterError(
             f"cover encoding needs A > n*B (A={A}, n={n}, B={B})"
         )
-    index = {u: i for i, u in enumerate(instance.universe)}
-    cover_sets = [frozenset(index[e] for e in c.covered) for c in instance.candidates]
-    linear = {
-        i: -A * len(cov) + B for i, cov in enumerate(cover_sets)
-    }
+    linear = {i: -A * len(c.covered) + B for i, c in enumerate(instance.candidates)}
     quadratic = {}
-    for i in range(len(cover_sets)):
-        for j in range(i + 1, len(cover_sets)):
-            o = len(cover_sets[i] & cover_sets[j])
-            if o:
-                quadratic[(i, j)] = 2.0 * A * o
+    for i, c in enumerate(instance.candidates):
+        # o_ij for each later j: one count per element of i that j also covers.
+        later = Counter(j for e in c.covered for j in instance.holders[e] if j > i)
+        quadratic.update(((i, j), 2.0 * A * later[j]) for j in sorted(later))
     names = tuple(c.name for c in instance.candidates)
     try:
-        return Qubo(len(cover_sets), linear, quadratic, A * n), names
+        return Qubo(len(names), linear, quadratic, A * n), names
     except ValueError as exc:  # finite penalties whose products overflow
         raise ParameterError(f"cover penalties A={A}, B={B}: {exc}") from exc
 
@@ -294,7 +294,12 @@ def default_schedule(q: Qubo) -> AnnealSchedule:
     t_start = q.max_abs_coefficient()
     if t_start <= 0.01:
         t_start = 1.0
-    return AnnealSchedule(t_start, 0.01, 30 * max(q.n, 1), 256)
+    return AnnealSchedule(t_start, 0.01, *default_run_length(q.n))
+
+
+def default_run_length(n: int) -> tuple[int, int]:
+    """``default_schedule``'s (sweeps, restarts) on n variables."""
+    return 30 * max(n, 1), 256
 
 
 @dataclass(frozen=True)
@@ -329,6 +334,12 @@ def _assignments(n: int) -> np.ndarray:
     return ((ks[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(float)
 
 
+def check_exact_size(n: int) -> None:
+    """Raise ParameterError if ``solve_exact`` refuses n variables."""
+    if n > EXACT_LIMIT:
+        raise ParameterError(f"exact solver limited to n <= {EXACT_LIMIT}, got {n}")
+
+
 # Energy cells per row block of solve_exact's table: 2^18 floats, 2 MB.
 _BLOCK_CELLS = 1 << 18
 
@@ -346,15 +357,16 @@ def solve_exact(q: Qubo) -> SolveResult:
     at n = 30.
 
     The flat row-major index hi * 2^l + lo has x_0 as its most significant
-    bit, so it runs in lexicographic order: a block's first argmin is its
-    tie-break, and a later block wins only with a strictly lower energy.
-    Ties therefore break toward the lexicographically smallest bitstring,
-    x_0 first.  The winner's energy is re-evaluated with ``qubo_energy``,
-    as ``solve_sa`` does, so the two solvers agree to the bit on the same
-    assignment.
+    bit, so it runs in lexicographic order: a block's last argmin is its
+    tie-break, and a later block wins on an equal energy too.  Ties
+    therefore break toward the lexicographically largest bitstring, x_0
+    first.  On a cover QUBO every tied minimum selects the same number of
+    subsets, and among those the largest bitstring is the smallest sorted
+    index tuple, the tie-break of ``solve_cover_dlx``.  The winner's energy
+    is re-evaluated with ``qubo_energy``, as ``solve_sa`` does, so the two
+    solvers agree to the bit on the same assignment.
     """
-    if q.n > EXACT_LIMIT:
-        raise ParameterError(f"exact solver limited to n <= {EXACT_LIMIT}, got {q.n}")
+    check_exact_size(q.n)
     lin, W = _dense(q)
     h = (q.n + 1) // 2
     X_hi, X_lo = _assignments(h), _assignments(q.n - h)
@@ -373,8 +385,8 @@ def solve_exact(q: Qubo) -> SolveResult:
         np.matmul(X_hi[start:start + rows], cross, out=E)
         E += E_hi[start:start + rows, None]
         E += E_lo
-        k = int(np.argmin(E))
-        if E.flat[k] < best_e:
+        k = E.size - 1 - int(np.argmin(E.ravel()[::-1]))
+        if E.flat[k] <= best_e:
             best_e, best_k = E.flat[k], start * len(X_lo) + k
     assignment = format(best_k, f"0{q.n}b") if q.n else ""
     return SolveResult(assignment, qubo_energy(q, assignment), "exact")
@@ -418,6 +430,24 @@ def sa_table_bytes(n: int, sweeps: int, restarts: int) -> int:
             + (1 << 18))
 
 
+def check_sa_memory(n: int, schedule: AnnealSchedule | None = None) -> None:
+    """Raise ParameterError if ``solve_sa`` refuses to anneal n variables.
+
+    It refuses when the run's ``sa_table_bytes`` exceed ``SA_TABLE_LIMIT``;
+    an empty model anneals nothing and is never refused.  A schedule of
+    None stands for the default's sweeps and restarts
+    (``default_run_length``), which do not depend on the coefficients.
+    """
+    S, R = (default_run_length(n) if schedule is None
+            else (schedule.sweeps, schedule.restarts))
+    table_bytes = sa_table_bytes(n, S, R)
+    if n and table_bytes > SA_TABLE_LIMIT:
+        raise ParameterError(
+            f"the annealing schedule needs {table_bytes} bytes of working memory, "
+            f"above SA_TABLE_LIMIT = {SA_TABLE_LIMIT}; use fewer sweeps or restarts"
+        )
+
+
 def solve_sa(
     q: Qubo, schedule: AnnealSchedule | None = None, seed: int = 0
 ) -> SolveResult:
@@ -438,12 +468,7 @@ def solve_sa(
     R, S = schedule.restarts, schedule.sweeps
     if q.n == 0:
         return SolveResult("", q.offset, "sa", int(seed), S, R)
-    table_bytes = sa_table_bytes(q.n, S, R)
-    if table_bytes > SA_TABLE_LIMIT:
-        raise ParameterError(
-            f"the annealing schedule needs {table_bytes} bytes of working memory, "
-            f"above SA_TABLE_LIMIT = {SA_TABLE_LIMIT}; use fewer sweeps or restarts"
-        )
+    check_sa_memory(q.n, schedule)
     best_E, best_bits = _anneal(q, schedule, seed)
     r_best = int(np.argmin(best_E))  # argmin returns the first = lowest index
     assignment = _bitstring(best_bits[r_best])

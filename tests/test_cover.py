@@ -105,10 +105,11 @@ def cover_instances(draw):
 
 
 @st.composite
-def coverable_instances(draw):
+def coverable_instances(draw, literals=st.integers(0, 3)):
     """Random cover instance on up to 12 elements and 20 subsets with
-    literal counts, holding at least one exact cover: a random partition of
-    the universe, plus random subsets, in random order."""
+    literal counts drawn from ``literals``, holding at least one exact
+    cover: a random partition of the universe, plus random subsets, in
+    random order."""
     n = draw(st.integers(1, 12))
     blocks = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
     planted = [{e for e in range(1, n + 1) if blocks[e - 1] == b}
@@ -116,12 +117,11 @@ def coverable_instances(draw):
     extra = draw(st.lists(st.sets(st.integers(1, n), min_size=1),
                           max_size=20 - len(planted)))
     subsets = draw(st.permutations(planted + extra))
-    literals = draw(st.lists(st.integers(0, 3), min_size=len(subsets),
-                             max_size=len(subsets)))
+    counts = draw(st.lists(literals, min_size=len(subsets), max_size=len(subsets)))
     return cover_instance_from_dict({
         "universe": list(range(1, n + 1)),
         "subsets": [{"name": f"S{i}", "covers": sorted(c), "literals": lits}
-                    for i, (c, lits) in enumerate(zip(subsets, literals))],
+                    for i, (c, lits) in enumerate(zip(subsets, counts))],
     })
 
 
@@ -545,6 +545,23 @@ class TestSubsetLowerBound:
             "subsets": [{"covers": c} for c in ([1, 2], [1, 3], [1], [2], [3])],
         })
         assert subset_lower_bound(inst) == solve_cover_dlx(inst).subsets_used == 2
+
+
+class TestCoverInstance:
+    @given(cover_instances())
+    def test_holders_list_each_elements_candidates_in_order(self, inst):
+        assert list(inst.holders) == list(inst.universe)
+        for u in inst.universe:
+            assert inst.holders[u] == [
+                i for i, c in enumerate(inst.candidates) if u in c.covered]
+        assert inst.uncoverable == tuple(
+            u for u in inst.universe if not any(u in c.covered for c in inst.candidates))
+
+    def test_repeated_and_foreign_elements_are_refused(self):
+        with pytest.raises(ValueError, match="must be unique"):
+            CoverInstance((1, 1), ())
+        with pytest.raises(ValueError, match="'S' covers elements outside"):
+            CoverInstance((1,), (cover.Candidate("S", frozenset({1, 2})),))
 
 
 class TestVerifyCover:

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from csgcompress import pipeline, qubo
 from csgcompress.cli import main
@@ -54,6 +56,7 @@ from csgcompress.products import (
 )
 from csgcompress.qubo import AnnealSchedule
 from tests.conftest import sphere_chain_instance
+from tests.test_cover import coverable_instances
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -268,6 +271,43 @@ class TestSolveCover:
             assert cover_warnings(instance, solution, solver) == (
                 ["qubo_sa cover uses 2 subsets, above the lower bound of 1; it "
                  "may not be the smallest"] if solver == "qubo_sa" else [])
+
+    @given(st.integers(0, 3).flatmap(
+        lambda k: coverable_instances(literals=st.just(k))))
+    def test_qubo_exact_breaks_ties_as_dlx(self, inst):
+        # With one literal count for every candidate, dlx's (subsets,
+        # literals, indices) key reduces to the QUBO energy's subset count
+        # and the sorted index tuple.
+        dlx, _meta = solve_cover(inst, "dlx")
+        exact, _meta = solve_cover(inst, "qubo_exact")
+        assert exact == dlx
+
+    def test_oversized_models_are_refused_before_the_build(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("build_cover_qubo called on a refused model")
+
+        monkeypatch.setattr(pipeline, "build_cover_qubo", refuse)
+
+        def instance(n):
+            return cover_instance_from_dict(
+                {"universe": [1], "subsets": [{"covers": [1]}] * n})
+
+        def message(call):
+            with pytest.raises(ParameterError) as info:
+                call()
+            return str(info.value)
+
+        # Each refusal reads as the solver's own.  The default schedule
+        # (30 n sweeps x 256 restarts) passes SA_TABLE_LIMIT above 5 720
+        # variables.
+        long_run = AnnealSchedule(1.0, 0.01, 2**26, 2)
+        exact = message(lambda: solve_cover(instance(31), "qubo_exact"))
+        assert exact == message(lambda: qubo.solve_exact(qubo.Qubo(31, {}, {})))
+        assert exact == "exact solver limited to n <= 30, got 31"
+        for n, schedule in ((3, long_run), (5721, None)):
+            sa = message(lambda: solve_cover(instance(n), "qubo_sa", schedule=schedule))
+            assert sa == message(lambda: qubo.solve_sa(qubo.Qubo(n, {}, {}), schedule))
+            assert "above SA_TABLE_LIMIT" in sa
 
     def test_sa_path_never_calls_solve_exact(
         self, cover5_instance_dict, fig_abstract_instance, monkeypatch

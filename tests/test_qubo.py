@@ -32,6 +32,7 @@ from csgcompress.qubo import (
     solve_sa,
 )
 from tests.conftest import FIG_EDGES, abstract_cover_qubo, sphere_chain_instance
+from tests.test_cover import cover_instances
 
 
 def random_qubo(rng, n, scale=1.0):
@@ -79,13 +80,26 @@ def sa_reference(q, schedule, seed):
     return best_E, best_X.astype(int)
 
 
+def all_pairs_cover_qubo(instance, A, B):
+    """The cover QUBO with each coupling from intersecting a pair of candidates."""
+    index = {u: i for i, u in enumerate(instance.universe)}
+    sets = [frozenset(index[e] for e in c.covered) for c in instance.candidates]
+    linear = {i: -A * len(s) + B for i, s in enumerate(sets)}
+    quadratic = {}
+    for i, j in itertools.combinations(range(len(sets)), 2):
+        o = len(sets[i] & sets[j])
+        if o:
+            quadratic[(i, j)] = 2.0 * A * o
+    return Qubo(len(sets), linear, quadratic, A * len(instance.universe))
+
+
 def all_assignments(n):
     ks = np.arange(2**n)
     return ((ks[:, None] >> np.arange(n)) & 1).astype(int)
 
 
-def lex_smallest_minimiser(q):
-    """Minimum energy of an integer QUBO and the lexicographically smallest
+def lex_largest_minimiser(q):
+    """Minimum energy of an integer QUBO and the lexicographically largest
     assignment (x_0 first) reaching it, by exact integer brute force."""
     ks = np.arange(2**q.n)
     cols = [((ks >> i) & 1).astype(np.int8) for i in range(q.n)]
@@ -95,7 +109,7 @@ def lex_smallest_minimiser(q):
     for (i, j), v in q.quadratic.items():
         E += int(v) * (cols[i] & cols[j])
     minimisers = np.flatnonzero(E == E.min())
-    return float(E.min()), min(tuple(int(c[k]) for c in cols) for k in minimisers)
+    return float(E.min()), max(tuple(int(c[k]) for c in cols) for k in minimisers)
 
 
 @st.composite
@@ -280,6 +294,19 @@ class TestCoverQubo:
         assert cover_penalties(instance, B=2.0) == (11.0, 2.0)
         assert cover_penalties(instance, A=9.0) == (9.0, 1.0)
 
+    @given(cover_instances(), st.sampled_from([1.0, 2.0, 0.3, 0.7]),
+           st.sampled_from([1.0, 3.0, 0.1, 2.5]))
+    def test_equals_the_all_pairs_construction(self, inst, B, margin):
+        # Integer and fractional penalties; A = n*B + margin.
+        A = len(inst.universe) * B + margin
+        q, names = build_cover_qubo(inst, A=A, B=B)
+        ref = all_pairs_cover_qubo(inst, A, B)
+        assert names == tuple(c.name for c in inst.candidates)
+        assert q.n == ref.n
+        assert q.linear == ref.linear
+        assert q.quadratic == ref.quadratic
+        assert q.offset == ref.offset
+
     def test_encoding_matches_dlx_on_randoms(self):
         # The constraint term vanishes iff the selection is an exact cover;
         # with A > nB the minimum is a smallest cover whenever one exists.
@@ -397,13 +424,13 @@ class TestSolveExact:
 
     def test_zero_model_lex_tie_break(self):
         res = solve_exact(Qubo(4, {}, {}, offset=2.0))
-        assert res.assignment == "0000" and res.energy == 2.0
+        assert res.assignment == "1111" and res.energy == 2.0
 
     def test_size_limit(self):
         with pytest.raises(ParameterError):
             solve_exact(Qubo(31, {}, {}))
 
-    def test_ties_break_to_the_lexicographically_smallest_minimiser(self):
+    def test_ties_break_to_the_lexicographically_largest_minimiser(self):
         # Integer models with free variables (no terms) and small shared
         # coefficients have many tied minima.  The table splits at
         # h = ceil(n/2); x_{h-1} and x_h are free so that tied minima sit on
@@ -411,7 +438,7 @@ class TestSolveExact:
         # blocks of 2^18 cells, split by x_0 and x_0 x_1; x_1 is free so
         # that tied minima sit on both sides of every block boundary.  In
         # one model of each size x_0 is free too, in the other setting it
-        # pays -100, so the minimum lies in a later block only.
+        # costs +100, so the minimum lies in the first block(s) only.
         rng = np.random.default_rng(13)
         sizes = [(int(n), False) for n in rng.integers(2, 13, size=40)]
         sizes += [(19, False), (19, True), (20, False), (20, True)]
@@ -428,21 +455,21 @@ class TestSolveExact:
                          for i in terms for j in terms
                          if i < j and rng.random() < density}
             if x0_set:
-                linear[0] = -100
+                linear[0] = 100
             q = Qubo(n, linear, quadratic, offset=int(rng.integers(-3, 4)))
-            energy, bits = lex_smallest_minimiser(q)
+            energy, bits = lex_largest_minimiser(q)
             res = solve_exact(q)
             assert res.energy == energy
             assert res.assignment == "".join(map(str, bits)), n
             if n > 12:
-                assert res.assignment[0] == ("1" if x0_set else "0")
+                assert res.assignment[0] == ("0" if x0_set else "1")
 
     @given(integer_qubos())
     @example(Qubo(1, {}, {}, offset=2))
     @example(Qubo(1, {0: -1}, {}))
     @example(Qubo(3, {0: 1, 2: -1}, {(0, 1): -2, (1, 2): 1}))
-    def test_lexicographically_smallest_minimiser_on_integer_models(self, q):
-        energy, bits = lex_smallest_minimiser(q)
+    def test_lexicographically_largest_minimiser_on_integer_models(self, q):
+        energy, bits = lex_largest_minimiser(q)
         res = solve_exact(q)
         assert res.energy == energy
         assert res.assignment == "".join(map(str, bits))
