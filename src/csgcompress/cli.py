@@ -15,6 +15,7 @@ from dataclasses import asdict
 
 import click
 
+from . import __version__
 from .cover import load_cover_instance, solution_to_dict
 from .errors import (
     CsgcError,
@@ -124,7 +125,7 @@ def _load_oracle(primitives, cloud_path, tree_path):
 
 
 @click.group()
-@click.version_option(package_name="csgcompress", prog_name="csgc")
+@click.version_option(version=__version__, prog_name="csgc")
 def cli():
     """Lossy point-cloud-to-CSG compression via smallest exact cover."""
 
@@ -138,12 +139,8 @@ def cli():
               help="Ground-truth CSG tree JSON describing the target solid.")
 @click.option("--abstract", "abstract_path", type=_in_file,
               help="Abstract instance JSON (bypasses geometry).")
-@click.option("--mode", type=click.Choice(["partitioned", "global"]),
-              default=PipelineConfig.mode, show_default=True)
 @click.option("--solver", type=click.Choice(list(COVER_SOLVERS)),
               default=PipelineConfig.cover_solver, show_default=True)
-@click.option("--clique-method", type=click.Choice(list(CLIQUE_METHODS)),
-              default=PipelineConfig.clique_method, show_default=True)
 @_samples_option
 @_seed_option
 @click.option("--penalty-a", type=float, default=None, help=_COVER_A_HELP)
@@ -156,14 +153,12 @@ def cli():
               default="json", show_default=True)
 @click.option("--no-timestamp", is_flag=True,
               help="Omit the timestamp for byte-identical reports.")
-def compress_cmd(primitives_path, cloud_path, tree_path, abstract_path, mode,
-                 solver, clique_method, samples, seed, penalty_a, penalty_b,
-                 schedule, out, tree_out, fmt, no_timestamp):
+def compress_cmd(primitives_path, cloud_path, tree_path, abstract_path,
+                 solver, samples, seed, penalty_a, penalty_b, schedule, out,
+                 tree_out, fmt, no_timestamp):
     """Compress a target solid into a small CSG tree."""
     cfg = PipelineConfig(
-        mode=mode,
         cover_solver=solver,
-        clique_method=clique_method,
         seed=seed,
         penalty_a=penalty_a,
         penalty_b=penalty_b,

@@ -147,6 +147,11 @@ def generate_candidates(
 ) -> CoverInstance:
     """Build the cover instance over the inside products of ``table``.
 
+    The walk starts from the cliques of ``graph`` that lie inside one of
+    ``cliques`` (``MODE_PARTITIONED``, what ``compress`` runs) or from all
+    of them (``MODE_GLOBAL``).  Under every maximal clique both modes give
+    the same candidates.
+
     Precondition: every product's positive set is a clique of ``graph``
     (``enumerate_products`` and ``abstract_instance_from_dict`` ensure it),
     so the graph's cliques hold every positive set a candidate can have.

@@ -7,21 +7,22 @@ so a report is reproducible byte for byte apart from its optional
 timestamp.  Errors raised inside a stage are re-raised with the stage name
 prefixed, which the CLI turns into exit codes.
 
-``compress`` shares ``product_table`` with ``csgc products``, and the
-dispatches ``find_cliques`` and ``solve_cover`` with ``csgc cliques`` and
-``csgc cover``.  Sample-count and threshold defaults live in the stage
-modules, penalty defaults in ``qubo``, and the agreement point count here.
+``compress`` shares ``product_table`` with ``csgc products`` and the
+dispatch ``solve_cover`` with ``csgc cover``.  Its cliques are always every
+maximal clique (``maximal_cliques_bk``); ``find_cliques``, which can also
+anneal them, serves ``csgc cliques`` only.  Sample-count and threshold
+defaults live in the stage modules, penalty defaults in ``qubo``, and the
+agreement point count here.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .cover import (
-    MODE_GLOBAL,
     MODE_PARTITIONED,
     CoverInstance,
     CoverSolution,
@@ -79,11 +80,18 @@ SURFACE_MARGIN_FRAC = 0.01
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs of one compression run; defaults are versioned via CONFIG_VERSION."""
+    """Knobs of one compression run; defaults are versioned via CONFIG_VERSION.
 
-    mode: str = MODE_PARTITIONED
+    ``mode`` and ``clique_method`` are fixed record fields, not knobs: the
+    constructor does not take them.  ``compress`` always takes every
+    maximal clique and ``generate_candidates``' default mode.  The fields
+    stay so that ``to_dict()``, and with it every report's config record,
+    keeps its keys and order under CONFIG_VERSION 1.
+    """
+
+    mode: str = field(default=MODE_PARTITIONED, init=False)
     cover_solver: str = "dlx"
-    clique_method: str = "bk"
+    clique_method: str = field(default="bk", init=False)
     graph_samples: int = DEFAULT_GRAPH_SAMPLES
     product_samples: int = DEFAULT_PRODUCT_SAMPLES
     seed: int = 0
@@ -95,17 +103,16 @@ class PipelineConfig:
     agreement_points: int = DEFAULT_AGREEMENT_POINTS
 
     def __post_init__(self):
-        if self.mode not in (MODE_PARTITIONED, MODE_GLOBAL):
-            raise ParameterError(f"unknown mode {self.mode!r}")
         if self.cover_solver not in COVER_SOLVERS:
             raise ParameterError(f"unknown cover solver {self.cover_solver!r}")
-        if self.clique_method not in CLIQUE_METHODS:
-            raise ParameterError(f"unknown clique method {self.clique_method!r}")
         if self.graph_samples < 1 or self.product_samples < 1:
             raise ParameterError("sample counts must be >= 1")
         check_seed(self.seed)
         if not (0.0 <= self.tau_out < self.tau_in <= 1.0):
             raise ParameterError("need 0 <= tau_out < tau_in <= 1")
+        if self.agreement_points < 1:
+            raise ParameterError(
+                f"agreement_points must be >= 1, got {self.agreement_points}")
 
     def to_dict(self) -> dict:
         return {"config_version": CONFIG_VERSION, **asdict(self)}
@@ -386,17 +393,14 @@ def _compress_from_table(
 
     With an ``oracle`` the tree is also evaluated against it over ``prims``.
     """
-    cliques = _staged("cliques", find_cliques, graph, cfg.clique_method,
-                      schedule=cfg.schedule, seed=derive_seed(cfg.seed, 3))
+    cliques = _staged("cliques", maximal_cliques_bk, graph)
     warnings = [
         f"product {'&'.join(sorted(p.positive_set))} is mixed "
         f"(inside fraction {p.inside_fraction:.3f}); treated as outside"
         for p in table.mixed
     ]
     _staged("products", _require_inside_products, table)
-    instance = _staged(
-        "candidates", generate_candidates, table, cliques, graph, cfg.mode
-    )
+    instance = _staged("candidates", generate_candidates, table, cliques, graph)
     solution, solver_meta = _staged(
         "cover",
         solve_cover,

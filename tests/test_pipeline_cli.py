@@ -1,19 +1,24 @@
 """Tests for the end-to-end pipeline and the csgc command line."""
 
+import importlib.metadata
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
+import click
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import csgcompress
 from csgcompress import pipeline, qubo
-from csgcompress.cli import main
+from csgcompress.cli import cli, main
 from csgcompress.cover import (
-    MODE_GLOBAL,
     MODE_PARTITIONED,
     cover_instance_from_dict,
     cover_instance_to_dict,
@@ -55,8 +60,9 @@ from csgcompress.products import (
     table_to_dict,
 )
 from csgcompress.qubo import AnnealSchedule
-from tests.conftest import sphere_chain_instance
+from tests.conftest import abstract_cover_qubo, sphere_chain_instance
 from tests.test_cover import coverable_instances
+from tests.test_qubo import MALFORMED_MODELS
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -124,13 +130,6 @@ class TestCompress:
         assert sa.solver["name"] == "qubo_sa"
         assert sa.solver["energy"] == pytest.approx(4.0)  # B * subsets_used
 
-    def test_global_mode_key_not_worse(self, fig_primitives, fig_oracle, fig_report):
-        glob = compress(fig_primitives, fig_oracle,
-                        PipelineConfig(mode=MODE_GLOBAL, seed=0))
-        assert (glob.subsets_used, glob.total_literals) <= (
-            fig_report.subsets_used, fig_report.total_literals,
-        )
-
     def test_deterministic_reports(self, fig_primitives, fig_oracle):
         cfg = PipelineConfig(seed=9, graph_samples=1024, product_samples=512,
                              agreement_points=2000)
@@ -152,22 +151,24 @@ class TestCompress:
                                 n_points=2000, seed=derive_seed(cfg.seed, 5)) == (
             report.oracle_agreement, 2000)
 
-    def test_agreement_without_points_is_refused(self, fig_primitives, fig_oracle):
-        cfg = PipelineConfig(graph_samples=256, product_samples=256,
-                             agreement_points=0)
-        with pytest.raises(ParameterError, match=r"\[evaluate\] .*n_points >= 1"):
-            compress(fig_primitives, fig_oracle, cfg)
+    def test_agreement_without_points_is_refused(self):
+        # Refused when the config is built, not in the evaluate stage after
+        # the graph, products and cover have run.
+        with pytest.raises(ParameterError,
+                           match=r"^agreement_points must be >= 1, got 0$"):
+            PipelineConfig(graph_samples=256, product_samples=256,
+                           agreement_points=0)
 
     def test_config_record_with_schedule_and_penalties(self):
         cfg = PipelineConfig(
-            mode=MODE_GLOBAL, cover_solver="qubo_sa", graph_samples=300,
-            product_samples=200, seed=7, tau_in=0.9, tau_out=0.1,
-            penalty_a=12.5, penalty_b=2.0,
+            cover_solver="qubo_sa", graph_samples=300, product_samples=200,
+            seed=7, tau_in=0.9, tau_out=0.1, penalty_a=12.5, penalty_b=2.0,
             schedule=AnnealSchedule(30.0, 0.01, 5000, 8), agreement_points=400,
         )
         assert json.dumps(cfg.to_dict()) == (
-            '{"config_version": 1, "mode": "global", "cover_solver": "qubo_sa", '
-            '"clique_method": "bk", "graph_samples": 300, "product_samples": 200, '
+            '{"config_version": 1, "mode": "partitioned", '
+            '"cover_solver": "qubo_sa", "clique_method": "bk", '
+            '"graph_samples": 300, "product_samples": 200, '
             '"seed": 7, "tau_in": 0.9, "tau_out": 0.1, "penalty_a": 12.5, '
             '"penalty_b": 2.0, "schedule": {"t_start": 30.0, "t_end": 0.01, '
             '"sweeps": 5000, "restarts": 8}, "agreement_points": 400}'
@@ -182,6 +183,41 @@ class TestCompress:
         with pytest.raises(UnsatisfiableError):
             compress([a], oracle, PipelineConfig(graph_samples=256,
                                                  product_samples=256))
+
+
+class TestPipelineConfig:
+    @pytest.mark.parametrize("name", ["mode", "clique_method"])
+    def test_fixed_record_fields_are_not_settable(self, name):
+        with pytest.raises(TypeError, match=name):
+            PipelineConfig(**{name: getattr(PipelineConfig, name)})
+
+    def test_fixed_record_fields_name_what_compress_runs(self):
+        cfg = PipelineConfig(seed=3)
+        assert (cfg.mode, cfg.clique_method) == (MODE_PARTITIONED, "bk")
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"cover_solver": "greedy"}, "unknown cover solver 'greedy'"),
+        ({"graph_samples": 0}, "sample counts must be >= 1"),
+        ({"product_samples": 0}, "sample counts must be >= 1"),
+        ({"tau_in": 0.5, "tau_out": 0.5}, r"need 0 <= tau_out < tau_in <= 1"),
+        ({"tau_in": 1.5}, r"need 0 <= tau_out < tau_in <= 1"),
+        ({"tau_out": -0.1}, r"need 0 <= tau_out < tau_in <= 1"),
+        ({"agreement_points": -1}, "agreement_points must be >= 1, got -1"),
+    ])
+    def test_refusals(self, kwargs, message):
+        with pytest.raises(ParameterError, match=message):
+            PipelineConfig(**kwargs)
+
+    def test_compress_takes_every_maximal_clique(self, fig_abstract_instance,
+                                                 monkeypatch):
+        # find_cliques serves csgc cliques only; compress does not dispatch.
+        def dispatch(*_args, **_kwargs):
+            raise AssertionError("compress went through find_cliques")
+
+        monkeypatch.setattr(pipeline, "find_cliques", dispatch)
+        graph, table = abstract_instance_from_dict(fig_abstract_instance)
+        report = compress_abstract(graph, table)
+        assert list(report.cliques) == maximal_cliques_bk(graph)
 
 
 class TestCompressAbstract:
@@ -455,6 +491,50 @@ class TestCli:
         data = json.loads(out1.read_text())
         assert data["leaf_count"] == 10
         assert data["two_level_leaf_count"] == 25
+
+    @pytest.mark.parametrize("option", [["--mode", "global"],
+                                        ["--clique-method", "bk"]])
+    def test_removed_compress_knobs_are_input_errors(self, option, abstract_file,
+                                                     capsys):
+        code = main(["compress", "--abstract", str(abstract_file)] + option)
+        err = capsys.readouterr().err
+        assert "No such option" in err and option[0] in err
+        assert code == 3
+
+    def test_version_without_package_metadata(self, monkeypatch, capsys):
+        # A source checkout run with PYTHONPATH=src has no installed metadata.
+        def not_installed(name):
+            raise importlib.metadata.PackageNotFoundError(name)
+
+        monkeypatch.setattr(importlib.metadata, "version", not_installed)
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out == f"csgc, version {csgcompress.__version__}\n"
+
+    def test_version_matches_pyproject(self):
+        pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+        declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
+        assert declared.group(1) == csgcompress.__version__
+
+    def test_readme_commands_use_accepted_options(self):
+        text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        block = text.split("## Command line", 1)[1].split("```bash\n", 1)[1]
+        block = block.split("```", 1)[0].replace("\\\n", " ")
+        commands = [shlex.split(line) for line in block.splitlines()
+                    if line.startswith("csgc ")]
+        assert len(commands) == 10
+        for argv in commands:
+            command, words = cli, argv[1:]
+            while isinstance(command, click.Group):
+                command = command.commands[words.pop(0)]
+            options = {opt: param for param in command.params
+                       for opt in param.opts + param.secondary_opts}
+            for i, word in enumerate(words):
+                if not word.startswith("--"):
+                    continue
+                assert word in options, (argv, word)
+                kind = options[word].type
+                if isinstance(kind, click.Choice):
+                    assert words[i + 1] in kind.choices, (argv, word)
 
     def test_compress_geometric_with_tree_oracle(self, scene_files, tmp_path):
         prim_path, tree_path = scene_files
@@ -789,6 +869,26 @@ class TestCli:
             code = main(cmd)
             assert capsys.readouterr().err.startswith("error: ")
             assert code == 3
+
+    @pytest.mark.parametrize("text, message", MALFORMED_MODELS)
+    def test_malformed_qubo_model_is_an_input_error(self, tmp_path, capsys,
+                                                    text, message):
+        path = tmp_path / "m.qubo"
+        path.write_text(text)
+        code = main(["qubo", "solve", "--model", str(path)])
+        assert capsys.readouterr().err == f"error: {path}{message}\n"
+        assert code == 3
+
+    def test_qubo_solve_anneals_like_solve_sa(self, fig_abstract_instance,
+                                              tmp_path, capsys):
+        q, _minimum = abstract_cover_qubo(fig_abstract_instance)
+        model = tmp_path / "cover.qubo"
+        qubo.export_qubo(q, model)
+        code = main(["qubo", "solve", "--model", str(model),
+                     "--schedule", "2,0.01,300,4", "--seed", "6"])
+        assert code == 0
+        expect = asdict(qubo.solve_sa(q, AnnealSchedule(2.0, 0.01, 300, 4), seed=6))
+        assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(expect))
 
     def test_negative_qubo_size_is_an_input_error(self, tmp_path, capsys):
         model = tmp_path / "neg.qubo"

@@ -744,6 +744,27 @@ class TestDefaultScheduleQuality:
         assert reached == 8
 
 
+#: model files ``import_qubo`` refuses: (text, the message after the path)
+MALFORMED_MODELS = [
+    pytest.param("c offset x\np qubo 0 1 0 0\n", ":1: bad offset value",
+                 id="offset-value"),
+    pytest.param("p qubo 0 1 0\n", ":1: malformed program line", id="p-fields"),
+    pytest.param("p qubit 0 1 0 0\n", ":1: malformed program line", id="p-kind"),
+    pytest.param("p qubo 0 one 0 0\n",
+                 ":1: invalid literal for int() with base 10: 'one'",
+                 id="p-not-integer"),
+    pytest.param("0 0 1.0\np qubo 0 1 1 0\n",
+                 ":1: data before the program line", id="data-first"),
+    pytest.param("p qubo 0 2 1 0\n0 1.0\n", ":2: expected 'i j value'",
+                 id="two-fields"),
+    pytest.param("p qubo 0 2 1 0\n0 0 1.0\n0 0 2.0\n",
+                 ":3: duplicate node line for 0", id="duplicate-node"),
+    pytest.param("p qubo 0 2 0 1\n1 0 1.0\n", ":2: couplers need i < j",
+                 id="coupler-order"),
+    pytest.param("c offset 1.0\n", ": missing program line", id="no-p-line"),
+]
+
+
 class TestFileFormat:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(14)
@@ -781,6 +802,21 @@ class TestFileFormat:
         path.write_text("p qubo 0 2 1 0\n0 zero 1.0\n")
         with pytest.raises(FileFormatError, match="bad.qubo:2"):
             import_qubo(path)
+
+    @pytest.mark.parametrize("text, message", MALFORMED_MODELS)
+    def test_malformed_model_names_its_line(self, tmp_path, text, message):
+        path = tmp_path / "m.qubo"
+        path.write_text(text)
+        with pytest.raises(FileFormatError) as info:
+            import_qubo(path)
+        assert str(info.value) == f"{path}{message}"
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "blank.qubo"
+        path.write_text("\nc offset 0.5\n\np qubo 0 2 1 1\n  \n0 0 -1.0\n\n0 1 2.0\n")
+        q = import_qubo(path)
+        assert (q.n, q.linear, q.quadratic, q.offset) == (
+            2, {0: -1.0}, {(0, 1): 2.0}, 0.5)
 
     def test_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "count.qubo"

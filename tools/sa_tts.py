@@ -61,7 +61,7 @@ import numpy as np  # noqa: E402
 
 from csgcompress import qubo  # noqa: E402
 from csgcompress.cover import generate_candidates, solve_cover_dlx  # noqa: E402
-from csgcompress.pipeline import PipelineConfig, find_cliques  # noqa: E402
+from csgcompress.graph import maximal_cliques_bk  # noqa: E402
 from csgcompress.products import abstract_instance_from_dict  # noqa: E402
 from stagebench import scenes  # noqa: E402
 
@@ -130,8 +130,7 @@ def cover_qubo(scene: scenes.Scene):
         "products": [{"positives": sorted(c), "inside": c in inside}
                      for c in scene.cells],
     })
-    instance = generate_candidates(table, find_cliques(graph), graph,
-                                   PipelineConfig.mode)
+    instance = generate_candidates(table, maximal_cliques_bk(graph), graph)
     q, _names = qubo.build_cover_qubo(instance)
     selected = set(solve_cover_dlx(instance).selected)
     return q, qubo.qubo_energy(q, [int(i in selected) for i in range(q.n)])
