@@ -8,7 +8,9 @@ product it lies in (``sign_vector_samples``).  A cell's positive set must
 be a clique of the intersection graph (two non-overlapping positives force
 the cell empty), so groups whose positive set is not one are dropped.  The
 kept groups' points are the cells' witnesses, classified against the
-target oracle by the fraction inside.
+target oracle by the fraction inside: the first ``CLASSIFY_WITNESSES`` of
+each cell decide it when they agree, and the rest are asked only when they
+do not.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ LABEL_OUTSIDE = "outside"
 LABEL_MIXED = "mixed"
 
 DEFAULT_PRODUCT_SAMPLES = 2048
+# witnesses per cell in the first oracle query; a cell whose first answers
+# all agree reads 1.0 or 0.0 without asking the rest
+CLASSIFY_WITNESSES = 256
 DEFAULT_TAU_IN = 0.95
 DEFAULT_TAU_OUT = 0.05
 # enumerate_cliques refuses graphs with more cliques than this; it bounds
@@ -131,6 +136,12 @@ def enumerate_cliques(graph: IntersectionGraph):
     return sorted(out, key=product_sort_key)
 
 
+def _query(oracle, parts: list[np.ndarray]) -> list[np.ndarray]:
+    """One ``oracle.inside`` call over all ``parts``, split back per part."""
+    inside = oracle.inside(np.concatenate(parts))
+    return np.split(inside, np.cumsum([len(p) for p in parts])[:-1])
+
+
 def enumerate_products(
     primitives,
     graph: IntersectionGraph,
@@ -153,9 +164,16 @@ def enumerate_products(
     table with the ``mixed`` label and surfaced by the pipeline as
     warnings, not failures.
 
-    The witnesses of every kept cell go to ``oracle.inside`` in one call
-    per table; each cell's fraction is the mean over its own slice.
-    Raises ParameterError when ``samples_per_region`` is below 1.
+    Classification asks ``oracle.inside`` at most twice per table.  The
+    first query takes the first ``CLASSIFY_WITNESSES`` witnesses of every
+    kept cell, in draw order.  A cell whose answers there all agree reads
+    1.0 or 0.0.  Its label can differ from the all-witness one only if its
+    true fraction lies across a threshold while the first witnesses, which
+    are uniform in the cell, all fall one way; at the default thresholds
+    that has probability below 0.95^256 ≈ 2e-6 per cell.  The second query takes the remaining witnesses of the cells
+    whose first answers disagree, so their fraction is the mean over all
+    their witnesses.  Raises ParameterError when ``samples_per_region`` is
+    below 1.
     """
     prims = check_primitive_set(primitives)
     ids = tuple(p.pid for p in prims)
@@ -176,11 +194,18 @@ def enumerate_products(
     ]
     if not kept:
         return ProductTable(ids, ())
-    # one oracle query for the whole table; each cell reads its own slice
-    inside = oracle.inside(np.concatenate([s for _, s in kept]))
-    cuts = np.cumsum([len(s) for _, s in kept])[:-1]
+    m = CLASSIFY_WITNESSES
+    answers = _query(oracle, [s[:m] for _, s in kept])
+    split = [
+        k for k, (_, s) in enumerate(kept)
+        if len(s) > m and answers[k].any() and not answers[k].all()
+    ]
+    if split:
+        tails = _query(oracle, [kept[k][1][m:] for k in split])
+        for k, tail in zip(split, tails):
+            answers[k] = np.concatenate([answers[k], tail])
     products = []
-    for (positive_set, samples), part in zip(kept, np.split(inside, cuts)):
+    for (positive_set, samples), part in zip(kept, answers):
         frac = float(np.mean(part))
         if frac >= tau_in:
             label = LABEL_INSIDE

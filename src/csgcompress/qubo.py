@@ -628,7 +628,11 @@ def import_qubo(path) -> Qubo:
                 continue
             if line.startswith("c"):
                 fields = line.split()
-                if len(fields) >= 3 and fields[1] == "offset":
+                if len(fields) >= 2 and fields[1] == "offset":
+                    if len(fields) != 3:
+                        raise FileFormatError(
+                            f"{path}:{lineno}: bad offset line"
+                        )
                     try:
                         offset = float(fields[2])
                     except ValueError as exc:
@@ -642,12 +646,16 @@ def import_qubo(path) -> Qubo:
                     raise FileFormatError(
                         f"{path}:{lineno}: malformed program line"
                     )
-                try:
-                    n = int(fields[3])
-                    n_nodes = int(fields[4])
-                    n_couplers = int(fields[5])
-                except ValueError as exc:
-                    raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+                counts = []
+                for name, text in zip(("n", "nodes", "couplers"), fields[3:]):
+                    try:
+                        counts.append(int(text))
+                    except ValueError as exc:
+                        raise FileFormatError(
+                            f"{path}:{lineno}: program line field {name} must "
+                            f"be an integer, got {text!r}"
+                        ) from exc
+                n, n_nodes, n_couplers = counts
                 continue
             if n is None:
                 raise FileFormatError(

@@ -12,6 +12,8 @@ from csgcompress import cover, products
 from csgcompress.errors import FileFormatError, ParameterError
 from csgcompress.geometry import (
     CloudOracle,
+    Complement,
+    Intersection,
     Leaf,
     Primitive,
     TreeOracle,
@@ -44,15 +46,40 @@ from tests.conftest import (
 
 
 class CountingInsideOracle:
-    """Oracle proxy that records the point count of each ``inside`` query."""
+    """Oracle proxy that records the points of each ``inside`` query."""
 
     def __init__(self, oracle):
         self._oracle = oracle
         self.calls = []
+        self.points = []
 
     def inside(self, points):
         self.calls.append(len(np.atleast_2d(points)))
+        self.points.append(np.array(points))
         return self._oracle.inside(points)
+
+
+class _SlabFlipOracle:
+    """Oracle proxy that flips the answers for points with lo <= x < hi."""
+
+    def __init__(self, oracle, lo, hi):
+        self._oracle, self._lo, self._hi = oracle, lo, hi
+
+    def inside(self, points):
+        x = np.asarray(points)[:, 0]
+        return self._oracle.inside(points) ^ ((x >= self._lo) & (x < self._hi))
+
+
+def _rows(arrays):
+    """The points of several (N, 3) arrays as one sorted list of tuples."""
+    return sorted(tuple(row) for a in arrays for row in a)
+
+
+def _all_witness_table(prims, graph, oracle, **kwargs):
+    """The table classified with every witness in the first query."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(products, "CLASSIFY_WITNESSES", 2**62)
+        return enumerate_products(prims, graph, oracle, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -128,8 +155,8 @@ class TestEnumerateProducts:
             assert a.label == b.label
 
     @pytest.mark.parametrize("kind", ["tree", "cloud"])
-    def test_one_oracle_query_per_table(self, kind, fig_primitives, fig_minimal_tree,
-                                        fig_oracle):
+    def test_at_most_two_oracle_queries_per_table(self, kind, fig_primitives,
+                                                  fig_minimal_tree, fig_oracle):
         oracle = fig_oracle if kind == "tree" else CloudOracle(
             sample_surface(fig_minimal_tree, fig_primitives, 4000, seed=2))
         counting = CountingInsideOracle(oracle)
@@ -137,9 +164,80 @@ class TestEnumerateProducts:
         table = enumerate_products(fig_primitives, graph, counting,
                                    samples_per_region=512, seed=5)
         assert table.n_f == 15
-        assert counting.calls == [sum(len(p.samples) for p in table.products)]
+        m = products.CLASSIFY_WITNESSES
+        split = {p.positive_set for p in table.products if len(p.samples) > m
+                 and 0 < np.mean(oracle.inside(p.samples[:m])) < 1}
+        assert 1 <= len(counting.calls) <= 2
+        assert _rows(counting.points[:1]) == _rows(
+            p.samples[:m] for p in table.products)
+        assert _rows(counting.points[1:]) == _rows(
+            p.samples[m:] for p in table.products if p.positive_set in split)
         for p in table.products:
-            assert p.inside_fraction == float(np.mean(oracle.inside(p.samples)))
+            if p.positive_set in split or len(p.samples) <= m:
+                assert p.inside_fraction == float(np.mean(oracle.inside(p.samples)))
+            else:
+                assert p.inside_fraction in (0.0, 1.0)
+        # the cloud's crease errors split a cell of the reference scene
+        assert len(counting.calls) == (2 if kind == "cloud" else 1)
+
+    def test_split_cells_match_the_all_witness_reference(self, fig_primitives,
+                                                         fig_oracle):
+        # Flipping the answers in a thin slab splits the cells it crosses.
+        graph = build_intersection_graph(fig_primitives, count=1024, seed=3)
+        noisy = _SlabFlipOracle(fig_oracle, 0.5, 0.56)
+        counting = CountingInsideOracle(noisy)
+        table = enumerate_products(fig_primitives, graph, counting, seed=5)
+        reference = _all_witness_table(fig_primitives, graph, noisy, seed=5)
+        assert len(counting.calls) == 2
+        m = products.CLASSIFY_WITNESSES
+        split = 0
+        for p, ref in zip(table.products, reference.products):
+            assert p.positive_set == ref.positive_set
+            assert p.label == ref.label
+            if p.inside_fraction not in (0.0, 1.0):
+                split += 1
+                assert len(p.samples) > m
+                assert p.inside_fraction == ref.inside_fraction
+        assert split == 3
+
+    @given(st.integers(2, 5).flatmap(
+        lambda n: st.tuples(*[_primitive(f"P{i}", "sphere") for i in range(n + 1)])),
+        st.sampled_from(("union", "intersection", "difference")),
+        st.sampled_from((128, 1024)), st.integers(0, 2**32 - 1))
+    def test_labels_equal_the_all_witness_labels(self, spheres, op, count, seed):
+        # The target combines a scene sphere with one more sphere that is
+        # not a primitive, so its surface cuts cells.
+        prims, cutter = spheres[:-1], spheres[-1]
+        first, other = Leaf("P0"), Leaf(cutter.pid)
+        target = {
+            "union": Union((first, other)),
+            "intersection": Intersection((first, other)),
+            "difference": Intersection((first, Complement(other))),
+        }[op]
+        oracle = TreeOracle(target, spheres)
+        graph = build_intersection_graph(prims, count=count, seed=seed)
+        table = enumerate_products(prims, graph, oracle,
+                                   samples_per_region=count, seed=seed)
+        reference = _all_witness_table(prims, graph, oracle,
+                                       samples_per_region=count, seed=seed)
+        for p, ref in zip(table.products, reference.products):
+            assert (p.positive_set, p.label) == (ref.positive_set, ref.label)
+            if p.inside_fraction not in (0.0, 1.0):
+                assert p.inside_fraction == ref.inside_fraction
+
+    def test_small_cell_asks_no_second_query(self):
+        # The oracle solid half-covers the primitive's lone cell, which has
+        # fewer witnesses than one first-stage share.
+        a = sphere("A", (0, 0, 0), 1.0)
+        oracle = TreeOracle(Leaf("S"), [sphere("S", (1.0, 0, 0), 1.0)])
+        counting = CountingInsideOracle(oracle)
+        n = products.CLASSIFY_WITNESSES - 1
+        table = enumerate_products([a], build_intersection_graph([a], count=64),
+                                   counting, samples_per_region=n)
+        (cell,) = table.products
+        assert counting.calls == [n]
+        assert cell.label == LABEL_MIXED
+        assert cell.inside_fraction == float(np.mean(oracle.inside(cell.samples)))
 
     def test_no_cell_kept_asks_no_query(self):
         # The graph misses the overlap the single sample lands in.

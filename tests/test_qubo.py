@@ -748,11 +748,19 @@ class TestDefaultScheduleQuality:
 MALFORMED_MODELS = [
     pytest.param("c offset x\np qubo 0 1 0 0\n", ":1: bad offset value",
                  id="offset-value"),
+    pytest.param("c offset\np qubo 0 1 1 0\n0 0 1.0\n", ":1: bad offset line",
+                 id="offset-missing"),
     pytest.param("p qubo 0 1 0\n", ":1: malformed program line", id="p-fields"),
     pytest.param("p qubit 0 1 0 0\n", ":1: malformed program line", id="p-kind"),
     pytest.param("p qubo 0 one 0 0\n",
-                 ":1: invalid literal for int() with base 10: 'one'",
+                 ":1: program line field n must be an integer, got 'one'",
                  id="p-not-integer"),
+    pytest.param("p qubo 0 1 1.0 0\n",
+                 ":1: program line field nodes must be an integer, got '1.0'",
+                 id="p-nodes-not-integer"),
+    pytest.param("p qubo 0 1 0 x\n",
+                 ":1: program line field couplers must be an integer, got 'x'",
+                 id="p-couplers-not-integer"),
     pytest.param("0 0 1.0\np qubo 0 1 1 0\n",
                  ":1: data before the program line", id="data-first"),
     pytest.param("p qubo 0 2 1 0\n0 1.0\n", ":2: expected 'i j value'",
