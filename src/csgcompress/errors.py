@@ -5,6 +5,7 @@ class available: infeasible/unsatisfiable combinatorics, malformed input
 files, and bad parameter choices are different failure modes.
 """
 
+import contextlib
 import json
 
 
@@ -50,10 +51,26 @@ def json_array(value, field: str):
     return value
 
 
-def read_json(path):
-    """Parse a JSON file, reporting malformed JSON as a FileFormatError."""
+@contextlib.contextmanager
+def open_text(path):
+    """``path`` opened for reading as UTF-8 text; a byte that does not
+    decode, wherever the body reads it, is a FileFormatError naming ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def read_json(path):
+    """Parse a JSON file, reporting malformed JSON as a FileFormatError.
+
+    Nesting deeper than the parser's recursion limit is malformed too.
+    """
+    with open_text(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"{path}: invalid JSON ({exc})") from exc
+        except RecursionError as exc:
+            raise FileFormatError(f"{path}: invalid JSON (nested too deeply)") from exc

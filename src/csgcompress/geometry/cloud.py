@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import FileFormatError
+from ..errors import FileFormatError, open_text
 
 _NORMAL_TOL = 1e-6
 # The numbers np.loadtxt parses: unlike float(), no "_" and no non-ASCII digits.
@@ -72,7 +72,7 @@ def load_cloud(path) -> PointCloud:
     call; only when that fails, or its width is not 6 (an empty file among
     them), is it scanned again line by line to find the error.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")

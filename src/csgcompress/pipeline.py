@@ -82,11 +82,11 @@ SURFACE_MARGIN_FRAC = 0.01
 class PipelineConfig:
     """Knobs of one compression run; defaults are versioned via CONFIG_VERSION.
 
-    ``mode`` and ``clique_method`` are fixed record fields, not knobs: the
-    constructor does not take them.  ``compress`` always takes every
-    maximal clique and ``generate_candidates``' default mode.  The fields
-    stay so that ``to_dict()``, and with it every report's config record,
-    keeps its keys and order under CONFIG_VERSION 1.
+    ``mode``, ``clique_method``, ``tau_in``, ``tau_out`` and
+    ``agreement_points`` are fixed record fields, not knobs: the constructor
+    does not take them, and ``compress`` runs their defaults.  They stay so
+    that ``to_dict()``, and with it every report's config record, keeps its
+    keys and order under CONFIG_VERSION 1.
     """
 
     mode: str = field(default=MODE_PARTITIONED, init=False)
@@ -95,12 +95,12 @@ class PipelineConfig:
     graph_samples: int = DEFAULT_GRAPH_SAMPLES
     product_samples: int = DEFAULT_PRODUCT_SAMPLES
     seed: int = 0
-    tau_in: float = DEFAULT_TAU_IN
-    tau_out: float = DEFAULT_TAU_OUT
+    tau_in: float = field(default=DEFAULT_TAU_IN, init=False)
+    tau_out: float = field(default=DEFAULT_TAU_OUT, init=False)
     penalty_a: float | None = None
     penalty_b: float | None = None
     schedule: AnnealSchedule | None = None
-    agreement_points: int = DEFAULT_AGREEMENT_POINTS
+    agreement_points: int = field(default=DEFAULT_AGREEMENT_POINTS, init=False)
 
     def __post_init__(self):
         if self.cover_solver not in COVER_SOLVERS:
@@ -108,11 +108,6 @@ class PipelineConfig:
         if self.graph_samples < 1 or self.product_samples < 1:
             raise ParameterError("sample counts must be >= 1")
         check_seed(self.seed)
-        if not (0.0 <= self.tau_out < self.tau_in <= 1.0):
-            raise ParameterError("need 0 <= tau_out < tau_in <= 1")
-        if self.agreement_points < 1:
-            raise ParameterError(
-                f"agreement_points must be >= 1, got {self.agreement_points}")
 
     def to_dict(self) -> dict:
         return {"config_version": CONFIG_VERSION, **asdict(self)}

@@ -170,17 +170,18 @@ def enumerate_products(
     1.0 or 0.0.  Its label can differ from the all-witness one only if its
     true fraction lies across a threshold while the first witnesses, which
     are uniform in the cell, all fall one way; at the default thresholds
-    that has probability below 0.95^256 ≈ 2e-6 per cell.  The second query takes the remaining witnesses of the cells
-    whose first answers disagree, so their fraction is the mean over all
-    their witnesses.  Raises ParameterError when ``samples_per_region`` is
-    below 1.
+    that has probability below 0.95^256 ≈ 2e-6 per cell.  The second query
+    takes the remaining witnesses of the cells whose first answers
+    disagree, so their fraction is the mean over all their witnesses.
+    Raises ParameterError when ``samples_per_region`` is below 1 or the
+    thresholds break 0 <= ``tau_out`` < ``tau_in`` <= 1.
     """
     prims = check_primitive_set(primitives)
     ids = tuple(p.pid for p in prims)
     if set(graph.vertices) != set(ids):
         raise ValueError("graph and primitive set disagree")
     if not (0.0 <= tau_out < tau_in <= 1.0):
-        raise ValueError("thresholds must satisfy 0 <= tau_out < tau_in <= 1")
+        raise ParameterError("need 0 <= tau_out < tau_in <= 1")
 
     seeds = [derive_seed(seed, _SEED_NAMESPACE, i) for i in range(len(prims))]
     cells: dict[frozenset[str], list[np.ndarray]] = {}

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FileFormatError, ParameterError, check_seed
+from .errors import FileFormatError, ParameterError, check_seed, open_text
 from .cover import CoverInstance
 from .graph import IntersectionGraph
 
@@ -601,6 +601,15 @@ def selection_from_result(result: SolveResult) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def export_qubo(q: Qubo, path, names: tuple[str, ...] | None = None) -> None:
+    """Write ``q`` (and a ``c var`` comment per name) in the format above.
+
+    A name with a line break would split its comment line, so it is refused
+    before the file is opened.
+    """
+    for i, name in enumerate(names or ()):
+        if "\n" in name or "\r" in name:
+            raise FileFormatError(
+                f"{path}: variable {i} name {name!r} contains a line break")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("c qubo model written by csgcompress\n")
         if q.offset:
@@ -621,7 +630,7 @@ def import_qubo(path) -> Qubo:
     offset = 0.0
     linear: dict[int, float] = {}
     quadratic: dict[tuple[int, int], float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:

@@ -7,7 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import click
@@ -16,15 +16,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import csgcompress
-from csgcompress import pipeline, qubo
+from csgcompress import pipeline, products, qubo
 from csgcompress.cli import cli, main
 from csgcompress.cover import (
     MODE_PARTITIONED,
     cover_instance_from_dict,
     cover_instance_to_dict,
     generate_candidates,
+    load_cover_instance,
 )
-from csgcompress.errors import ParameterError
+from csgcompress.errors import FileFormatError, ParameterError, read_json
 from csgcompress.geometry import (
     CloudOracle,
     Leaf,
@@ -32,6 +33,7 @@ from csgcompress.geometry import (
     leaf_count,
     Union,
     load_cloud,
+    load_primitives,
     primitive_to_dict,
     sample_surface,
     save_cloud,
@@ -41,7 +43,7 @@ from csgcompress.geometry import (
     tree_to_dict,
 )
 from csgcompress.geometry.sampling import derive_seed
-from csgcompress.graph import build_intersection_graph, maximal_cliques_bk
+from csgcompress.graph import build_intersection_graph, load_graph, maximal_cliques_bk
 from csgcompress.pipeline import (
     PipelineConfig,
     cliques_via_qubo_sa,
@@ -57,6 +59,7 @@ from csgcompress.pipeline import (
 from csgcompress.products import (
     abstract_instance_from_dict,
     enumerate_products,
+    load_abstract_instance,
     table_to_dict,
 )
 from csgcompress.qubo import AnnealSchedule
@@ -131,8 +134,7 @@ class TestCompress:
         assert sa.solver["energy"] == pytest.approx(4.0)  # B * subsets_used
 
     def test_deterministic_reports(self, fig_primitives, fig_oracle):
-        cfg = PipelineConfig(seed=9, graph_samples=1024, product_samples=512,
-                             agreement_points=2000)
+        cfg = PipelineConfig(seed=9, graph_samples=1024, product_samples=512)
         r1 = compress(fig_primitives, fig_oracle, cfg)
         r2 = compress(fig_primitives, fig_oracle, cfg)
         assert report_stats(r1) == report_stats(r2)
@@ -142,36 +144,27 @@ class TestCompress:
             def inside(self, points):
                 return fig_oracle.inside(points)
 
-        cfg = PipelineConfig(graph_samples=1024, product_samples=512,
-                             agreement_points=2000)
+        cfg = PipelineConfig(graph_samples=1024, product_samples=512)
         report = compress(fig_primitives, InsideOnlyOracle(), cfg)
         assert report_stats(report) == report_stats(compress(fig_primitives,
                                                              fig_oracle, cfg))
         assert oracle_agreement(report.tree, fig_primitives, InsideOnlyOracle(),
-                                n_points=2000, seed=derive_seed(cfg.seed, 5)) == (
-            report.oracle_agreement, 2000)
-
-    def test_agreement_without_points_is_refused(self):
-        # Refused when the config is built, not in the evaluate stage after
-        # the graph, products and cover have run.
-        with pytest.raises(ParameterError,
-                           match=r"^agreement_points must be >= 1, got 0$"):
-            PipelineConfig(graph_samples=256, product_samples=256,
-                           agreement_points=0)
+                                seed=derive_seed(cfg.seed, 5)) == (
+            report.oracle_agreement, pipeline.DEFAULT_AGREEMENT_POINTS)
 
     def test_config_record_with_schedule_and_penalties(self):
         cfg = PipelineConfig(
             cover_solver="qubo_sa", graph_samples=300, product_samples=200,
-            seed=7, tau_in=0.9, tau_out=0.1, penalty_a=12.5, penalty_b=2.0,
-            schedule=AnnealSchedule(30.0, 0.01, 5000, 8), agreement_points=400,
+            seed=7, penalty_a=12.5, penalty_b=2.0,
+            schedule=AnnealSchedule(30.0, 0.01, 5000, 8),
         )
         assert json.dumps(cfg.to_dict()) == (
             '{"config_version": 1, "mode": "partitioned", '
             '"cover_solver": "qubo_sa", "clique_method": "bk", '
             '"graph_samples": 300, "product_samples": 200, '
-            '"seed": 7, "tau_in": 0.9, "tau_out": 0.1, "penalty_a": 12.5, '
+            '"seed": 7, "tau_in": 0.95, "tau_out": 0.05, "penalty_a": 12.5, '
             '"penalty_b": 2.0, "schedule": {"t_start": 30.0, "t_end": 0.01, '
-            '"sweeps": 5000, "restarts": 8}, "agreement_points": 400}'
+            '"sweeps": 5000, "restarts": 8}, "agreement_points": 10000}'
         )
 
     def test_stage_attribution(self):
@@ -186,7 +179,8 @@ class TestCompress:
 
 
 class TestPipelineConfig:
-    @pytest.mark.parametrize("name", ["mode", "clique_method"])
+    @pytest.mark.parametrize("name", ["mode", "clique_method", "tau_in", "tau_out",
+                                      "agreement_points"])
     def test_fixed_record_fields_are_not_settable(self, name):
         with pytest.raises(TypeError, match=name):
             PipelineConfig(**{name: getattr(PipelineConfig, name)})
@@ -194,15 +188,19 @@ class TestPipelineConfig:
     def test_fixed_record_fields_name_what_compress_runs(self):
         cfg = PipelineConfig(seed=3)
         assert (cfg.mode, cfg.clique_method) == (MODE_PARTITIONED, "bk")
+        assert (cfg.tau_in, cfg.tau_out, cfg.agreement_points) == (
+            products.DEFAULT_TAU_IN, products.DEFAULT_TAU_OUT,
+            pipeline.DEFAULT_AGREEMENT_POINTS)
+
+    def test_constructor_takes_only_the_run_knobs(self):
+        assert [f.name for f in fields(PipelineConfig) if f.init] == [
+            "cover_solver", "graph_samples", "product_samples", "seed",
+            "penalty_a", "penalty_b", "schedule"]
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"cover_solver": "greedy"}, "unknown cover solver 'greedy'"),
         ({"graph_samples": 0}, "sample counts must be >= 1"),
         ({"product_samples": 0}, "sample counts must be >= 1"),
-        ({"tau_in": 0.5, "tau_out": 0.5}, r"need 0 <= tau_out < tau_in <= 1"),
-        ({"tau_in": 1.5}, r"need 0 <= tau_out < tau_in <= 1"),
-        ({"tau_out": -0.1}, r"need 0 <= tau_out < tau_in <= 1"),
-        ({"agreement_points": -1}, "agreement_points must be >= 1, got -1"),
     ])
     def test_refusals(self, kwargs, message):
         with pytest.raises(ParameterError, match=message):
@@ -1153,3 +1151,107 @@ class TestCli:
         ])
         capsys.readouterr()
         assert code == 4
+
+
+#: bytes that do not decode as UTF-8 (0xff never starts a character)
+NOT_UTF8 = b"\xff\xfe\x00\x01"
+#: JSON deeper than the parser's recursion limit
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+#: a tree of 500 nested complements: 1000 levels of JSON
+DEEP_TREE = '{"op": "comp", "children": [' * 500 + '{"op": "prim", "prim": "A"}' + "]}" * 500
+
+JSON_READERS = [read_json, load_primitives, load_graph, load_cover_instance,
+                load_abstract_instance]
+
+
+class TestUnreadableInput:
+    """Every reader turns undecodable or too deeply nested input into a
+    FileFormatError naming the file; the CLI exits 3 with one error line."""
+
+    @pytest.mark.parametrize("reader", JSON_READERS + [load_cloud, qubo.import_qubo])
+    def test_non_utf8_file_is_a_file_format_error(self, tmp_path, reader):
+        path = tmp_path / "bin.dat"
+        path.write_bytes(NOT_UTF8)
+        with pytest.raises(FileFormatError) as info:
+            reader(path)
+        assert str(info.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
+    @pytest.mark.parametrize("reader", JSON_READERS)
+    def test_deeply_nested_json_is_a_file_format_error(self, tmp_path, reader):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_JSON)
+        with pytest.raises(FileFormatError) as info:
+            reader(path)
+        assert str(info.value) == f"{path}: invalid JSON (nested too deeply)"
+
+    @pytest.mark.parametrize("command", ["abstract", "cloud", "model", "eval",
+                                         "primitives"])
+    def test_non_utf8_file_is_an_input_error(self, command, scene_files, cloud_file,
+                                             tmp_path, capsys):
+        prim_path, tree_path = scene_files
+        path = tmp_path / "bin.dat"
+        path.write_bytes(NOT_UTF8)
+        args = {
+            "abstract": ["compress", "--abstract", path],
+            "cloud": ["compress", "--primitives", prim_path, "--cloud", path],
+            "model": ["qubo", "solve", "--model", path],
+            "eval": ["eval", "--tree", tree_path, "--primitives", prim_path,
+                     "--cloud", path],
+            "primitives": ["compress", "--primitives", path, "--cloud", cloud_file],
+        }[command]
+        code = main([str(a) for a in args])
+        assert capsys.readouterr().err == (
+            f"error: {path}: not UTF-8 text (invalid start byte)\n")
+        assert code == 3
+
+    @pytest.mark.parametrize("command", ["abstract", "instance", "graph",
+                                         "primitives", "compress-tree",
+                                         "products-tree", "eval-tree"])
+    def test_deeply_nested_json_is_an_input_error(self, command, scene_files,
+                                                  cloud_file, tmp_path, capsys):
+        prim_path, _ = scene_files
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_TREE if command.endswith("-tree") else DEEP_JSON)
+        args = {
+            "abstract": ["compress", "--abstract", path],
+            "instance": ["cover", "--instance", path],
+            "graph": ["cliques", "--graph", path],
+            "primitives": ["products", "--primitives", path, "--cloud", cloud_file],
+            "compress-tree": ["compress", "--primitives", prim_path, "--tree", path],
+            "products-tree": ["products", "--primitives", prim_path, "--tree", path],
+            "eval-tree": ["eval", "--tree", path, "--primitives", prim_path,
+                          "--cloud", cloud_file],
+        }[command]
+        code = main([str(a) for a in args])
+        assert capsys.readouterr().err == (
+            f"error: {path}: invalid JSON (nested too deeply)\n")
+        assert code == 3
+
+
+class TestExportNames:
+    """A variable name with a line break would split its ``c var`` line, so
+    ``export_qubo`` refuses it before writing anything."""
+
+    @pytest.mark.parametrize("name", ["S0\nfoo", "S0\rfoo", "S0\r\n"])
+    def test_line_break_in_a_name_is_refused(self, tmp_path, name):
+        path = tmp_path / "m.qubo"
+        q = qubo.Qubo(2, {0: 1.0, 1: 1.0}, {})
+        with pytest.raises(FileFormatError) as info:
+            qubo.export_qubo(q, path, names=("ok", name))
+        assert str(info.value) == (
+            f"{path}: variable 1 name {name!r} contains a line break")
+        assert not path.exists()
+
+    def test_cover_instance_with_a_line_break_in_a_name(self, tmp_path, capsys):
+        instance = tmp_path / "inst.json"
+        instance.write_text(json.dumps({
+            "universe": ["a", "b"],
+            "subsets": [{"name": "S0\nfoo", "covers": ["a"]},
+                        {"name": "S1", "covers": ["b"]}],
+        }))
+        out = tmp_path / "m.qubo"
+        code = main(["qubo", "export", "--instance", str(instance), "--out", str(out)])
+        assert capsys.readouterr().err == (
+            f"error: {out}: variable 0 name 'S0\\nfoo' contains a line break\n")
+        assert code == 3
+        assert not out.exists()

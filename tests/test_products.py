@@ -108,6 +108,20 @@ class TestEnumerateCliques:
 
 
 class TestEnumerateProducts:
+    @pytest.mark.parametrize("tau_in, tau_out", [
+        pytest.param(0.5, 0.5, id="equal"),
+        pytest.param(1.5, products.DEFAULT_TAU_OUT, id="tau_in-above-1"),
+        pytest.param(products.DEFAULT_TAU_IN, -0.1, id="tau_out-below-0"),
+    ])
+    def test_threshold_refusals(self, tau_in, tau_out):
+        a = sphere("A", (0, 0, 0), 1.0)
+        graph = build_intersection_graph([a], count=64, seed=0)
+        oracle = CountingInsideOracle(TreeOracle(Leaf("A"), [a]))
+        with pytest.raises(ParameterError,
+                           match=r"^need 0 <= tau_out < tau_in <= 1$"):
+            enumerate_products([a], graph, oracle, tau_in=tau_in, tau_out=tau_out)
+        assert oracle.calls == []
+
     def test_single_sphere(self):
         a = sphere("A", (0, 0, 0), 1.0)
         graph = build_intersection_graph([a], count=256, seed=0)
