@@ -65,12 +65,15 @@ def open_text(path):
 def read_json(path):
     """Parse a JSON file, reporting malformed JSON as a FileFormatError.
 
-    Nesting deeper than the parser's recursion limit is malformed too.
+    Any ValueError of the parser is malformed JSON: a JSONDecodeError, or
+    an integer longer than Python's int-string limit.  Nesting deeper than
+    the parser's recursion limit is malformed too.
     """
     with open_text(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{path}: invalid JSON ({exc})") from exc
-        except RecursionError as exc:
-            raise FileFormatError(f"{path}: invalid JSON (nested too deeply)") from exc
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: invalid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise FileFormatError(f"{path}: invalid JSON (nested too deeply)") from exc

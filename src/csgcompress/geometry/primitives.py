@@ -55,6 +55,7 @@ class Primitive:
     params: dict
     _rot: np.ndarray = field(init=False, repr=False)  # local -> world
     _local_half: np.ndarray = field(init=False, repr=False)
+    _scale: float = field(init=False, repr=False)  # largest |pose or size value|
 
     def __post_init__(self):
         if not self.pid:
@@ -87,7 +88,8 @@ class Primitive:
                 )
             params = {"radius": r, "half_height": h}
             half = np.array([r, r, h])
-        if not all(map(math.isfinite, t.tolist() + q.tolist() + half.tolist())):
+        values = t.tolist() + half.tolist()
+        if not all(map(math.isfinite, values + q.tolist())):
             raise ValueError(f"primitive {self.pid!r} needs finite pose and sizes")
         t.setflags(write=False)
         q.setflags(write=False)
@@ -96,6 +98,7 @@ class Primitive:
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "_rot", quaternion_matrix(q))
         object.__setattr__(self, "_local_half", half)
+        object.__setattr__(self, "_scale", max(map(abs, values)))
 
 
 def sphere(pid: str, center, radius: float) -> Primitive:
@@ -180,8 +183,34 @@ def surface_area(primitive: Primitive) -> float:
     return 4.0 * np.pi * r * h + 2.0 * np.pi * r * r
 
 
+def union_box(primitives) -> tuple[np.ndarray, np.ndarray]:
+    lo, hi = aabb(primitives[0])
+    for p in primitives[1:]:
+        plo, phi = aabb(p)
+        lo = np.minimum(lo, plo)
+        hi = np.maximum(hi, phi)
+    return lo, hi
+
+
+def scene_diameter(primitives) -> float:
+    lo, hi = union_box(primitives)
+    return float(np.linalg.norm(hi - lo))
+
+
+# A set whose poses and sizes all stay below this in magnitude has a
+# finite union box and diameter: every AABB corner lies within 3x of it of
+# the origin, so the squared diagonal stays far below the float maximum.
+_SAFE_SCALE = 1e150
+
+
 def check_primitive_set(primitives) -> tuple[Primitive, ...]:
-    """Validate id uniqueness and return the set as an immutable tuple."""
+    """Validate the set and return it as an immutable tuple.
+
+    Raises ValueError when the set is empty, repeats an id, or spans a
+    bounding box or diameter that overflows to infinity, which every
+    sampler and margin of the pipeline is derived from.  Only a set with a
+    value past ``_SAFE_SCALE`` has its box computed for that test.
+    """
     prims = tuple(primitives)
     if not prims:
         raise ValueError("primitive set must be non-empty")
@@ -190,6 +219,11 @@ def check_primitive_set(primitives) -> tuple[Primitive, ...]:
         if p.pid in seen:
             raise ValueError(f"duplicate primitive id {p.pid!r}")
         seen.add(p.pid)
+    if max(p._scale for p in prims) > _SAFE_SCALE:
+        with np.errstate(over="ignore", invalid="ignore"):
+            extent = np.append(np.concatenate(union_box(prims)), scene_diameter(prims))
+        if not np.all(np.isfinite(extent)):
+            raise ValueError("the primitive set's bounding box or diameter overflows")
     return prims
 
 

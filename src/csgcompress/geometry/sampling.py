@@ -18,13 +18,14 @@ stops it early).
 ``near_pairs`` is the one pair filter of the graph and product stages:
 two primitives can share an interior point only when their bounding boxes
 meet and their bounding balls meet.  ``sign_vector_samples`` is the
-product stage's sampling pass: it draws interior points of every primitive
-and groups them by the set of primitives that contain them, i.e. by the
-cell of the primitive arrangement they fall in.  Each drawn point is
-tested once against each other primitive near its own; the drawing
-primitive's membership is known, since the draw kept only its interior
-points.  Rows are keyed by their membership bits packed into 64-bit
-words, so a row may span any number of near primitives.
+product stage's sampling pass: from one seed it derives every primitive's
+stream, draws interior points of every primitive and returns the cells of
+the primitive arrangement they fall in, each keyed by the ids of the
+primitives that contain its points.  Each drawn point is tested once
+against each other primitive near its own; the drawing primitive's
+membership is known, since the draw kept only its interior points.  Rows
+are grouped by their membership bits packed into 64-bit words, so a row
+may span any number of near primitives.
 """
 
 from __future__ import annotations
@@ -38,9 +39,12 @@ from .primitives import (
     Primitive,
     aabb,
     bounding_radius,
+    check_primitive_set,
     index_primitives,
+    scene_diameter,
     signed_distance,
     surface_area,
+    union_box,
 )
 
 _BATCH = 4096
@@ -54,6 +58,7 @@ _SURFACE_ATTEMPT_FACTOR = 512
 # accepted within 1e-9 of unit norm may shrink lengths by a few parts in
 # 1e9, so a point a primitive calls inside may lie that far past its ball.
 _BALL_SLACK = 1e-6
+_SEED_NAMESPACE = 0x50  # keeps the product stage's streams apart from others'
 
 
 def derive_rng(master_seed: int, *key) -> np.random.Generator:
@@ -65,20 +70,6 @@ def derive_rng(master_seed: int, *key) -> np.random.Generator:
 def derive_seed(master_seed: int, *key) -> int:
     """Plain integer sub-seed for APIs that take a seed, not a generator."""
     return int(derive_rng(master_seed, *key).integers(0, 2**63 - 1))
-
-
-def union_box(primitives) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi = aabb(primitives[0])
-    for p in primitives[1:]:
-        plo, phi = aabb(p)
-        lo = np.minimum(lo, plo)
-        hi = np.maximum(hi, phi)
-    return lo, hi
-
-
-def scene_diameter(primitives) -> float:
-    lo, hi = union_box(primitives)
-    return float(np.linalg.norm(hi - lo))
 
 
 def rejection_batches(draw, accept, count: int, max_attempts: int,
@@ -180,50 +171,48 @@ def near_pairs(primitives) -> np.ndarray:
 
 
 def sign_vector_samples(primitives, count: int,
-                        seeds) -> list[dict[tuple[int, ...], np.ndarray]]:
-    """Interior samples of every primitive, grouped by sign vector.
+                        seed: int) -> dict[frozenset[str], np.ndarray]:
+    """Interior samples of every primitive, grouped by the cell they fall in.
 
-    Entry i holds the points ``sample_region(primitives[i], count,
-    seeds[i])`` draws, keyed by the ascending indices of all primitives
-    that contain them (i among them).  That positive set fixes the point's
-    inside/outside sign over every primitive, however many there are.  A
-    point is tested once against each other primitive whose AABB meets the
-    AABB of the one that drew it and whose bounding ball meets its ball
-    (``near_pairs``); no other can contain it, and its own column is known
-    true, since ``sample_region`` kept the point by that very test.  The
-    membership row is packed into bits, padded to whole 64-bit big-endian
-    words and the rows are stably sorted by their words, so the groups come
-    out in ascending order of their packed rows and each keeps the draw
-    order of its points.  A pair the ball test drops has an all-false
-    column, so dropping it moves no row in that order.  Raises
-    ParameterError when ``count`` is below 1 and ValueError when ``seeds``
-    does not give one seed per primitive.
+    Primitive i draws ``sample_region(primitives[i], count,
+    derive_seed(seed, 0x50, i))``.  Each key of the returned dict is a
+    sampled cell's positive set: the frozenset of ids of all primitives
+    that contain its points, which fixes their inside/outside sign over
+    every primitive, however many there are.  Its value is the cell's
+    witnesses, in primitive order, then draw order.  A point is tested
+    once against each other primitive whose AABB meets the AABB of the one
+    that drew it and whose bounding ball meets its ball (``near_pairs``);
+    no other can contain it, and its own column is known true, since
+    ``sample_region`` kept the point by that very test.  The membership
+    row is packed into bits, padded to whole 64-bit big-endian words, and
+    each primitive's rows are stably sorted by their words; the keys come
+    in the order a cell is first met, primitive by primitive and, within
+    one, in ascending order of the packed rows.  A pair the ball test
+    drops has an all-false column, so dropping it moves no row in that
+    order.  Raises ParameterError when ``count`` is below 1 and ValueError
+    when ``check_primitive_set`` refuses the set.
     """
+    prims = check_primitive_set(primitives)
     check_sample_count(count)
-    if len(seeds) != len(primitives):
-        raise ValueError(
-            f"need one seed per primitive, got {len(seeds)} for {len(primitives)}"
-        )
-    near_matrix = near_pairs(primitives)
-    tables = []
-    for i, seed in enumerate(seeds):
-        pts = sample_region(primitives[i], count, seed)
+    near_matrix = near_pairs(prims)
+    parts: dict[frozenset[str], list[np.ndarray]] = {}
+    for i, prim in enumerate(prims):
+        pts = sample_region(prim, count, derive_seed(seed, _SEED_NAMESPACE, i))
         near = np.flatnonzero(near_matrix[i]).tolist()
         # One bit per near primitive, padded with false columns to whole words.
         member = np.zeros((len(pts), -(-len(near) // 64) * 64), dtype=bool)
         for c, j in enumerate(near):
-            member[:, c] = True if j == i else signed_distance(primitives[j], pts) < 0
+            member[:, c] = True if j == i else signed_distance(prims[j], pts) < 0
         words = np.packbits(member, axis=1).view(">u8")
         order = np.lexsort(words.T[::-1])
         ranked = words[order]
         cuts = np.flatnonzero(np.any(ranked[1:] != ranked[:-1], axis=1)) + 1
-        table = {}
         for group in np.split(order, cuts):
             if len(group):  # the one group is empty when nothing was drawn
                 positives = np.flatnonzero(member[group[0], : len(near)])
-                table[tuple(near[c] for c in positives)] = pts[group]
-        tables.append(table)
-    return tables
+                key = frozenset(prims[near[c]].pid for c in positives)
+                parts.setdefault(key, []).append(pts[group])
+    return {key: np.concatenate(p) for key, p in parts.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@ arrangement carves out of space.  The cells are found by tabulation:
 every primitive draws interior points, and each point is keyed by the
 product it lies in (``sign_vector_samples``).  A cell's positive set must
 be a clique of the intersection graph (two non-overlapping positives force
-the cell empty), so groups whose positive set is not one are dropped.  The
-kept groups' points are the cells' witnesses, classified against the
-target oracle by the fraction inside: the first ``CLASSIFY_WITNESSES`` of
-each cell decide it when they agree, and the rest are asked only when they
-do not.
+the cell empty), so sampled cells whose positive set is not one are
+dropped.  The kept cells' points are their witnesses, classified against
+the target oracle by the fraction inside: the first ``CLASSIFY_WITNESSES``
+of each cell decide it when they agree, and the rest are asked only when
+they do not.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ import numpy as np
 from .errors import FileFormatError, ParameterError, json_array, read_json
 from .geometry import check_primitive_set, sign_vector_samples
 from .graph import IntersectionGraph, clique_sort_key, edges_from_list
-from .geometry.sampling import derive_seed
-
-_SEED_NAMESPACE = 0x50  # keeps product sub-streams apart from other modules'
 
 LABEL_INSIDE = "inside"
 LABEL_OUTSIDE = "outside"
@@ -153,24 +150,24 @@ def enumerate_products(
 ) -> ProductTable:
     """Tabulate the cells that interior samples land in; classify each one.
 
-    Each primitive draws ``samples_per_region`` interior points.  Points
-    are grouped by the set of primitives containing them, and a group whose
-    positive set is a clique of ``graph`` is a cell whose witnesses are its
-    points.  They are uniform in the cell, which lies inside every positive
-    that drew them.  The all-negative product is never sampled.  A cell is
-    found only if a sample of one of its positives lands in it.  Mixed
-    cells (inside fraction strictly between the thresholds) signal that the
-    primitives do not cleanly describe the target; they are kept in the
-    table with the ``mixed`` label and surfaced by the pipeline as
-    warnings, not failures.
+    The cells are those of ``sign_vector_samples(primitives,
+    samples_per_region, seed)`` whose positive set is a clique of
+    ``graph``, and each cell's witnesses are its points there, in
+    primitive order, then draw order.  They are uniform in the cell, which
+    lies inside every positive that drew them.  The all-negative product
+    is never sampled.  A cell is found only if a sample of one of its
+    positives lands in it.  Mixed cells (inside fraction strictly between
+    the thresholds) signal that the primitives do not cleanly describe the
+    target; they are kept in the table with the ``mixed`` label and
+    surfaced by the pipeline as warnings, not failures.
 
     Classification asks ``oracle.inside`` at most twice per table.  The
     first query takes the first ``CLASSIFY_WITNESSES`` witnesses of every
-    kept cell, in draw order.  A cell whose answers there all agree reads
-    1.0 or 0.0.  Its label can differ from the all-witness one only if its
-    true fraction lies across a threshold while the first witnesses, which
-    are uniform in the cell, all fall one way; at the default thresholds
-    that has probability below 0.95^256 ≈ 2e-6 per cell.  The second query
+    kept cell.  A cell whose answers there all agree reads 1.0 or 0.0.
+    Its label can differ from the all-witness one only if its true
+    fraction lies across a threshold while the first witnesses, which are
+    uniform in the cell, all fall one way; at the default thresholds that
+    has probability below 0.95^256 ≈ 2e-6 per cell.  The second query
     takes the remaining witnesses of the cells whose first answers
     disagree, so their fraction is the mean over all their witnesses.
     Raises ParameterError when ``samples_per_region`` is below 1 or the
@@ -183,16 +180,8 @@ def enumerate_products(
     if not (0.0 <= tau_out < tau_in <= 1.0):
         raise ParameterError("need 0 <= tau_out < tau_in <= 1")
 
-    seeds = [derive_seed(seed, _SEED_NAMESPACE, i) for i in range(len(prims))]
-    cells: dict[frozenset[str], list[np.ndarray]] = {}
-    for groups in sign_vector_samples(prims, samples_per_region, seeds):
-        for positives, pts in groups.items():
-            cells.setdefault(frozenset(ids[j] for j in positives), []).append(pts)
-    kept = [
-        (positive_set, np.concatenate(parts))
-        for positive_set, parts in cells.items()
-        if graph.is_clique(positive_set)
-    ]
+    cells = sign_vector_samples(prims, samples_per_region, seed)
+    kept = [(key, pts) for key, pts in cells.items() if graph.is_clique(key)]
     if not kept:
         return ProductTable(ids, ())
     m = CLASSIFY_WITNESSES

@@ -40,19 +40,26 @@ EXACT_LIMIT = 30  # exhaustive search refuses models larger than this
 SA_TABLE_LIMIT = 2**30  # bytes an annealing run may hold (``sa_table_bytes``)
 
 
+def _index(i) -> int:
+    """``i`` as an int; a float or bool index is refused, not truncated."""
+    if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+        raise ValueError(f"variable index {i!r} is not an integer")
+    return int(i)
+
+
 def _canonical_terms(n, linear, quadratic, offset):
     """Merged non-zero terms in index order and the offset; all finite."""
     if n < 0:
         raise ValueError(f"model size must be non-negative, got n={n}")
     lin: dict[int, float] = {}
     for i, v in (linear or {}).items():
-        i = int(i)
+        i = _index(i)
         if not 0 <= i < n:
             raise ValueError(f"linear index {i} out of range for n={n}")
         lin[i] = lin.get(i, 0.0) + float(v)
     quad: dict[tuple[int, int], float] = {}
     for (i, j), v in (quadratic or {}).items():
-        i, j = int(i), int(j)
+        i, j = _index(i), _index(j)
         if i == j:
             raise ValueError("quadratic terms need two distinct indices")
         if not (0 <= i < n and 0 <= j < n):

@@ -38,6 +38,7 @@ from csgcompress.geometry import (
     tree_to_dict,
     tree_value,
 )
+from csgcompress.geometry.sampling import derive_seed
 
 
 def _inside(tree, primitives, points):
@@ -142,6 +143,29 @@ class TestPrimitiveValidation:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
             check_primitive_set([sphere("A", (0, 0, 0), 1), sphere("A", (3, 0, 0), 1)])
+
+    @pytest.mark.parametrize("prims", [
+        [sphere("A", (1e308, 0, 0), 1e308), sphere("B", (0, 0, 0), 1)],
+        [sphere("A", (1e308, 0, 0), 1), sphere("B", (-1e308, 0, 0), 1)],
+        [box("A", (0, 0, 0), (1e300,) * 3,
+             rotation=(0.9238795325112867, 0.3826834323650898, 0, 0)),
+         sphere("B", (0, 0, 0), 1)],
+        [sphere("A", (1e154, 0, 0), 1), sphere("B", (-1e154, 0, 0), 1)],
+    ], ids=["box-past-max", "box-wider-than-max", "diameter-past-max",
+            "squared-diameter-past-max"])
+    def test_overflowing_extent_rejected(self, prims):
+        # Each pose and size is finite; the union box or its diagonal is not.
+        # Tier-1 turns a numpy overflow warning into an error, so none leaks.
+        with pytest.raises(ValueError, match="bounding box or diameter overflows"):
+            check_primitive_set(prims)
+        with pytest.raises(ValueError, match="bounding box or diameter overflows"):
+            sign_vector_samples(prims, 10, 0)
+
+    def test_largest_finite_extent_accepted(self):
+        # Past the scale that needs no box, yet the diameter 1e154 squares
+        # to 1e308, below the float maximum.
+        prims = [sphere("A", (5e153 - 1, 0, 0), 1), sphere("B", (-5e153 + 1, 0, 0), 1)]
+        assert check_primitive_set(prims) == tuple(prims)
 
     def test_aabb_rotated_box(self):
         b = box("B", (1, 0, 0), (2, 1, 1), rotation=_rot_z(np.pi / 2))
@@ -264,37 +288,42 @@ class TestSampleRegion:
         assert np.all(signed_distance(s, pts) < 0)
 
     def test_contradictory_region_empty(self):
-        # Two copies of one sphere: no point lies in one but not the other.
+        # Two copies of one sphere: no point lies in one but not the other,
+        # so both draws land in the one cell, A's points first.
         a = sphere("A", (0, 0, 0), 1.0)
         b = sphere("B", (0, 0, 0), 1.0)
-        tables = sign_vector_samples([a, b], 100, [1, 2])
-        assert [sorted(t) for t in tables] == [[(0, 1)], [(0, 1)]]
-        assert [t[(0, 1)].shape for t in tables] == [(100, 3), (100, 3)]
+        cells = sign_vector_samples([a, b], 100, 1)
+        assert list(cells) == [frozenset("AB")]
+        npt.assert_array_equal(cells[frozenset("AB")], np.concatenate(
+            [sample_region(a, 100, derive_seed(1, 0x50, 0)),
+             sample_region(b, 100, derive_seed(1, 0x50, 1))]))
 
     def test_lens_region(self):
         a = sphere("A", (0, 0, 0), 1.0)
         b = sphere("B", (1, 0, 0), 1.0)
-        prims, seeds = (a, b), (2, 3)
-        tables = sign_vector_samples(prims, 200, seeds)
-        for i, table in enumerate(tables):
-            assert sorted(table) == sorted([(i,), (0, 1)])
-            # The groups split exactly the points the primitive draws.
-            drawn = sample_region(prims[i], 200, seeds[i])
-            pooled = np.concatenate(list(table.values()))
-            assert sorted(map(tuple, pooled)) == sorted(map(tuple, drawn))
-            lens = table[(0, 1)]
-            assert np.all(signed_distance(a, lens) < 0)
-            assert np.all(signed_distance(b, lens) < 0)
-            assert np.all(signed_distance(prims[1 - i], table[(i,)]) >= 0)
+        prims = (a, b)
+        cells = sign_vector_samples(prims, 200, 2)
+        assert sorted(map(sorted, cells)) == [["A"], ["A", "B"], ["B"]]
+        # The cells split exactly the points the primitives draw.
+        drawn = np.concatenate(
+            [sample_region(p, 200, derive_seed(2, 0x50, i)) for i, p in enumerate(prims)])
+        pooled = np.concatenate(list(cells.values()))
+        assert sorted(map(tuple, pooled)) == sorted(map(tuple, drawn))
+        lens = cells[frozenset("AB")]
+        assert np.all(signed_distance(a, lens) < 0)
+        assert np.all(signed_distance(b, lens) < 0)
+        assert np.all(signed_distance(b, cells[frozenset("A")]) >= 0)
+        assert np.all(signed_distance(a, cells[frozenset("B")]) >= 0)
 
     def test_disjoint_boxes_return_empty(self):
         # Bounding boxes that miss each other: each primitive's points form
-        # one group, in draw order, and no lens group appears.
+        # one cell, in draw order, and no lens cell appears.
         a = sphere("A", (0, 0, 0), 1.0)
         b = sphere("B", (10, 0, 0), 1.0)
-        tables = sign_vector_samples([a, b], 50, [3, 4])
-        assert [sorted(t) for t in tables] == [[(0,)], [(1,)]]
-        npt.assert_array_equal(tables[0][(0,)], sample_region(a, 50, 3))
+        cells = sign_vector_samples([a, b], 50, 3)
+        assert list(cells) == [frozenset("A"), frozenset("B")]
+        npt.assert_array_equal(cells[frozenset("A")],
+                               sample_region(a, 50, derive_seed(3, 0x50, 0)))
 
     def test_reproducible(self):
         s = sphere("A", (0, 0, 0), 1.0)

@@ -20,7 +20,7 @@ from csgcompress.graph import (
     maximal_cliques_bk,
 )
 from tests.conftest import FIG_EDGES, FIG_MAXIMAL_CLIQUES
-from tests.test_rejection_sampling import primitives, reference_sign_vector_samples
+from tests.test_rejection_sampling import primitives, reference_sign_vector_tables
 
 
 def brute_force_maximal_cliques(graph):
@@ -103,7 +103,7 @@ def reference_edges(prims, count, seed):
     return frozenset(
         (prims[i].pid, prims[j].pid) if prims[i].pid < prims[j].pid
         else (prims[j].pid, prims[i].pid)
-        for i, table in enumerate(reference_sign_vector_samples(prims, count, seeds))
+        for i, table in enumerate(reference_sign_vector_tables(prims, count, seeds))
         for positives in table
         for j in positives
         if j != i

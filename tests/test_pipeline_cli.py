@@ -1255,3 +1255,131 @@ class TestExportNames:
             f"error: {out}: variable 0 name 'S0\\nfoo' contains a line break\n")
         assert code == 3
         assert not out.exists()
+
+
+def _sphere_record(pid, centre, radius):
+    return {"id": pid, "kind": "sphere", "translation": centre,
+            "params": {"radius": radius}}
+
+
+#: two unit spheres that overlap, and their union as a tree
+PRIMS_AB = json.dumps([_sphere_record("A", [0, 0, 0], 1.0),
+                       _sphere_record("B", [1, 0, 0], 1.0)])
+TREE_AB = json.dumps({"op": "union", "children": [{"op": "prim", "prim": "A"},
+                                                  {"op": "prim", "prim": "B"}]})
+GRAPH_AB = json.dumps({"vertices": ["A", "B"], "edges": [["A", "B"]]})
+COVER_AB = json.dumps({"universe": ["a"], "subsets": [{"name": "S", "covers": ["a"]}]})
+#: finite poses and sizes whose union box or diameter overflows
+OVERFLOWING_PRIMITIVES = {
+    "sphere-past-max": [_sphere_record("A", [1e308, 0, 0], 1e308),
+                        _sphere_record("B", [0, 0, 0], 1.0)],
+    "spheres-far-apart": [_sphere_record("A", [1e308, 0, 0], 1.0),
+                          _sphere_record("B", [-1e308, 0, 0], 1.0)],
+    "diameter-past-max": [
+        {"id": "A", "kind": "box", "translation": [0, 0, 0],
+         "rotation": [0.9238795325112867, 0.3826834323650898, 0, 0],
+         "params": {"half_extents": [1e300, 1e300, 1e300]}},
+        _sphere_record("B", [0, 0, 0], 1.0)],
+}
+
+
+class TestRefusalsThroughMain:
+    """Each refusal reaches ``main`` as one ``error:`` line and its exit code.
+
+    ``<name>`` in an argument or message is the path of the file ``name``
+    in the test's directory; every file in ``FILES`` is written first.
+    """
+
+    FILES = {
+        "prims.json": PRIMS_AB,
+        "tree.json": TREE_AB,
+        "cloud.xyz": "0 0 0 1 0 0\n",
+        "graph.json": GRAPH_AB,
+        "cover.json": COVER_AB,
+        "empty.qubo": "p qubo 0 0 0 0\n",
+        "node-past-n.qubo": "p qubo 0 2 1 0\n2 2 1.0\n",
+        "coupler-past-n.qubo": "p qubo 0 2 0 1\n0 2 1.0\n",
+        "one-child-inter.json": json.dumps(
+            {"op": "inter", "children": [{"op": "prim", "prim": "A"}]}),
+        "prim-without-id.json": json.dumps({"op": "prim"}),
+        "unknown-op.json": json.dumps({"op": "xor", "children": []}),
+        "empty-id.json": json.dumps([_sphere_record("", [0, 0, 0], 1.0)]),
+        "unknown-kind.json": json.dumps(
+            [{"id": "A", "kind": "cone", "translation": [0, 0, 0]}]),
+        "no-primitives.json": "[]",
+        "object.json": json.dumps({"id": "A"}),
+        "huge-int.json": '{"universe": [' + "9" * 5000 + '], "subsets": []}',
+        **{f"{name}.json": json.dumps(records)
+           for name, records in OVERFLOWING_PRIMITIVES.items()},
+    }
+
+    @pytest.mark.parametrize("argv, code, message", [
+        pytest.param(["qubo", "solve", "--model", "<empty.qubo>",
+                      "--schedule", "1,0.5,10,x"], 4,
+                     "bad --schedule value: invalid literal for int() with base 10: 'x'",
+                     id="schedule-not-a-number"),
+        *[pytest.param([command, "--primitives", "<prims.json>", *sources], 4,
+                       "provide exactly one of --cloud or --tree",
+                       id=f"{command}-{which}-source")
+          for command in ("compress", "products")
+          for which, sources in (("both", ["--cloud", "<cloud.xyz>",
+                                           "--tree", "<tree.json>"]),
+                                 ("neither", []))],
+        pytest.param(["compress", "--tree", "<tree.json>"], 4,
+                     "--primitives is required (or use --abstract)",
+                     id="compress-without-primitives"),
+        *[pytest.param(["qubo", "export", *sources, "--out", "<out.qubo>"], 4,
+                       "provide exactly one of --instance or --graph",
+                       id=f"export-{which}-source")
+          for which, sources in (("both", ["--instance", "<cover.json>",
+                                           "--graph", "<graph.json>"]),
+                                 ("neither", []))],
+        *[pytest.param(["compress", "--primitives", "<prims.json>",
+                        "--tree", "<%s>" % name], 3, message, id=name[:-5])
+          for name, message in (
+              ("one-child-inter.json", "intersection needs at least two children"),
+              ("prim-without-id.json", "prim node without 'prim' id"),
+              ("unknown-op.json", "unknown tree op 'xor'"))],
+        *[pytest.param(["compress", "--primitives", "<%s>" % name,
+                        "--tree", "<tree.json>"], 3, "<%s>: %s" % (name, message),
+                       id=name[:-5])
+          for name, message in (
+              ("empty-id.json", "bad primitive record: primitive id must be non-empty"),
+              ("unknown-kind.json", "bad primitive record: unknown primitive kind 'cone'"),
+              ("no-primitives.json", "primitive set must be non-empty"),
+              ("object.json", "expected a JSON array of primitives"),
+              *((f"{name}.json",
+                 "the primitive set's bounding box or diameter overflows")
+                for name in OVERFLOWING_PRIMITIVES))],
+        *[pytest.param(["qubo", "solve", "--model", "<%s>" % name], 3,
+                       "<%s>: %s" % (name, message), id=name[:-5])
+          for name, message in (
+              ("node-past-n.qubo", "linear index 2 out of range for n=2"),
+              ("coupler-past-n.qubo", "quadratic index (0,2) out of range for n=2"))],
+        *[pytest.param([*command, "<huge-int.json>"], 3,
+                       "<huge-int.json>: invalid JSON (Exceeds the limit (4300 digits) "
+                       "for integer string conversion: value has 5000 digits; use "
+                       "sys.set_int_max_str_digits() to increase the limit)",
+                       id=f"huge-int-{command[0]}")
+          for command in (["cover", "--instance"], ["compress", "--abstract"])],
+    ])
+    def test_refusal(self, argv, code, message, tmp_path, capsys):
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text)
+
+        def path(text):
+            return re.sub(r"<([\w.-]+)>", lambda m: str(tmp_path / m[1]), text)
+
+        got = main([path(a) for a in argv])
+        assert capsys.readouterr().err == f"error: {path(message)}\n"
+        assert got == code
+
+    def test_empty_model_anneals_to_its_offset(self, tmp_path, capsys):
+        model = tmp_path / "empty.qubo"
+        model.write_text("p qubo 0 0 0 0\n")
+        assert main(["qubo", "solve", "--model", str(model)]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        result = json.loads(out.out)
+        assert (result["assignment"], result["energy"], result["solver"]) == (
+            "", 0.0, "sa")

@@ -20,6 +20,7 @@ from csgcompress.geometry import (
     Union,
     sample_region,
     sample_surface,
+    sign_vector_samples,
     signed_distance,
     sphere,
 )
@@ -406,6 +407,12 @@ def _union_oracle(prims):
     return TreeOracle(Union(tuple(Leaf(p.pid) for p in prims)), prims)
 
 
+# 1 to 5 primitives of random kinds, ids P0, P1, ...
+_SCENES = st.lists(st.sampled_from(("sphere", "box", "cylinder")),
+                   min_size=1, max_size=5).flatmap(
+    lambda kinds: st.tuples(*[_primitive(f"P{i}", k) for i, k in enumerate(kinds)]))
+
+
 class TestSignVectorTabulation:
     def test_chain_past_64_primitives(self):
         # Primitive indices run past 63, so a single int64 key would overflow.
@@ -431,10 +438,7 @@ class TestSignVectorTabulation:
         assert table.n_f == 261
         assert len(table.universe) == 261
 
-    @given(st.lists(st.sampled_from(("sphere", "box", "cylinder")),
-                    min_size=1, max_size=5).flatmap(
-        lambda kinds: st.tuples(*[_primitive(f"P{i}", k) for i, k in enumerate(kinds)])),
-        st.sampled_from((1, 64, 256)), st.integers(0, 2**32 - 1))
+    @given(_SCENES, st.sampled_from((1, 64, 256)), st.integers(0, 2**32 - 1))
     def test_random_scenes(self, prims, count, seed):
         graph = build_intersection_graph(prims, count=count, seed=seed)
         assert graph.edges == _pairwise_reference_edges(prims, count, seed)
@@ -445,6 +449,19 @@ class TestSignVectorTabulation:
             for prim in prims:
                 inside = signed_distance(prim, product.samples) < 0
                 assert np.all(inside == (prim.pid in product.positive_set))
+
+    @given(_SCENES, st.sampled_from((1, 64, 256)), st.integers(0, 2**32 - 1))
+    def test_products_hold_the_sampler_cells(self, prims, count, seed):
+        # The table keeps the sampler's clique cells, witnesses untouched.
+        graph = build_intersection_graph(prims, count=count, seed=seed)
+        table = enumerate_products(prims, graph, TreeOracle(Leaf("P0"), prims),
+                                   samples_per_region=count, seed=seed)
+        cells = sign_vector_samples(prims, count, seed)
+        assert {p.positive_set for p in table.products} == {
+            key for key in cells if graph.is_clique(key)}
+        for product in table.products:
+            npt.assert_array_equal(product.samples, cells[product.positive_set],
+                                   strict=True)
 
 
 def _pairwise_reference_edges(prims, count, seed):

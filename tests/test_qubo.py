@@ -186,6 +186,28 @@ class TestEnergies:
             with pytest.raises(ValueError, match="must be finite"):
                 model(2, linear, quadratic, offset)
 
+    @pytest.mark.parametrize("linear, quadratic, index", [
+        ({0.9: 1.0}, {}, 0.9),
+        ({True: 2.0}, {}, True),
+        ({np.float64(1.0): 1.0}, {}, np.float64(1.0)),
+        ({}, {(1.7, 0): 3.0}, 1.7),
+        ({}, {(0, False): 3.0}, False),
+    ], ids=["float", "bool", "numpy-float", "float-in-pair", "bool-in-pair"])
+    def test_non_integer_index_is_refused(self, linear, quadratic, index):
+        # int() would truncate these to another variable without a word.
+        for model in (Qubo, IsingModel):
+            with pytest.raises(ValueError) as info:
+                model(2, linear, quadratic)
+            assert str(info.value) == f"variable index {index!r} is not an integer"
+
+    def test_numpy_integer_indices_are_accepted(self):
+        linear, quadratic = {np.int64(1): 1.0}, {(np.int32(2), np.uint8(0)): 2.0}
+        q = Qubo(3, linear, quadratic)
+        m = IsingModel(3, linear, quadratic)
+        assert (q.linear, q.quadratic) == (m.h, m.J) == ({1: 1.0}, {(0, 2): 2.0})
+        assert {type(i) for i in [*q.linear, *m.h]} == {int}
+        assert {type(i) for key in [*q.quadratic, *m.J] for i in key} == {int}
+
 
 class TestConversions:
     def test_hand_case(self):

@@ -4,7 +4,8 @@
 one hand-written "draw a batch, filter, count attempts, truncate" loop each.
 ``signed_distance`` used to take its row norms from ``np.linalg.norm``, and
 ``sign_vector_samples`` used to test each point against its own primitive
-again and to group rows with ``np.unique`` over opaque byte strings.  The
+again, to group rows with ``np.unique`` over opaque byte strings, and to
+leave merging each primitive's groups into cells to its caller.  The
 reference implementations below are that code as it was, except that the
 agreement check no longer asks the oracle for a surface distance; every
 output of the current code must equal theirs bit for bit.
@@ -42,6 +43,7 @@ from csgcompress.geometry.sampling import (
     _sample_on_primitive,
     _tree_bounded,
     derive_rng,
+    derive_seed,
     region_batches,
     rejection_batches,
     union_box,
@@ -88,7 +90,9 @@ def reference_signed_distance(primitive, points):
     return np.linalg.norm(np.maximum(q, 0.0), axis=1) + np.minimum(q.max(axis=1), 0.0)
 
 
-def reference_sign_vector_samples(primitives, count, seeds):
+def reference_sign_vector_tables(primitives, count, seeds):
+    """Per primitive i, the points drawn with ``seeds[i]``, keyed by the
+    ascending indices of the primitives that contain them."""
     def aabbs_overlap(a, b):
         return bool(np.all(a[0] <= b[1]) and np.all(b[0] <= a[1]))
 
@@ -110,6 +114,18 @@ def reference_sign_vector_samples(primitives, count, seeds):
             for r, f in enumerate(first)
         })
     return tables
+
+
+def reference_sign_vector_samples(primitives, count, seed):
+    """The per-primitive tables of the product stage's seeds, merged into
+    cells keyed by their positive ids, in first-seen order."""
+    seeds = [derive_seed(seed, 0x50, i) for i in range(len(primitives))]
+    cells = {}
+    for table in reference_sign_vector_tables(primitives, count, seeds):
+        for positives, pts in table.items():
+            key = frozenset(primitives[j].pid for j in positives)
+            cells.setdefault(key, []).append(pts)
+    return {key: np.concatenate(parts) for key, parts in cells.items()}
 
 
 def reference_sample_surface(tree, primitives, count, seed):
@@ -357,13 +373,11 @@ class TestSignedDistance:
         )
 
 
-def assert_same_tables(got, want):
+def assert_same_cells(got, want):
     """Same keys in the same order, and the same points in the same order."""
-    assert len(got) == len(want)
-    for got_table, want_table in zip(got, want):
-        assert list(got_table) == list(want_table)
-        for key, pts in want_table.items():
-            npt.assert_array_equal(got_table[key], pts, strict=True)
+    assert list(got) == list(want)
+    for key, pts in want.items():
+        npt.assert_array_equal(got[key], pts, strict=True)
 
 
 class TestSignVectorSamples:
@@ -371,45 +385,41 @@ class TestSignVectorSamples:
     @given(data=st.data(), n=st.integers(1, 5), count=st.integers(1, 800))
     def test_matches_reference(self, data, n, count):
         prims = [data.draw(primitives(pid)) for pid in "ABCDE"[:n]]
-        seeds = [data.draw(_seeds) for _ in prims]
-        assert_same_tables(sign_vector_samples(prims, count, seeds),
-                           reference_sign_vector_samples(prims, count, seeds))
+        seed = data.draw(_seeds)
+        assert_same_cells(sign_vector_samples(prims, count, seed),
+                          reference_sign_vector_samples(prims, count, seed))
 
     def test_rows_wider_than_one_word(self):
         # 70 spheres whose boxes all meet: each membership row spans two
         # 64-bit words, and some groups differ only in the second one.
         centres = np.random.default_rng(5).uniform(-0.5, 0.5, size=(70, 3))
         prims = [sphere(f"S{i}", c, 1.0) for i, c in enumerate(centres)]
-        seeds = list(range(70))
-        want = reference_sign_vector_samples(prims, 100, seeds)
+        seeds = [derive_seed(0, 0x50, i) for i in range(70)]
         assert any(
             a != b and [j for j in a if j < 64] == [j for j in b if j < 64]
-            for table in want for a in table for b in table
+            for table in reference_sign_vector_tables(prims, 100, seeds)
+            for a in table for b in table
         )
-        assert_same_tables(sign_vector_samples(prims, 100, seeds), want)
+        assert_same_cells(sign_vector_samples(prims, 100, 0),
+                          reference_sign_vector_samples(prims, 100, 0))
 
     def test_short_sample(self):
         prims = [_tilted_thin_cylinder(), sphere("S", (0.0, 0.3, 0.0), 0.5)]
-        got = sign_vector_samples(prims, 5000, [3, 4])
-        assert 0 < sum(map(len, got[0].values())) < 5000
-        assert_same_tables(got, reference_sign_vector_samples(prims, 5000, [3, 4]))
+        got = sign_vector_samples(prims, 5000, 3)
+        thin = sum(len(pts) for key, pts in got.items() if "T" in key)
+        assert 0 < thin < 5000
+        assert_same_cells(got, reference_sign_vector_samples(prims, 5000, 3))
 
     @pytest.mark.parametrize("count", [0, -5])
     def test_count_below_one_is_refused(self, count):
         prims = [sphere("A", (0, 0, 0), 1.0), sphere("B", (1, 0, 0), 1.0)]
         with pytest.raises(ParameterError, match="count >= 1"):
-            sign_vector_samples(prims, count, [1, 2])
+            sign_vector_samples(prims, count, 1)
         with pytest.raises(ParameterError, match="count >= 1"):
             build_intersection_graph(prims, count=count)
         graph = build_intersection_graph(prims)
         with pytest.raises(ParameterError, match="count >= 1"):
             enumerate_products(prims, graph, InsideOnlyOracle(), samples_per_region=count)
-
-    @pytest.mark.parametrize("seeds", [[1], [1, 2, 3]])
-    def test_one_seed_per_primitive(self, seeds):
-        prims = [sphere("A", (0, 0, 0), 1.0), sphere("B", (1, 0, 0), 1.0)]
-        with pytest.raises(ValueError, match="one seed per primitive"):
-            sign_vector_samples(prims, 10, seeds)
 
 
 class TestSampleSurface:
