@@ -41,7 +41,8 @@ class PointCloud:
             raise ValueError("normals and points must have equal length")
         if not (np.isfinite(pts).all() and np.isfinite(nrm).all()):
             raise ValueError("points and normals must be finite")
-        lens = np.linalg.norm(nrm, axis=1)
+        with np.errstate(over="ignore"):  # a norm that overflows is refused below
+            lens = np.linalg.norm(nrm, axis=1)
         if np.any(np.abs(lens - 1.0) > _NORMAL_TOL):
             raise ValueError("normals must be unit-norm")
         pts.setflags(write=False)

@@ -75,7 +75,13 @@ def tree_value(tree: CsgNode, by_id: dict[str, Primitive], points) -> np.ndarray
     """Composed implicit value at each of the (N, 3) ``points``; (N,).
 
     ``by_id`` maps primitive ids to primitives (see ``index_primitives``).
-    Each primitive is evaluated once per call, however many leaves name it.
+    Each primitive is evaluated once per call, however many leaves name it,
+    and the leaves that name it share its distance array.  A union or
+    intersection folds its children pairwise, left to right, into one new
+    (N,) array, so every operation loops over the points and no (L, N)
+    stack is built; the values are bit-identical to ``np.minimum.reduce``
+    and ``np.maximum.reduce`` over the children, and no leaf's shared
+    array is ever written.
     """
     return _tree_value(tree, by_id, points, {})
 
@@ -91,14 +97,15 @@ def _tree_value(tree, by_id, points, distances: dict[str, np.ndarray]) -> np.nda
                 )
             d = distances[tree.prim] = signed_distance(prim, points)
         return d
-    if isinstance(tree, Union):
-        return np.minimum.reduce(
-            [_tree_value(c, by_id, points, distances) for c in tree.children]
+    if isinstance(tree, (Union, Intersection)):
+        fold = np.minimum if isinstance(tree, Union) else np.maximum
+        first, second, *rest = (
+            _tree_value(c, by_id, points, distances) for c in tree.children
         )
-    if isinstance(tree, Intersection):
-        return np.maximum.reduce(
-            [_tree_value(c, by_id, points, distances) for c in tree.children]
-        )
+        out = fold(first, second)  # a new array: children may be shared leaves
+        for value in rest:
+            fold(out, value, out=out)
+        return out
     if isinstance(tree, Complement):
         return -_tree_value(tree.child, by_id, points, distances)
     raise StructuralError(f"unknown tree node {tree!r}")

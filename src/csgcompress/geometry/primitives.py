@@ -64,7 +64,8 @@ class Primitive:
             raise ValueError(f"unknown primitive kind {self.kind!r}")
         t = np.asarray(self.translation, dtype=float).reshape(3)
         q = np.asarray(self.rotation, dtype=float).reshape(4)
-        if abs(np.linalg.norm(q) - 1.0) > _QUAT_TOL:
+        quat = q.tolist()
+        if abs(math.hypot(*quat) - 1.0) > _QUAT_TOL:  # hypot cannot overflow
             raise ValueError(f"rotation quaternion of {self.pid!r} is not unit-norm")
         params = dict(self.params)
         if self.kind == "sphere":
@@ -89,7 +90,7 @@ class Primitive:
             params = {"radius": r, "half_height": h}
             half = np.array([r, r, h])
         values = t.tolist() + half.tolist()
-        if not all(map(math.isfinite, values + q.tolist())):
+        if not all(map(math.isfinite, values + quat)):
             raise ValueError(f"primitive {self.pid!r} needs finite pose and sizes")
         t.setflags(write=False)
         q.setflags(write=False)
@@ -119,37 +120,48 @@ def cylinder(pid: str, center, radius: float, half_height: float,
                      {"radius": radius, "half_height": half_height})
 
 
-def _row_norm(*columns: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row given as its columns.
+def _row_norm(*rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each point given as its coordinate rows.
 
-    The squares are summed left to right, exactly as
-    ``np.linalg.norm(axis=1)`` sums two or three columns, so the result is
-    bit-identical to it; summing whole columns skips the norm's generic
-    reduction, which costs several times more on (N, 2) and (N, 3) arrays.
+    Each row holds one coordinate of every point, contiguous, so every
+    operation loops over points.  The squares are summed left to right,
+    exactly as ``np.linalg.norm(axis=1)`` sums two or three columns, so the
+    result is bit-identical to it; summing whole rows skips the norm's
+    generic reduction, which costs several times more on (N, 2) and (N, 3)
+    arrays.
     """
-    total = columns[0] * columns[0]
-    for column in columns[1:]:
-        total += column * column
+    total = rows[0] * rows[0]
+    for row in rows[1:]:
+        total += row * row
     return np.sqrt(total)
 
 
 def signed_distance(primitive: Primitive, points) -> np.ndarray:
     """Signed distance from each of the (N, 3) ``points`` to the primitive; (N,).
 
-    Every norm is summed column by column (``_row_norm``), bit-identical to
-    ``np.linalg.norm(axis=1)`` on the stacked columns.
+    Point batches stay (N, 3), and no kernel broadcasts a (3,) operand over
+    them, which would make numpy's inner loop run over 3 coordinates
+    instead of N points.  So the offset from the translation is one
+    transposed, C-ordered subtraction, the rotation maps it into a (3, N)
+    buffer of local coordinates, and every later operation works on whole
+    contiguous coordinate rows.  The result is bit-identical to
+    ``(points - t) @ R`` followed by ``np.linalg.norm(axis=1)`` on the
+    stacked columns.
     """
     pts = np.asarray(points, dtype=float)
-    local = (pts - primitive.translation) @ primitive._rot  # rows become R^T (p - t)
-    x, y, z = local.T
+    offset = np.subtract(pts.T, primitive.translation[:, None], order="C")
+    local = primitive._rot.T @ offset  # row k holds coordinate k of R^T (p - t)
     if primitive.kind == "sphere":
-        return _row_norm(x, y, z) - primitive.params["radius"]
+        return _row_norm(*local) - primitive.params["radius"]
     if primitive.kind == "box":
-        qx, qy, qz = (np.abs(local) - primitive.params["half_extents"]).T
+        q = np.abs(local, out=local)
+        q -= primitive.params["half_extents"][:, None]
         # Exact distance outside, the deepest face distance inside.
-        outside = _row_norm(np.maximum(qx, 0.0), np.maximum(qy, 0.0), np.maximum(qz, 0.0))
+        outside = _row_norm(*np.maximum(q, 0.0))
+        qx, qy, qz = q
         return outside + np.minimum(np.maximum(np.maximum(qx, qy), qz), 0.0)
-    radial = _row_norm(x, y) - primitive.params["radius"]  # cylinder
+    x, y, z = local  # cylinder
+    radial = _row_norm(x, y) - primitive.params["radius"]
     axial = np.abs(z) - primitive.params["half_height"]
     outside = _row_norm(np.maximum(radial, 0.0), np.maximum(axial, 0.0))
     return outside + np.minimum(np.maximum(radial, axial), 0.0)

@@ -15,6 +15,14 @@ same order whatever its first batch (prefix properties the
 intersection-graph builder relies on when it walks a primitive's draw and
 stops it early).
 
+Point batches stay (N, 3), and the kernels on ``compress``'s path never
+broadcast a (3,) operand over them, which would make numpy's inner loop
+run over 3 coordinates instead of N points (the surface sampler, a
+fixture builder, is not on that path).  ``box_points`` is the one box
+draw, for the interior draws of the graph and product stages and for the
+pipeline's agreement check: it scales ``rng.random((n, 3))`` column by
+column, bit-identical to ``rng.uniform(lo, hi, size=(n, 3))``.
+
 ``near_pairs`` is the one pair filter of the graph and product stages:
 two primitives can share an interior point only when their bounding boxes
 meet and their bounding balls meet.  ``sign_vector_samples`` is the
@@ -109,12 +117,29 @@ def rejection_sample(draw, accept, count: int, max_attempts: int) -> tuple[np.nd
     )
 
 
+def box_points(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray,
+               n: int) -> np.ndarray:
+    """(n, 3) uniform points in the box [lo, hi), bit-identical to
+    ``rng.uniform(lo, hi, size=(n, 3))`` and leaving ``rng`` in the same state.
+
+    The doubles of ``rng.random((n, 3))`` are scaled column by column with
+    ``uniform``'s own expression, ``lo + (hi - lo) * u``, so each operation
+    loops over the n points rather than broadcasting the (3,) bounds.
+    """
+    pts = rng.random((n, 3))
+    for k in range(3):
+        column = pts[:, k]
+        column *= hi[k] - lo[k]
+        column += lo[k]
+    return pts
+
+
 def _region_draw(primitive: Primitive, seed: int):
     """The (draw, accept) pair of ``rejection_batches`` for a box draw
     rejected to the primitive's interior."""
     lo, hi = aabb(primitive)
     rng = np.random.default_rng(int(seed))
-    return (lambda n: rng.uniform(lo, hi, size=(n, 3)),
+    return (lambda n: box_points(rng, lo, hi, n),
             lambda pts: (pts[signed_distance(primitive, pts) < 0],))
 
 

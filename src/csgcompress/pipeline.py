@@ -38,7 +38,7 @@ from .errors import (
     CsgcError, ParameterError, StructuralError, UnsatisfiableError, check_seed,
 )
 from .geometry import CsgNode, index_primitives, leaf_count, tree_to_dict, tree_value, union_box
-from .geometry.sampling import derive_rng, derive_seed, rejection_sample, scene_diameter
+from .geometry.sampling import box_points, derive_rng, derive_seed, rejection_sample, scene_diameter
 from .graph import (
     DEFAULT_GRAPH_SAMPLES,
     IntersectionGraph,
@@ -198,12 +198,14 @@ def oracle_agreement(
 ) -> tuple[float, int]:
     """Membership agreement between ``tree`` and ``oracle`` on random points.
 
-    Points within ``SURFACE_MARGIN_FRAC`` of the scene diameter of the
-    tree's surface are skipped and the oracle is asked ``inside`` about the
-    rest; returns (agreement fraction, points used).  Over 13% of the padded
-    box lies that far outside every primitive, so the cap of 50 * ``n_points``
-    draws is not reached in practice.  Raises ParameterError when
-    ``n_points`` is below 1.
+    Points are drawn uniformly in the union box padded by 10% per side
+    (``box_points``, which keeps each batch (N, 3) and never broadcasts the
+    (3,) bounds over it).  Points within ``SURFACE_MARGIN_FRAC`` of the
+    scene diameter of the tree's surface are skipped and the oracle is
+    asked ``inside`` about the rest; returns (agreement fraction, points
+    used).  Over 13% of the padded box lies that far outside every
+    primitive, so the cap of 50 * ``n_points`` draws is not reached in
+    practice.  Raises ParameterError when ``n_points`` is below 1.
     """
     if n_points < 1:
         raise ParameterError(f"oracle agreement needs n_points >= 1, got {n_points}")
@@ -221,7 +223,7 @@ def oracle_agreement(
         return batch[clear], v[clear]
 
     pts, v = rejection_sample(
-        lambda n: rng.uniform(lo, hi, size=(n, 3)), accept,
+        lambda n: box_points(rng, lo, hi, n), accept,
         n_points, 50 * n_points,
     )
     truth = oracle.inside(pts)

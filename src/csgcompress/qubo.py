@@ -92,6 +92,29 @@ class Qubo:
         object.__setattr__(self, "quadratic", quad)
         object.__setattr__(self, "offset", offset)
 
+    @classmethod
+    def _from_ordered_terms(cls, n: int, linear: dict, quadratic: dict,
+                            offset: float) -> Qubo:
+        """A model from terms already merged, keyed by in-range ``int``
+        indices (``i < j`` for couplers) and in index order, as
+        ``build_cover_qubo`` makes them.
+
+        Only the finiteness check, the conversion to ``float`` and the
+        dropping of zero terms of ``Qubo(...)`` remain, so the result equals
+        ``Qubo(n, linear, quadratic, offset)``.
+        """
+        offset = float(offset)
+        if not all(map(math.isfinite, [offset, *linear.values(), *quadratic.values()])):
+            raise ValueError("coefficients and offset must be finite")
+        model = object.__new__(cls)
+        object.__setattr__(model, "n", n)
+        object.__setattr__(model, "linear",
+                           {i: float(v) for i, v in linear.items() if v != 0.0})
+        object.__setattr__(model, "quadratic",
+                           {k: float(v) for k, v in quadratic.items() if v != 0.0})
+        object.__setattr__(model, "offset", offset)
+        return model
+
     def max_abs_coefficient(self) -> float:
         vals = [abs(v) for v in self.linear.values()]
         vals += [abs(v) for v in self.quadratic.values()]
@@ -215,7 +238,7 @@ def build_cover_qubo(
         quadratic.update(((i, j), 2.0 * A * later[j]) for j in sorted(later))
     names = tuple(c.name for c in instance.candidates)
     try:
-        return Qubo(len(names), linear, quadratic, A * n), names
+        return Qubo._from_ordered_terms(len(names), linear, quadratic, A * n), names
     except ValueError as exc:  # finite penalties whose products overflow
         raise ParameterError(f"cover penalties A={A}, B={B}: {exc}") from exc
 

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -1311,7 +1312,22 @@ class TestRefusalsThroughMain:
         "huge-int.json": '{"universe": [' + "9" * 5000 + '], "subsets": []}',
         **{f"{name}.json": json.dumps(records)
            for name, records in OVERFLOWING_PRIMITIVES.items()},
+        # Values whose Euclidean norm overflows a float.
+        "quaternion-past-max.json": json.dumps(
+            [{**_sphere_record("A", [0, 0, 0], 1.0), "rotation": [1e308, 1e308, 0, 0]}]),
+        "normal-past-max.xyz": "0 0 0 1e308 1e308 0\n",
     }
+
+    def _main(self, argv, tmp_path):
+        """Write ``FILES``, run ``main`` on ``argv`` with every ``<name>``
+        replaced by its path; returns (exit code, path substitution)."""
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text)
+
+        def path(text):
+            return re.sub(r"<([\w.-]+)>", lambda m: str(tmp_path / m[1]), text)
+
+        return main([path(a) for a in argv]), path
 
     @pytest.mark.parametrize("argv, code, message", [
         pytest.param(["qubo", "solve", "--model", "<empty.qubo>",
@@ -1364,15 +1380,26 @@ class TestRefusalsThroughMain:
           for command in (["cover", "--instance"], ["compress", "--abstract"])],
     ])
     def test_refusal(self, argv, code, message, tmp_path, capsys):
-        for name, text in self.FILES.items():
-            (tmp_path / name).write_text(text)
-
-        def path(text):
-            return re.sub(r"<([\w.-]+)>", lambda m: str(tmp_path / m[1]), text)
-
-        got = main([path(a) for a in argv])
+        got, path = self._main(argv, tmp_path)
         assert capsys.readouterr().err == f"error: {path(message)}\n"
         assert got == code
+
+    @pytest.mark.parametrize("source, message", [
+        pytest.param(["--primitives", "<quaternion-past-max.json>", "--tree", "<tree.json>"],
+                     "<quaternion-past-max.json>: bad primitive record: "
+                     "rotation quaternion of 'A' is not unit-norm",
+                     id="quaternion-past-max"),
+        pytest.param(["--primitives", "<prims.json>", "--cloud", "<normal-past-max.xyz>"],
+                     "<normal-past-max.xyz>: normals must be unit-norm",
+                     id="normal-past-max"),
+    ])
+    def test_overflowing_norm_is_refused_without_a_warning(self, source, message,
+                                                           tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, path = self._main(["compress", *source], tmp_path)
+        assert capsys.readouterr().err == f"error: {path(message)}\n"
+        assert got == 3
 
     def test_empty_model_anneals_to_its_offset(self, tmp_path, capsys):
         model = tmp_path / "empty.qubo"

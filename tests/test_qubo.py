@@ -93,6 +93,13 @@ def all_pairs_cover_qubo(instance, A, B):
     return Qubo(len(sets), linear, quadratic, A * len(instance.universe))
 
 
+def model_record(q):
+    """A model's size, its terms in order and its offset, each with its type."""
+    return (q.n, [(k, v, type(v)) for k, v in q.linear.items()],
+            [(k, v, type(v)) for k, v in q.quadratic.items()],
+            q.offset, type(q.offset))
+
+
 def all_assignments(n):
     ks = np.arange(2**n)
     return ((ks[:, None] >> np.arange(n)) & 1).astype(int)
@@ -316,18 +323,30 @@ class TestCoverQubo:
         assert cover_penalties(instance, B=2.0) == (11.0, 2.0)
         assert cover_penalties(instance, A=9.0) == (9.0, 1.0)
 
-    @given(cover_instances(), st.sampled_from([1.0, 2.0, 0.3, 0.7]),
-           st.sampled_from([1.0, 3.0, 0.1, 2.5]))
+    @given(cover_instances(), st.sampled_from([1.0, 2.0, 0.3, 0.7, 1, 2]),
+           st.sampled_from([1.0, 3.0, 0.1, 2.5, 1, 3]))
     def test_equals_the_all_pairs_construction(self, inst, B, margin):
-        # Integer and fractional penalties; A = n*B + margin.
+        # Integral, fractional and int penalties; A = n*B + margin.  Terms,
+        # their order and their float type all match Qubo(...)'s.
         A = len(inst.universe) * B + margin
         q, names = build_cover_qubo(inst, A=A, B=B)
         ref = all_pairs_cover_qubo(inst, A, B)
         assert names == tuple(c.name for c in inst.candidates)
-        assert q.n == ref.n
-        assert q.linear == ref.linear
-        assert q.quadratic == ref.quadratic
-        assert q.offset == ref.offset
+        assert model_record(q) == model_record(ref)
+
+    @given(data=st.data(), n=st.integers(0, 6))
+    def test_ordered_terms_equal_the_checked_constructor(self, data, n):
+        # build_cover_qubo's terms come merged, in index order and with
+        # i < j; handing them over unchecked must give what Qubo(...) gives,
+        # zero terms dropped and every value a float.
+        value = st.one_of(st.integers(-3, 3), st.floats(-1e308, 1e308),
+                          st.sampled_from([0.0, -0.0]))
+        linear = {i: data.draw(value) for i in range(n) if data.draw(st.booleans())}
+        quadratic = {(i, j): data.draw(value) for i in range(n) for j in range(i + 1, n)
+                     if data.draw(st.booleans())}
+        offset = data.draw(value)
+        assert model_record(Qubo._from_ordered_terms(n, linear, quadratic, offset)) == (
+            model_record(Qubo(n, linear, quadratic, offset)))
 
     def test_encoding_matches_dlx_on_randoms(self):
         # The constraint term vanishes iff the selection is an exact cover;

@@ -2,7 +2,10 @@
 
 ``sample_region``, ``sample_surface`` and ``oracle_agreement`` used to keep
 one hand-written "draw a batch, filter, count attempts, truncate" loop each.
-``signed_distance`` used to take its row norms from ``np.linalg.norm``, and
+``signed_distance`` used to take its row norms from ``np.linalg.norm`` of
+(N, 3) local coordinates, box draws used to be ``rng.uniform(lo, hi,
+size=(n, 3))``, ``tree_value`` used to stack a node's children for
+``np.minimum.reduce`` and ``np.maximum.reduce``, and
 ``sign_vector_samples`` used to test each point against its own primitive
 again, to group rows with ``np.unique`` over opaque byte strings, and to
 leave merging each primitive's groups into cells to its caller.  The
@@ -38,10 +41,12 @@ from csgcompress.geometry import (
     surface_area,
     tree_value,
 )
+from csgcompress.geometry.csg import _tree_value
 from csgcompress.geometry.sampling import (
     _numeric_normals,
     _sample_on_primitive,
     _tree_bounded,
+    box_points,
     derive_rng,
     derive_seed,
     region_batches,
@@ -88,6 +93,15 @@ def reference_signed_distance(primitive, points):
         axial = np.abs(local[:, 2]) - primitive.params["half_height"]
         q = np.stack([radial, axial], axis=1)
     return np.linalg.norm(np.maximum(q, 0.0), axis=1) + np.minimum(q.max(axis=1), 0.0)
+
+
+def reference_tree_value(tree, by_id, points):
+    if isinstance(tree, Leaf):
+        return reference_signed_distance(by_id[tree.prim], points)
+    if isinstance(tree, Complement):
+        return -reference_tree_value(tree.child, by_id, points)
+    reduce = np.minimum.reduce if isinstance(tree, Union) else np.maximum.reduce
+    return reduce([reference_tree_value(c, by_id, points) for c in tree.children])
 
 
 def reference_sign_vector_tables(primitives, count, seeds):
@@ -353,24 +367,93 @@ class TestSampleRegion:
         assert all(b == min(2 * a, 4096) for a, b in zip(sizes, sizes[1:-1]))
 
 
+class TestBoxPoints:
+    @settings(max_examples=50)
+    @given(corners=st.lists(st.floats(-1e300, 1e300), min_size=6, max_size=6),
+           seed=_seeds)
+    @pytest.mark.parametrize("n", [0, 1, 64, 4096])
+    def test_matches_uniform(self, n, corners, seed):
+        lo = np.minimum(corners[:3], corners[3:])
+        hi = np.maximum(corners[:3], corners[3:])
+        rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        npt.assert_array_equal(box_points(rng, lo, hi, n),
+                               want_rng.uniform(lo, hi, size=(n, 3)), strict=True)
+        # Both leave the generator in the same state.
+        assert rng.random() == want_rng.random()
+
+
+def _points_in_layout(layout, t, rot, scale, rng):
+    """The points of one ``test_matches_norm_formula`` case."""
+    if layout.startswith("N="):
+        return t + scale * rng.normal(size=(int(layout[2:]), 3))
+    steps = scale * np.array([-1.0, -0.5, 0.0, 0.5, 1.0])[:, None]
+    points = np.vstack([
+        t + scale * rng.normal(size=(64, 3)),
+        t,  # the centre
+        *(t + steps * rot[:, k] for k in range(3)),  # on the local axes
+        [[-0.0, -0.0, -0.0], [-0.0, 0.0, -0.0], [0.0, -0.0, 1.0], [-1.0, -0.0, 0.0]],
+    ])
+    if layout == "strided":  # every other row of every other column
+        wide = np.zeros((2 * len(points), 6))
+        wide[::2, ::2] = points
+        return wide[::2, ::2]
+    if layout == "F-ordered":
+        return np.asfortranarray(points)
+    if layout == "integer":
+        return np.rint(4 * points).astype(np.int64)
+    return points
+
+
 class TestSignedDistance:
     @settings(max_examples=200)
     @given(primitive=primitives(), seed=_seeds, scale=st.floats(0.01, 4.0))
     def test_matches_norm_formula(self, primitive, seed, scale):
-        rng = np.random.default_rng(seed)
-        t, rot = primitive.translation, primitive._rot
-        steps = scale * np.array([-1.0, -0.5, 0.0, 0.5, 1.0])[:, None]
-        points = np.vstack([
-            t + scale * rng.normal(size=(64, 3)),
-            t,  # the centre
-            *(t + steps * rot[:, k] for k in range(3)),  # on the local axes
-            [[-0.0, -0.0, -0.0], [-0.0, 0.0, -0.0], [0.0, -0.0, 1.0], [-1.0, -0.0, 0.0]],
-        ])
-        npt.assert_array_equal(
-            signed_distance(primitive, points),
-            reference_signed_distance(primitive, points),
-            strict=True,
-        )
+        for layout in ("mixed", "N=0", "N=1", "N=64", "N=4096",
+                       "strided", "F-ordered", "integer"):
+            rng = np.random.default_rng(seed)
+            points = _points_in_layout(layout, primitive.translation,
+                                       primitive._rot, scale, rng)
+            if layout in ("strided", "F-ordered"):
+                assert not points.flags.c_contiguous
+            npt.assert_array_equal(
+                signed_distance(primitive, points),
+                reference_signed_distance(primitive, points),
+                strict=True, err_msg=layout,
+            )
+
+
+def csg_trees(ids):
+    """Trees over ``ids`` that name primitives repeatedly, with one-child
+    complements and two- to four-child unions and intersections."""
+    def node(children):
+        kids = st.lists(children, min_size=2, max_size=4).map(tuple)
+        return st.one_of(children.map(Complement), kids.map(Union),
+                         kids.map(Intersection))
+
+    return st.recursive(st.sampled_from(ids).map(Leaf), node, max_leaves=12)
+
+
+class TestTreeValue:
+    @settings(max_examples=150)
+    @given(data=st.data(), n=st.integers(1, 3), seed=_seeds,
+           size=st.sampled_from([0, 1, 64, 500]))
+    def test_matches_stacked_reduce(self, data, n, seed, size):
+        prims = [data.draw(primitives(pid)) for pid in "ABC"[:n]]
+        tree = data.draw(csg_trees([p.pid for p in prims]))
+        by_id = index_primitives(prims)
+        points = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(size, 3))
+        # Points on the primitives' own centres and a signed zero.
+        points = np.vstack([points, [p.translation for p in prims], [[-0.0, 0.0, -0.0]]])
+        distances = {}
+        got = _tree_value(tree, by_id, points, distances)
+        npt.assert_array_equal(got, reference_tree_value(tree, by_id, points),
+                               strict=True)
+        npt.assert_array_equal(tree_value(tree, by_id, points), got, strict=True)
+        # Each leaf's cached distances, shared by every leaf that names the
+        # primitive, are left as computed.
+        assert set(distances) == leaf_ids(tree)
+        for pid, d in distances.items():
+            npt.assert_array_equal(d, signed_distance(by_id[pid], points), strict=True)
 
 
 def assert_same_cells(got, want):
