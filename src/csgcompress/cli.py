@@ -34,16 +34,14 @@ from .geometry import (
     tree_from_dict,
     tree_to_dict,
 )
-from .graph import DEFAULT_GRAPH_SAMPLES, load_graph
+from .graph import DEFAULT_GRAPH_SAMPLES, load_graph, maximal_cliques_bk
 from .pipeline import (
-    CLIQUE_METHODS,
     COVER_SOLVERS,
     DEFAULT_AGREEMENT_POINTS,
     PipelineConfig,
     compress as run_compress,
     compress_abstract,
     cover_warnings,
-    find_cliques,
     oracle_agreement,
     product_table,
     report_stats,
@@ -191,22 +189,12 @@ def _now() -> str:
 @cli.command(name="cliques")
 @click.option("--graph", "graph_path", type=_in_file, required=True,
               help="Graph JSON with vertices and edges.")
-@click.option("--method", type=click.Choice(list(CLIQUE_METHODS)),
-              default=PipelineConfig.clique_method, show_default=True)
-@_seed_option
-@click.option("--penalty-a", type=float, default=None,
-              help="Reward per clique vertex [default: 1].")
-@click.option("--penalty-b", type=float, default=None,
-              help="Penalty per non-edge, above A [default: 2].")
-@_schedule_option
 @_out_option
-def cliques_cmd(graph_path, method, seed, penalty_a, penalty_b, schedule, out):
-    """Enumerate maximal cliques (bk) or peel SA-found cliques (experimental)."""
-    cliques = find_cliques(
-        load_graph(graph_path), method, penalty_a=penalty_a, penalty_b=penalty_b,
-        schedule=schedule, seed=seed,
-    )
-    payload = {"method": method, "cliques": [sorted(c) for c in cliques]}
+def cliques_cmd(graph_path, out):
+    """Enumerate every maximal clique (Bron-Kerbosch), as compress does."""
+    cliques = maximal_cliques_bk(load_graph(graph_path))
+    payload = {"method": PipelineConfig.clique_method,
+               "cliques": [sorted(c) for c in cliques]}
     _emit(json.dumps(payload, indent=2) + "\n", out)
 
 

@@ -158,7 +158,7 @@ def generate_candidates(
     Raises ParameterError past ``REGION_LIMIT`` cliques, and
     InfeasibleInstanceError when some inside product cannot be covered by
     any admissible candidate (only possible when the supplied cliques do
-    not reflect the graph, e.g. experimental partitions).
+    not reflect the graph, e.g. a vertex partition into disjoint cliques).
     """
     if mode not in (MODE_PARTITIONED, MODE_GLOBAL):
         raise ValueError(f"unknown candidate generation mode {mode!r}")

@@ -117,15 +117,6 @@ def build_intersection_graph(primitives, count: int = DEFAULT_GRAPH_SAMPLES,
     return IntersectionGraph(tuple(p.pid for p in prims), frozenset(edges))
 
 
-def induced_subgraph(graph: IntersectionGraph, keep) -> IntersectionGraph:
-    """Subgraph on ``keep`` vertices, preserving vertex order."""
-    keep = set(keep)
-    return IntersectionGraph(
-        tuple(v for v in graph.vertices if v in keep),
-        frozenset(e for e in graph.edges if e[0] in keep and e[1] in keep),
-    )
-
-
 def maximal_cliques_bk(graph: IntersectionGraph) -> list[frozenset[str]]:
     """All maximal cliques via Bron-Kerbosch with pivoting.
 
@@ -172,8 +163,12 @@ def edges_from_list(edges) -> frozenset:
 
 
 def graph_from_dict(obj: dict) -> IntersectionGraph:
+    """A graph record as an IntersectionGraph; a record without vertices
+    is refused, as ``check_primitive_set`` refuses an empty primitive set."""
     try:
         vertices = tuple(str(v) for v in json_array(obj["vertices"], "vertices"))
+        if not vertices:
+            raise ValueError("a graph needs at least one vertex")
         return IntersectionGraph(vertices, edges_from_list(obj.get("edges", [])))
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"bad graph record: {exc}") from exc

@@ -7,12 +7,11 @@ so a report is reproducible byte for byte apart from its optional
 timestamp.  Errors raised inside a stage are re-raised with the stage name
 prefixed, which the CLI turns into exit codes.
 
-``compress`` shares ``product_table`` with ``csgc products`` and the
-dispatch ``solve_cover`` with ``csgc cover``.  Its cliques are always every
-maximal clique (``maximal_cliques_bk``); ``find_cliques``, which can also
-anneal them, serves ``csgc cliques`` only.  Sample-count and threshold
-defaults live in the stage modules, penalty defaults in ``qubo``, and the
-agreement point count here.
+``compress`` shares ``product_table`` with ``csgc products``, the dispatch
+``solve_cover`` with ``csgc cover``, and its cliques, every maximal clique
+(``graph.maximal_cliques_bk``), with ``csgc cliques``.  Sample-count and
+threshold defaults live in the stage modules, penalty defaults in ``qubo``,
+and the agreement point count here.
 """
 
 from __future__ import annotations
@@ -43,9 +42,7 @@ from .graph import (
     DEFAULT_GRAPH_SAMPLES,
     IntersectionGraph,
     build_intersection_graph,
-    clique_sort_key,
     graph_to_dict,
-    induced_subgraph,
     maximal_cliques_bk,
 )
 from .products import (
@@ -55,7 +52,6 @@ from .products import (
 from .qubo import (
     AnnealSchedule,
     build_cover_qubo,
-    build_max_clique_qubo,
     check_exact_size,
     check_sa_memory,
     cover_penalties,
@@ -68,7 +64,6 @@ CONFIG_VERSION = 1
 REPORT_SCHEMA_VERSION = 2
 
 COVER_SOLVERS = ("dlx", "qubo_exact", "qubo_sa")
-CLIQUE_METHODS = ("bk", "qubo_sa_experimental")
 
 #: off-surface points on which a tree is compared with the oracle
 DEFAULT_AGREEMENT_POINTS = 10_000
@@ -228,69 +223,6 @@ def oracle_agreement(
     )
     truth = oracle.inside(pts)
     return int(np.sum((v < 0) == truth)) / len(pts), len(pts)
-
-
-def cliques_via_qubo_sa(
-    graph: IntersectionGraph,
-    A: float | None = None,
-    B: float | None = None,
-    schedule: AnnealSchedule | None = None,
-    seed: int = 0,
-) -> list[frozenset[str]]:
-    """Experimental clique partition: peel off one SA-found maximum clique
-    at a time until every vertex is assigned.
-
-    Unlike Bron-Kerbosch this returns a vertex-disjoint partition, not all
-    maximal cliques, so downstream cover generation may turn out
-    infeasible; the pipeline surfaces that as an error.  ``A`` and ``B``
-    are the max-clique penalties (None takes ``build_max_clique_qubo``'s).
-    """
-    remaining = set(graph.vertices)
-    cliques: list[frozenset[str]] = []
-    round_no = 0
-    while remaining:
-        sub = induced_subgraph(graph, remaining)
-        q, names = build_max_clique_qubo(sub, A, B)
-        result = solve_sa(q, schedule, seed=derive_seed(seed, 0xC11, round_no))
-        members = {names[i] for i in selection_from_result(result)}
-        members = _repair_clique(sub, members)
-        if not members:
-            members = {min(remaining)}
-        cliques.append(frozenset(members))
-        remaining -= members
-        round_no += 1
-    return sorted(cliques, key=clique_sort_key)
-
-
-def find_cliques(
-    graph: IntersectionGraph,
-    method: str = PipelineConfig.clique_method,
-    *,
-    penalty_a: float | None = None,
-    penalty_b: float | None = None,
-    schedule: AnnealSchedule | None = None,
-    seed: int = 0,
-) -> list[frozenset[str]]:
-    """The cliques of ``graph`` by the named method.
-
-    ``bk`` lists every maximal clique (Bron-Kerbosch); the penalties,
-    schedule and seed are unused.  ``qubo_sa_experimental`` runs
-    ``cliques_via_qubo_sa`` with them.
-    """
-    if method not in CLIQUE_METHODS:
-        raise ParameterError(f"unknown clique method {method!r}")
-    if method == "bk":
-        return maximal_cliques_bk(graph)
-    return cliques_via_qubo_sa(graph, penalty_a, penalty_b, schedule, seed)
-
-
-def _repair_clique(graph: IntersectionGraph, members) -> set[str]:
-    """Greedy fix for SA outputs that are not quite cliques."""
-    kept: set[str] = set()
-    for v in sorted(members):
-        if all(graph.has_edge(v, u) for u in kept):
-            kept.add(v)
-    return kept
 
 
 def solve_cover(

@@ -316,7 +316,7 @@ class TestGenerateCandidates:
 
     def test_infeasible_partition_names_element(self):
         # Only the lens {a,b} is inside.  A degenerate vertex partition
-        # (as the experimental clique method may produce) cannot express
+        # (disjoint cliques rather than every maximal clique) cannot express
         # the two-positive conjunction, so generation must flag {a&b}.
         _, table = abstract_instance_from_dict(
             {

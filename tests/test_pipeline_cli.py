@@ -47,11 +47,9 @@ from csgcompress.geometry.sampling import derive_seed
 from csgcompress.graph import build_intersection_graph, load_graph, maximal_cliques_bk
 from csgcompress.pipeline import (
     PipelineConfig,
-    cliques_via_qubo_sa,
     compress,
     compress_abstract,
     cover_warnings,
-    find_cliques,
     oracle_agreement,
     report_stats,
     solve_cover,
@@ -207,13 +205,7 @@ class TestPipelineConfig:
         with pytest.raises(ParameterError, match=message):
             PipelineConfig(**kwargs)
 
-    def test_compress_takes_every_maximal_clique(self, fig_abstract_instance,
-                                                 monkeypatch):
-        # find_cliques serves csgc cliques only; compress does not dispatch.
-        def dispatch(*_args, **_kwargs):
-            raise AssertionError("compress went through find_cliques")
-
-        monkeypatch.setattr(pipeline, "find_cliques", dispatch)
+    def test_compress_takes_every_maximal_clique(self, fig_abstract_instance):
         graph, table = abstract_instance_from_dict(fig_abstract_instance)
         report = compress_abstract(graph, table)
         assert list(report.cliques) == maximal_cliques_bk(graph)
@@ -363,43 +355,6 @@ class TestSolveCover:
         assert (report.subsets_used, report.warnings) == (4, ())
 
 
-class TestExperimentalCliques:
-    def test_partition_is_disjoint_and_covers(self, fig_abstract_instance):
-        graph, _ = abstract_instance_from_dict(fig_abstract_instance)
-        cliques = cliques_via_qubo_sa(graph, seed=0)
-        seen = set()
-        for c in cliques:
-            assert graph.is_clique(c)
-            assert not (c & seen)
-            seen |= c
-        assert seen == set(graph.vertices)
-
-    def test_first_peel_is_a_maximum_clique(self, fig_abstract_instance):
-        graph, _ = abstract_instance_from_dict(fig_abstract_instance)
-        cliques = cliques_via_qubo_sa(graph, seed=0)
-        assert max(len(c) for c in cliques) == 3
-
-    def test_deterministic(self, fig_abstract_instance):
-        graph, _ = abstract_instance_from_dict(fig_abstract_instance)
-        assert cliques_via_qubo_sa(graph, seed=5) == cliques_via_qubo_sa(graph, seed=5)
-
-
-class TestFindCliques:
-    def test_dispatches_to_each_method(self, fig_abstract_instance):
-        graph, _ = abstract_instance_from_dict(fig_abstract_instance)
-        assert find_cliques(graph) == maximal_cliques_bk(graph)
-        schedule = AnnealSchedule(2.0, 0.01, 200, 4)
-        assert find_cliques(
-            graph, "qubo_sa_experimental", penalty_a=1.0, penalty_b=3.0,
-            schedule=schedule, seed=4,
-        ) == cliques_via_qubo_sa(graph, 1.0, 3.0, schedule, seed=4)
-
-    def test_unknown_method_rejected(self, fig_abstract_instance):
-        graph, _ = abstract_instance_from_dict(fig_abstract_instance)
-        with pytest.raises(ParameterError, match="unknown clique method"):
-            find_cliques(graph, "greedy")
-
-
 class TestReportStats:
     def test_json_fields(self, fig_report):
         data = json.loads(report_stats(fig_report))
@@ -496,6 +451,18 @@ class TestCli:
     def test_removed_compress_knobs_are_input_errors(self, option, abstract_file,
                                                      capsys):
         code = main(["compress", "--abstract", str(abstract_file)] + option)
+        err = capsys.readouterr().err
+        assert "No such option" in err and option[0] in err
+        assert code == 3
+
+    @pytest.mark.parametrize("option", [
+        ["--method", "bk"], ["--seed", "0"], ["--penalty-a", "1"],
+        ["--penalty-b", "2"], ["--schedule", "1,0.1,10,2"]])
+    def test_removed_cliques_options_are_input_errors(self, option, tmp_path,
+                                                      capsys):
+        graph_path = tmp_path / "graph.json"
+        graph_path.write_text(GRAPH_AB)
+        code = main(["cliques", "--graph", str(graph_path)] + option)
         err = capsys.readouterr().err
         assert "No such option" in err and option[0] in err
         assert code == 3
@@ -740,6 +707,31 @@ class TestCli:
         assert data["energy"] == 3.0
         assert data["assignment"] == "1000101"
 
+    @pytest.mark.parametrize("solver", [["exact"], ["sa", "--seed", "0"]],
+                             ids=["exact", "sa"])
+    def test_max_clique_export_solves_to_a_maximum_clique(
+        self, solver, fig_abstract_instance, tmp_path, capsys
+    ):
+        # The paper's hand-off: the graph's max-clique model leaves as a
+        # file, and a solver's ground state read back through the model's
+        # variable names is a largest clique of the graph.
+        graph_path = tmp_path / "graph.json"
+        graph_path.write_text(json.dumps({
+            "vertices": fig_abstract_instance["primitives"],
+            "edges": fig_abstract_instance["edges"]}))
+        model = tmp_path / "clique.qubo"
+        assert main(["qubo", "export", "--graph", str(graph_path),
+                     "--out", str(model)]) == 0
+        assert main(["qubo", "solve", "--model", str(model),
+                     "--solver", *solver]) == 0
+        bits = json.loads(capsys.readouterr().out)["assignment"]
+        names = dict(line.split()[2:] for line in model.read_text().splitlines()
+                     if line.startswith("c var "))
+        selected = {names[str(i)] for i, bit in enumerate(bits) if bit == "1"}
+        graph = load_graph(graph_path)
+        assert graph.is_clique(selected)
+        assert len(selected) == len(maximal_cliques_bk(graph)[0]) == 3
+
     def test_eval_command(self, scene_files, tmp_path, capsys,
                           fig_primitives, fig_minimal_tree):
         prim_path, tree_path = scene_files
@@ -774,19 +766,17 @@ class TestCli:
         assert code == 4
 
     @pytest.mark.parametrize("command", [
-        "compress", "cover", "cover dlx", "cover qubo_exact", "cliques bk",
+        "compress", "cover", "cover dlx", "cover qubo_exact",
         "qubo solve", "qubo solve exact", "eval",
     ])
     def test_negative_seed_is_a_parameter_error(self, command, abstract_file,
                                                 cover5_file, scene_files,
                                                 cloud_file, tmp_path, capsys):
-        # Refused also where the seed goes unused (dlx, qubo_exact, bk, exact).
+        # Refused also where the seed goes unused (dlx, qubo_exact, exact).
         prim_path, tree_path = scene_files
         model = tmp_path / "cover.qubo"
         assert main(["qubo", "export", "--instance", str(cover5_file),
                      "--out", str(model)]) == 0
-        graph = tmp_path / "graph.json"
-        graph.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]]}))
         cover = ["cover", "--instance", str(cover5_file), "--solver"]
         solve = ["qubo", "solve", "--model", str(model)]
         args = {
@@ -794,7 +784,6 @@ class TestCli:
             "cover": cover + ["qubo_sa"],
             "cover dlx": cover + ["dlx"],
             "cover qubo_exact": cover + ["qubo_exact"],
-            "cliques bk": ["cliques", "--graph", str(graph), "--method", "bk"],
             "qubo solve": solve,
             "qubo solve exact": solve + ["--solver", "exact"],
             "eval": ["eval", "--tree", str(tree_path), "--primitives",
@@ -1296,6 +1285,7 @@ class TestRefusalsThroughMain:
         "tree.json": TREE_AB,
         "cloud.xyz": "0 0 0 1 0 0\n",
         "graph.json": GRAPH_AB,
+        "no-vertices.json": json.dumps({"vertices": [], "edges": []}),
         "cover.json": COVER_AB,
         "empty.qubo": "p qubo 0 0 0 0\n",
         "node-past-n.qubo": "p qubo 0 2 1 0\n2 2 1.0\n",
@@ -1372,6 +1362,11 @@ class TestRefusalsThroughMain:
           for name, message in (
               ("node-past-n.qubo", "linear index 2 out of range for n=2"),
               ("coupler-past-n.qubo", "quadratic index (0,2) out of range for n=2"))],
+        *[pytest.param([*command, "<no-vertices.json>"], 3,
+                       "bad graph record: a graph needs at least one vertex",
+                       id=f"no-vertices-{command[0]}")
+          for command in (["cliques", "--graph"],
+                          ["qubo", "export", "--out", "<out.qubo>", "--graph"])],
         *[pytest.param([*command, "<huge-int.json>"], 3,
                        "<huge-int.json>: invalid JSON (Exceeds the limit (4300 digits) "
                        "for integer string conversion: value has 5000 digits; use "
