@@ -12,13 +12,12 @@ the output tree: a union of candidate conjunctions.
 
 Candidates come from one depth-first walk over the product table.  Its
 positive sets P are the cliques of the intersection graph
-(``enumerate_cliques``, bounded by ``REGION_LIMIT``): all of them in global
-mode, those inside a given clique in partitioned mode.  From P the walk
-negates further primitives in id order, only ones that still occur in a
-covered product: any other negation leaves the covered set unchanged at the
-price of a literal.  A branch ends when its covered set is empty.
-Negations cut a shared primitive down to the products its clique owns, so
-per-clique results merge without covering foreign cells.
+(``enumerate_cliques``, bounded by ``REGION_LIMIT``) that lie inside one of
+the given cliques.  From P the walk negates further primitives in id order,
+only ones that still occur in a covered product: any other negation leaves
+the covered set unchanged at the price of a literal.  A branch ends when its
+covered set is empty.  Negations cut a shared primitive down to the products
+its clique owns, so per-clique results merge without covering foreign cells.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from .graph import IntersectionGraph
 from .products import ProductTable, enumerate_cliques
 
 MODE_PARTITIONED = "partitioned"
-MODE_GLOBAL = "global"
 
 #: covered-element masks ``solve_cover_dlx`` may solve before it refuses the
 #: instance (about 150 MB of memo and a few seconds)
@@ -148,9 +146,9 @@ def generate_candidates(
     """Build the cover instance over the inside products of ``table``.
 
     The walk starts from the cliques of ``graph`` that lie inside one of
-    ``cliques`` (``MODE_PARTITIONED``, what ``compress`` runs) or from all
-    of them (``MODE_GLOBAL``).  Under every maximal clique both modes give
-    the same candidates.
+    ``cliques``; under every maximal clique these are all the cliques of
+    ``graph``.  ``mode`` accepts ``MODE_PARTITIONED`` only; it is kept for
+    positional callers and goes with ``cliques`` and ``graph``.
 
     Precondition: every product's positive set is a clique of ``graph``
     (``enumerate_products`` and ``abstract_instance_from_dict`` ensure it),
@@ -160,7 +158,7 @@ def generate_candidates(
     any admissible candidate (only possible when the supplied cliques do
     not reflect the graph, e.g. a vertex partition into disjoint cliques).
     """
-    if mode not in (MODE_PARTITIONED, MODE_GLOBAL):
+    if mode != MODE_PARTITIONED:
         raise ValueError(f"unknown candidate generation mode {mode!r}")
     universe = table.universe
     universe_set = set(universe)
@@ -183,14 +181,10 @@ def generate_candidates(
             if rest:
                 walk(pos, neg + (n,), rest)
 
-    if mode == MODE_GLOBAL:
-        roots = enumerate_cliques(graph)
-    else:
-        given = [frozenset(c) for c in cliques]
-        if not given or set().union(*given) != set(table.primitive_ids):
-            raise ValueError("cliques must cover all primitives")
-        roots = [pos for pos in enumerate_cliques(graph)
-                 if any(pos <= k for k in given)]
+    given = [frozenset(c) for c in cliques]
+    if not given or set().union(*given) != set(table.primitive_ids):
+        raise ValueError("cliques must cover all primitives")
+    roots = [pos for pos in enumerate_cliques(graph) if any(pos <= k for k in given)]
     for pos in roots:
         covered = [p.positive_set for p in table.products if pos <= p.positive_set]
         if covered:

@@ -51,6 +51,21 @@ def json_array(value, field: str):
     return value
 
 
+def json_id(value, field: str) -> str:
+    """``value`` as an id: a non-empty string as it is, an integer (not a
+    bool) as its decimal string; anything else is a TypeError or ValueError
+    naming ``field``."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    if not isinstance(value, str):
+        raise TypeError(
+            f"{field} must be a string or an integer, got {type(value).__name__}"
+        )
+    if not value:
+        raise ValueError(f"{field} must be non-empty")
+    return value
+
+
 @contextlib.contextmanager
 def open_text(path):
     """``path`` opened for reading as UTF-8 text; a byte that does not

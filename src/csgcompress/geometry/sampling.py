@@ -336,9 +336,9 @@ def sample_surface(tree: CsgNode, primitives, count: int, seed: int) -> PointClo
     areas = np.array([surface_area(p) for p in prims])
     weights = areas / areas.sum()
     diag = scene_diameter(prims)
-    on_tol = 1e-9 * max(diag, 1.0)
-    probe = 1e-4 * max(diag, 1.0)
-    grad_eps = 1e-6 * max(diag, 1.0)
+    on_tol = 1e-9 * diag
+    probe = 1e-4 * diag
+    grad_eps = 1e-6 * diag
 
     rng = np.random.default_rng(int(seed))
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FileFormatError, json_array, read_json
+from .errors import FileFormatError, json_array, json_id, read_json
 from .geometry import check_primitive_set, signed_distance
 from .geometry.sampling import check_sample_count, derive_seed, near_pairs, region_batches
 
@@ -158,7 +158,7 @@ def edges_from_list(edges) -> frozenset:
     pairs = []
     for k, edge in enumerate(json_array(edges, "edges")):
         a, b = json_array(edge, f"edge {k}")
-        pairs.append((str(a), str(b)))
+        pairs.append((json_id(a, f"edge {k} end 0"), json_id(b, f"edge {k} end 1")))
     return frozenset(pairs)
 
 
@@ -166,7 +166,8 @@ def graph_from_dict(obj: dict) -> IntersectionGraph:
     """A graph record as an IntersectionGraph; a record without vertices
     is refused, as ``check_primitive_set`` refuses an empty primitive set."""
     try:
-        vertices = tuple(str(v) for v in json_array(obj["vertices"], "vertices"))
+        vertices = tuple(json_id(v, f"vertex {k}")
+                         for k, v in enumerate(json_array(obj["vertices"], "vertices")))
         if not vertices:
             raise ValueError("a graph needs at least one vertex")
         return IntersectionGraph(vertices, edges_from_list(obj.get("edges", [])))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FileFormatError, ParameterError, json_array, read_json
+from .errors import FileFormatError, ParameterError, json_array, json_id, read_json
 from .geometry import check_primitive_set, sign_vector_samples
 from .graph import IntersectionGraph, clique_sort_key, edges_from_list
 
@@ -243,12 +243,15 @@ def candidate_bounds(table: ProductTable, cliques) -> CandidateBounds:
 
 def abstract_instance_from_dict(obj: dict) -> tuple[IntersectionGraph, ProductTable]:
     try:
-        ids = tuple(str(v) for v in json_array(obj["primitives"], "primitives"))
+        ids = tuple(json_id(v, f"primitive {k}")
+                    for k, v in enumerate(json_array(obj["primitives"], "primitives")))
         graph = IntersectionGraph(ids, edges_from_list(obj.get("edges", [])))
         products = []
         for k, rec in enumerate(json_array(obj["products"], "products")):
-            field = f"product {k} positives"
-            positives = frozenset(str(v) for v in json_array(rec["positives"], field))
+            positives = frozenset(
+                json_id(v, f"product {k} positive {j}")
+                for j, v in enumerate(json_array(rec["positives"], f"product {k} positives"))
+            )
             inside = rec["inside"]
             if not isinstance(inside, bool):
                 raise TypeError(

@@ -654,6 +654,14 @@ def export_qubo(q: Qubo, path, names: tuple[str, ...] | None = None) -> None:
             fh.write(f"{i} {j} {v:.17g}\n")
 
 
+def _numeral(text: str) -> str:
+    """``text`` if it is a number as qbsolv writes one: ASCII, no "_"
+    (Python's int() and float() take both)."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a qbsolv numeral: {text!r}")
+    return text
+
+
 def import_qubo(path) -> Qubo:
     n = None
     n_nodes = n_couplers = 0
@@ -673,7 +681,7 @@ def import_qubo(path) -> Qubo:
                             f"{path}:{lineno}: bad offset line"
                         )
                     try:
-                        offset = float(fields[2])
+                        offset = float(_numeral(fields[2]))
                     except ValueError as exc:
                         raise FileFormatError(
                             f"{path}:{lineno}: bad offset value"
@@ -688,7 +696,7 @@ def import_qubo(path) -> Qubo:
                 counts = []
                 for name, text in zip(("n", "nodes", "couplers"), fields[3:]):
                     try:
-                        counts.append(int(text))
+                        counts.append(int(_numeral(text)))
                     except ValueError as exc:
                         raise FileFormatError(
                             f"{path}:{lineno}: program line field {name} must "
@@ -706,6 +714,9 @@ def import_qubo(path) -> Qubo:
                     f"{path}:{lineno}: expected 'i j value'"
                 )
             try:
+                if not line.isascii() or "_" in line:  # name the bad field
+                    for text in fields:
+                        _numeral(text)
                 i, j, v = int(fields[0]), int(fields[1]), float(fields[2])
             except ValueError as exc:
                 raise FileFormatError(f"{path}:{lineno}: {exc}") from exc

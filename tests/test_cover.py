@@ -16,7 +16,6 @@ from csgcompress.errors import (
     UnsatisfiableError,
 )
 from csgcompress.cover import (
-    MODE_GLOBAL,
     MODE_PARTITIONED,
     CoverInstance,
     CoverSolution,
@@ -132,15 +131,16 @@ def exhaustive_best_key(instance):
                 for s in enumerate_exact_covers(instance)), default=None)
 
 
-def reference_candidates(table, cliques, graph, mode):
+def reference_candidates(table, cliques, graph):
     """Literal-lattice reference for ``generate_candidates``.
 
-    Every allowed positive set is combined with every negation subset of the
-    remaining primitives, and the cheapest expression per admissible covered
-    set is kept under the same tie-break.  Returns (name, covered, literals,
-    literal_count) tuples in candidate order.
+    Every allowed positive set (a subset of one of ``cliques``, or every
+    clique of ``graph`` when ``cliques`` is None) is combined with every
+    negation subset of the remaining primitives, and the cheapest expression
+    per admissible covered set is kept under the same tie-break.  Returns
+    (name, covered, literals, literal_count) tuples in candidate order.
     """
-    if mode == MODE_GLOBAL:
+    if cliques is None:
         roots = enumerate_cliques(graph)
     else:
         roots = [
@@ -219,6 +219,15 @@ def sphere_grid_instance(rows, cols):
     })
 
 
+def assert_matches(expect, table, cliques, graph):
+    """``generate_candidates`` gives the reference rows, or refuses as it must."""
+    if not set(table.universe) <= set().union(*(r[1] for r in expect)):
+        with pytest.raises(InfeasibleInstanceError):
+            generate_candidates(table, cliques, graph)
+    else:
+        assert candidate_rows(generate_candidates(table, cliques, graph)) == expect
+
+
 @pytest.fixture(scope="module")
 def fig_graph_table(fig_abstract_instance):
     return abstract_instance_from_dict(fig_abstract_instance)
@@ -265,54 +274,35 @@ class TestGenerateCandidates:
     def test_every_universe_element_coverable(self, fig_partitioned):
         assert fig_partitioned.feasible
 
-    def test_global_mode_same_or_better(self, fig_graph_table):
-        graph, table = fig_graph_table
-        cliques = maximal_cliques_bk(graph)
-        part = solve_cover_dlx(
-            generate_candidates(table, cliques, graph, MODE_PARTITIONED)
-        )
-        glob = solve_cover_dlx(
-            generate_candidates(table, cliques, graph, MODE_GLOBAL)
-        )
-        assert glob.key()[:2] <= part.key()[:2]
-
-    @given(abstract_instances(), st.sampled_from([MODE_PARTITIONED, MODE_GLOBAL]))
-    def test_matches_literal_lattice_reference(self, case, mode):
+    @given(abstract_instances())
+    def test_matches_literal_lattice_reference(self, case):
         graph, table, cliques = case
-        expect = reference_candidates(table, cliques, graph, mode)
-        coverable = set().union(*(r[1] for r in expect))
-        if not set(table.universe) <= coverable:
-            with pytest.raises(InfeasibleInstanceError):
-                generate_candidates(table, cliques, graph, mode)
-        else:
-            got = generate_candidates(table, cliques, graph, mode)
-            assert candidate_rows(got) == expect
+        assert_matches(reference_candidates(table, cliques, graph), table, cliques, graph)
 
     @given(abstract_instances())
-    def test_partitioned_equals_global_under_bk_cliques(self, case):
+    def test_bk_cliques_walk_every_graph_clique(self, case):
+        # Under every maximal clique the walk's roots are all the cliques of
+        # the graph, so it matches the reference taken from all of them.
         graph, table, _ = case
-        cliques = maximal_cliques_bk(graph)
-        try:
-            part = generate_candidates(table, cliques, graph, MODE_PARTITIONED)
-        except InfeasibleInstanceError:
-            with pytest.raises(InfeasibleInstanceError):
-                generate_candidates(table, cliques, graph, MODE_GLOBAL)
-            return
-        glob = generate_candidates(table, cliques, graph, MODE_GLOBAL)
-        assert candidate_rows(glob) == candidate_rows(part)
+        assert_matches(reference_candidates(table, None, graph),
+                       table, maximal_cliques_bk(graph), graph)
 
-    def test_global_mode_on_sphere_grid_is_fast(self):
+    def test_walk_on_sphere_grid_is_fast(self):
         # A cell shares products with at most four other primitives, so the
         # walk from each of the 40 cells is small, while the full negation
         # lattice holds 2^14 to 2^15 subsets per cell.
         graph, table = sphere_grid_instance(4, 4)
         assert (len(table.primitive_ids), table.n_f) == (16, 40)
         cliques = maximal_cliques_bk(graph)
-        part = generate_candidates(table, cliques, graph, MODE_PARTITIONED)
         start = time.perf_counter()
-        glob = generate_candidates(table, cliques, graph, MODE_GLOBAL)
+        instance = generate_candidates(table, cliques, graph)
         assert time.perf_counter() - start < 1.0
-        assert candidate_rows(glob) == candidate_rows(part)
+        assert instance.feasible
+
+    def test_global_mode_is_refused(self, fig_graph_table):
+        graph, table = fig_graph_table
+        with pytest.raises(ValueError, match="unknown candidate generation mode 'global'"):
+            generate_candidates(table, maximal_cliques_bk(graph), graph, "global")
 
     def test_infeasible_partition_names_element(self):
         # Only the lens {a,b} is inside.  A degenerate vertex partition

@@ -361,6 +361,20 @@ class TestSampleSurface:
         assert on_a.sum() > 0 and on_b.sum() > 0
         assert np.all(on_a | on_b)
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3])
+    def test_overlapping_spheres_at_any_scale(self, scale):
+        centres = np.array([[0.0, 0, 0], [1.5 * scale, 0, 0]])
+        spheres = [sphere(pid, c, scale) for pid, c in zip("AB", centres)]
+        cloud = sample_surface(Union((Leaf("A"), Leaf("B"))), spheres, 500, seed=9)
+        d = np.stack([signed_distance(s, cloud.points) for s in spheres])
+        assert len(cloud) == 500
+        # On the union's surface: on one sphere, and not inside the other.
+        npt.assert_allclose(d.min(axis=0), 0.0, atol=1e-6 * scale)
+        # Outward: along the radius of the sphere the point lies on.
+        radial = cloud.points - centres[np.abs(d).argmin(axis=0)]
+        radial /= np.linalg.norm(radial, axis=1, keepdims=True)
+        assert np.all(np.einsum("ij,ij->i", cloud.normals, radial) > 0.99)
+
     @pytest.mark.parametrize("count", [0, -1])
     def test_count_below_one_rejected(self, count):
         s = sphere("A", (0, 0, 0), 1.0)

@@ -70,6 +70,11 @@ class TestIntersectionGraph:
         g = IntersectionGraph(("a", "b", "c"), frozenset({("a", "b"), ("b", "c")}))
         assert graph_from_dict(graph_to_dict(g)).edges == g.edges
 
+    def test_integer_ids_read_as_decimal_strings(self):
+        # As load_primitives reads an integer primitive id.
+        g = graph_from_dict({"vertices": [7, "a"], "edges": [[7, "a"]]})
+        assert (g.vertices, g.edges) == (("7", "a"), frozenset({("7", "a")}))
+
 
 class TestBuildGraph:
     def test_two_overlapping_spheres(self):

@@ -1300,6 +1300,16 @@ class TestRefusalsThroughMain:
         "no-primitives.json": "[]",
         "object.json": json.dumps({"id": "A"}),
         "huge-int.json": '{"universe": [' + "9" * 5000 + '], "subsets": []}',
+        "null-vertex.json": json.dumps({"vertices": [None, [1], True],
+                                        "edges": [[None, True]]}),
+        "empty-vertex.json": json.dumps({"vertices": ["", "a"], "edges": []}),
+        "bool-edge-end.json": json.dumps({"vertices": ["a", "b"], "edges": [["a", False]]}),
+        "null-primitive.json": json.dumps({
+            "primitives": [1, None], "edges": [[1, None]],
+            "products": [{"positives": [1], "inside": True}]}),
+        "empty-positive.json": json.dumps({
+            "primitives": ["a"], "edges": [],
+            "products": [{"positives": [""], "inside": True}]}),
         **{f"{name}.json": json.dumps(records)
            for name, records in OVERFLOWING_PRIMITIVES.items()},
         # Values whose Euclidean norm overflows a float.
@@ -1367,6 +1377,20 @@ class TestRefusalsThroughMain:
                        id=f"no-vertices-{command[0]}")
           for command in (["cliques", "--graph"],
                           ["qubo", "export", "--out", "<out.qubo>", "--graph"])],
+        *[pytest.param([*command, "<%s>" % name], 3, "bad graph record: " + message,
+                       id=f"{name[:-5]}-{command[0]}")
+          for command in (["cliques", "--graph"],
+                          ["qubo", "export", "--out", "<out.qubo>", "--graph"])
+          for name, message in (
+              ("null-vertex.json", "vertex 0 must be a string or an integer, got NoneType"),
+              ("empty-vertex.json", "vertex 0 must be non-empty"),
+              ("bool-edge-end.json", "edge 0 end 1 must be a string or an integer, got bool"))],
+        *[pytest.param(["compress", "--abstract", "<%s>" % name], 3,
+                       "bad abstract instance: " + message, id=name[:-5])
+          for name, message in (
+              ("null-primitive.json",
+               "primitive 1 must be a string or an integer, got NoneType"),
+              ("empty-positive.json", "product 0 positive 0 must be non-empty"))],
         *[pytest.param([*command, "<huge-int.json>"], 3,
                        "<huge-int.json>: invalid JSON (Exceeds the limit (4300 digits) "
                        "for integer string conversion: value has 5000 digits; use "

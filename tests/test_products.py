@@ -360,11 +360,7 @@ class TestRegionLimit:
         )
         with pytest.raises(ParameterError, match="REGION_LIMIT = 4096 regions on 40 primitives"):
             enumerate_cliques(g)
-        with pytest.raises(ParameterError, match="REGION_LIMIT"):
-            cover.generate_candidates(
-                products.ProductTable(ids, ()), [frozenset(ids)], g, cover.MODE_GLOBAL
-            )
-        # Partitioned mode walks the same cliques.  A 14-vertex clique
+        # The candidate walk enumerates the same cliques.  A 14-vertex clique
         # (2^14 - 1 = 16383 subsets) keeps the test cheap if the check is lost.
         ids = ids[:14]
         g = IntersectionGraph(

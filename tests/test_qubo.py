@@ -802,6 +802,17 @@ MALFORMED_MODELS = [
     pytest.param("p qubo 0 1 0 x\n",
                  ":1: program line field couplers must be an integer, got 'x'",
                  id="p-couplers-not-integer"),
+    # Python's int() and float() read "_" separators and non-ASCII digits;
+    # qbsolv reads neither.
+    pytest.param("p qubo 0 1 1 0\n0 0 -1_0\n", ":2: not a qbsolv numeral: '-1_0'",
+                 id="value-underscore"),
+    pytest.param("p qubo 0 12 0 1\n0 1_1 1.0\n", ":2: not a qbsolv numeral: '1_1'",
+                 id="index-underscore"),
+    pytest.param("p qubo 0 \u0661 1 0\n0 0 1.0\n",
+                 ":1: program line field n must be an integer, got '\u0661'",
+                 id="p-arabic-indic-digit"),
+    pytest.param("c offset 1_0\np qubo 0 1 0 0\n", ":1: bad offset value",
+                 id="offset-underscore"),
     pytest.param("0 0 1.0\np qubo 0 1 1 0\n",
                  ":1: data before the program line", id="data-first"),
     pytest.param("p qubo 0 2 1 0\n0 1.0\n", ":2: expected 'i j value'",

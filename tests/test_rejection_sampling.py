@@ -156,9 +156,9 @@ def reference_sample_surface(tree, primitives, count, seed):
     areas = np.array([surface_area(p) for p in prims])
     weights = areas / areas.sum()
     diag = scene_diameter(prims)
-    on_tol = 1e-9 * max(diag, 1.0)
-    probe = 1e-4 * max(diag, 1.0)
-    grad_eps = 1e-6 * max(diag, 1.0)
+    on_tol = 1e-9 * diag
+    probe = 1e-4 * diag
+    grad_eps = 1e-6 * diag
 
     rng = np.random.default_rng(int(seed))
     pts_out = []
